@@ -14,7 +14,6 @@ from .harness import (
     emit_csv,
     load_config_file,
     run_scenario,
-    seed_from_env,
     write_manifest,
 )
 from .joint import OracleGrid
@@ -74,8 +73,6 @@ def main(argv=None) -> int:
         overrides["n_jobs"] = args.jobs
     if args.seed is not None:
         overrides["master_seed"] = args.seed
-    elif args.config is None:
-        overrides["master_seed"] = seed_from_env(config.master_seed)
     if overrides:
         config = replace(config, **overrides)
 

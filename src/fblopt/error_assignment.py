@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import NetworkRealization
 from .kernels import EPS_FLOOR, dispersion_coeff, q_function, q_inverse
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -84,10 +83,24 @@ class ErrorAssignment:
     branch: int
 
 
-def _sorted_dispersion_terms(realization, p, profile):
-    """sqrt(s^2 + 2s)/(1+s) per user in sorted-cap order, s = gamma*p."""
+def _branch_tails(realization, p, profile):
+    """Tail sums over sorted slots k..N of sqrt(s^2 + 2s)/(1+s), s = gamma*p,
+    for every branch k at once: one reversed cumulative sum, O(N)."""
     s = profile.to_sorted(realization.gamma) * profile.to_sorted(p)
-    return np.sqrt(s * (s + 2.0)) / (1.0 + s)
+    return np.cumsum(dispersion_coeff(s, 1)[::-1])[::-1]
+
+
+def _beta_from_tail(tail, realization, profile, omega, sr_inf):
+    """Shared error level of a branch whose dispersion tail sum is `tail`;
+    see beta_k for the meaning of the returned pair."""
+    if tail == 0.0:
+        return 0.0, True
+    num = np.sqrt(realization.block_length) * (1.0 - omega) * sr_inf
+    den = profile.eps_max_overall * omega * _SQRT_2PI * tail
+    arg = num / den
+    if arg < 1.0:
+        return None, False
+    return float(q_function(np.sqrt(2.0 * np.log(arg)))), False
 
 
 def beta_k(realization, p, profile, omega, sr_inf, k):
@@ -101,16 +114,8 @@ def beta_k(realization, p, profile, omega, sr_inf, k):
     n = realization.n_users
     if not 1 <= k <= n:
         raise ValueError("branch index k must lie in [1, n_users]")
-    terms = _sorted_dispersion_terms(realization, p, profile)
-    tail = float(np.sum(terms[k - 1 :]))
-    if tail == 0.0:
-        return 0.0, True
-    num = np.sqrt(realization.block_length) * (1.0 - omega) * sr_inf
-    den = profile.eps_max_overall * omega * _SQRT_2PI * tail
-    arg = num / den
-    if arg < 1.0:
-        return None, False
-    return float(q_function(np.sqrt(2.0 * np.log(arg)))), False
+    tail = float(_branch_tails(realization, p, profile)[k - 1])
+    return _beta_from_tail(tail, realization, profile, omega, sr_inf)
 
 
 def _branch_assignment(profile, k, level) -> ErrorAssignment:
@@ -123,6 +128,12 @@ def _branch_assignment(profile, k, level) -> ErrorAssignment:
         z=float(eps_sorted.max()),
         branch=k,
     )
+
+
+def floor_errors(profile) -> np.ndarray:
+    """The omega == 0 (pure reliability) assignment in original user order:
+    every error probability at the floor, or at its cap if that is lower."""
+    return np.minimum(EPS_FLOOR, profile.caps_original())
 
 
 def optimal_errors(realization, p, profile, omega, sr_inf) -> ErrorAssignment:
@@ -145,34 +156,26 @@ def optimal_errors(realization, p, profile, omega, sr_inf) -> ErrorAssignment:
         raise ValueError("profile and realization disagree on user count")
     caps = np.asarray(profile.eps_max_sorted)
 
-    if omega == 1.0:
-        # no weight on the error objective; larger eps only helps the rate
-        return ErrorAssignment(
-            eps=profile.to_original(caps), z=float(caps[-1]), branch=n + 1
-        )
+    # at omega == 1 there is no weight on the error objective and larger eps
+    # only helps the rate, so every user sits at its cap
+    if omega < 1.0:
+        tails = _branch_tails(realization, p, profile)
+        for k in range(1, n + 1):
+            b, _ = _beta_from_tail(float(tails[k - 1]), realization, profile, omega, sr_inf)
+            if b is None:
+                continue  # objective still decreasing across this whole segment
+            lo = 0.0 if k == 1 else caps[k - 2]
+            if b > caps[k - 1] + EDGE_TOL:
+                continue
+            if b > lo - EDGE_TOL:
+                return _branch_assignment(profile, k, b)
+            # stationary point fell below the segment: the previous cap is the
+            # minimizer (decreasing before it, increasing after it)
+            if k == 1:
+                return _branch_assignment(profile, 1, EPS_FLOOR)
+            return _branch_assignment(profile, k - 1, caps[k - 2])
 
-    for k in range(1, n + 1):
-        b, degenerate = beta_k(realization, p, profile, omega, sr_inf, k)
-        if degenerate:
-            b = 0.0
-        if b is None:
-            continue  # objective still decreasing across this whole segment
-        lo = 0.0 if k == 1 else caps[k - 2]
-        if b > caps[k - 1] + EDGE_TOL:
-            continue
-        if b > lo - EDGE_TOL:
-            return _branch_assignment(profile, k, b)
-        # stationary point fell below the segment: the previous cap is the
-        # minimizer (decreasing before it, increasing after it)
-        if k == 1:
-            return _branch_assignment(profile, 1, EPS_FLOOR)
-        return _branch_assignment(profile, k - 1, caps[k - 2])
-
-    return ErrorAssignment(
-        eps=profile.to_original(caps),
-        z=float(caps[-1]),
-        branch=n + 1,
-    )
+    return ErrorAssignment(eps=profile.to_original(caps), z=float(caps[-1]), branch=n + 1)
 
 
 def subproblem_objective(realization, p, profile, omega, sr_inf, eps) -> float:
@@ -245,38 +248,38 @@ def kkt_residual(assignment, realization, p, profile, omega, sr_inf) -> float:
     return max(residuals)
 
 
+def z_sweep(caps, points):
+    """Per-user log grids of `points` values on (EPS_FLOOR, cap_i], and the
+    sweep of the max level z over the union of those grids.
+
+    For a given z every user's best grid point is its largest one <= z,
+    because Qinv decreases in eps, so the sweep attains the best point of
+    the full Cartesian product grid. Returns (grids, z candidates, index of
+    each user's point per z as an (n, len(z)) array clipped at 0, mask of
+    the z where every user has a point <= z).
+    """
+    grids = [np.geomspace(EPS_FLOOR, cap, points + 1)[1:] for cap in caps]
+    z_cand = np.unique(np.concatenate(grids))
+    idx = np.array([np.searchsorted(g, z_cand, side="right") - 1 for g in grids])
+    return grids, z_cand, np.clip(idx, 0, None), np.all(idx >= 0, axis=0)
+
+
 def grid_search_errors(realization, p, profile, omega, sr_inf, points_per_user=10_000):
     """Brute-force oracle: minimize the error subproblem over per-user log
-    grids on (EPS_FLOOR, cap_i].
-
-    The max coupling is handled by sweeping candidate levels z over the union
-    of all grids; for each z every user takes its largest grid point <= z,
-    which is optimal there because Qinv decreases in eps. The sweep returns
-    exactly the best point of the full Cartesian product grid.
+    grids on (EPS_FLOOR, cap_i], exactly over their product via z_sweep.
 
     Returns (eps in original order, objective value).
     """
-    caps_orig = profile.caps_original()
     a = dispersion_coeff(realization.gamma * np.asarray(p), realization.block_length)
     c = (omega / sr_inf) * a
     d = (1.0 - omega) / profile.eps_max_overall
 
-    grids = [
-        np.geomspace(EPS_FLOOR, cap, points_per_user + 1)[1:] for cap in caps_orig
-    ]
-    qcosts = [c[i] * q_inverse(g) for i, g in enumerate(grids)]
-
-    z_cand = np.unique(np.concatenate(grids))
+    grids, z_cand, idx, feasible = z_sweep(profile.caps_original(), points_per_user)
     total = d * z_cand
-    idx_per_user = []
-    feasible = np.ones(z_cand.size, dtype=bool)
-    for g, qc in zip(grids, qcosts):
-        idx = np.searchsorted(g, z_cand, side="right") - 1
-        feasible &= idx >= 0
-        idx_per_user.append(idx)
-        total += qc[np.clip(idx, 0, None)]
+    for i, g in enumerate(grids):
+        total += (c[i] * q_inverse(g))[idx[i]]
 
     total[~feasible] = np.inf
     best = int(np.argmin(total))
-    eps = np.array([g[idx[best]] for g, idx in zip(grids, idx_per_user)])
+    eps = np.array([g[idx[i, best]] for i, g in enumerate(grids)])
     return eps, subproblem_objective(realization, p, profile, omega, sr_inf, eps)

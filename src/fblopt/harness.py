@@ -9,21 +9,21 @@ randomness is a pure function of (master_seed, trial_index) and aggregation
 reduces in trial order.
 """
 
+import configparser
 import csv
 import hashlib
 import json
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .channel import UserLink, sample_realization
 from .config import SolverConfig
-from .error_assignment import SortedQosProfile, optimal_errors
+from .error_assignment import SortedQosProfile, floor_errors, optimal_errors
 from .joint import OracleGrid, exhaustive_oracle, make_report, solve_joint
-from .kernels import EPS_FLOOR
 from .power import equal_power, solve_power, sr_infinity, water_filling
 
 logger = logging.getLogger("fblopt")
@@ -55,6 +55,12 @@ class ScenarioConfig:
     n_jobs: int = 1
     fading: bool = True  # False pins theta = 1, for hand-checkable runs
 
+    def __post_init__(self):
+        if self.p_max_unit not in ("db", "linear"):
+            raise ValueError(f"p_max_unit must be 'db' or 'linear', not {self.p_max_unit!r}")
+        if self.n_jobs < 1:
+            raise ValueError("n_jobs must be >= 1")
+
     def p_max_linear(self, value) -> float:
         if self.p_max_unit == "db":
             return 10.0 ** (value / 10.0)
@@ -80,13 +86,14 @@ def default_config(**overrides) -> ScenarioConfig:
     unit noise, 6 dB budget, 200 channel uses, omega 0.9, 10^3 trials.
 
     kappa=1, distance=1, exponent=3 give unit mean gains; these propagation
-    values are a declared harness default, not a modeled quantity.
+    values are a declared harness default, not a modeled quantity. The
+    master seed is FBLOPT_SEED when that is set, else 12345.
     """
     caps = (1e-5, 5e-5, 1e-4, 5e-4)
     links = tuple(
         UserLink(kappa=1.0, distance=1.0, pathloss_exp=3.0, eps_max=c) for c in caps
     )
-    cfg = ScenarioConfig(links=links)
+    cfg = ScenarioConfig(links=links, master_seed=seed_from_env(ScenarioConfig.master_seed))
     return replace(cfg, **overrides) if overrides else cfg
 
 
@@ -115,10 +122,12 @@ def scheme_dispatch(scheme, realization, profile, omega, config=None):
         eps = minmax_eps
         if not result.converged:
             flags.append("power_stage_cap")
+        if result.infeasible:
+            flags.append("infeasible")
     elif scheme == "equalpower_opteps":
         p = equal_power(n, realization.p_max)
         if omega == 0.0:
-            eps = np.minimum(np.full(n, EPS_FLOOR), profile.caps_original())
+            eps = floor_errors(profile)
         else:
             eps = optimal_errors(realization, p, profile, omega, sr_inf).eps
     else:
@@ -147,19 +156,20 @@ def _run_trial(task):
             report = make_report(realization, profile, alloc.p, alloc.eps, omega)
         else:
             report = scheme_dispatch(scheme, realization, profile, omega, solver)
-    except Exception:
+    except (ValueError, ArithmeticError):
         logger.exception("trial %d of scheme %s failed", trial, scheme)
         return trial, False, np.nan, np.nan, np.nan
-    ok = "not_converged" not in report.flags
+    ok = "not_converged" not in report.flags and "infeasible" not in report.flags
     return trial, ok, report.sum_rate, report.max_eps, report.throughput
 
 
 def run_scenario(config: ScenarioConfig):
     """Run every (scheme, omega, L, p_max) cell of the scenario.
 
-    Failed trials (exceptions or joint-solver non-convergence) are excluded
-    from the means and logged; a cell aborts when more than 1% of its trials
-    fail. Returns ResultRow objects sorted by (scheme, omega, L, p_max).
+    Failed trials (numerical errors, joint-solver non-convergence, or a power
+    solve that no start brought within budget) are excluded from the means
+    and logged; a cell aborts when more than 1% of its trials fail. Returns
+    ResultRow objects sorted by (scheme, omega, L, p_max).
     """
     if config.n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -324,7 +334,10 @@ def read_rows(path):
 
 
 def config_hash(config: ScenarioConfig) -> str:
-    blob = json.dumps(asdict(config), sort_keys=True, default=str)
+    """Hash of the config without n_jobs, which never changes the CSV."""
+    values = asdict(config)
+    del values["n_jobs"]
+    blob = json.dumps(values, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -359,83 +372,83 @@ def seed_from_env(default):
     return int(value)
 
 
-def _parse_list(text, cast):
-    return tuple(cast(tok) for tok in text.split())
+def _read_section(parser, name, base):
+    """Copy of the dataclass instance `base` with the keys of INI section
+    `name` set on its fields of the same name, each parsed to the type of
+    the field's current value (lists space-separated). Keys naming no
+    plain-valued field raise."""
+    if not parser.has_section(name):
+        return base
+    section = parser[name]
+    names = {f.name for f in fields(base)}
+    overrides = {}
+    for key, raw in section.items():
+        current = getattr(base, key) if key in names else None
+        if isinstance(current, tuple) and current and isinstance(current[0], (int, float, str)):
+            overrides[key] = tuple(type(current[0])(tok) for tok in raw.split())
+        elif isinstance(current, bool):
+            overrides[key] = section.getboolean(key)
+        elif isinstance(current, (int, float, str)):
+            overrides[key] = type(current)(raw)
+        else:
+            raise ValueError(f"unknown {name} key: {key}")
+    return replace(base, **overrides)
 
 
-def load_config_file(path) -> ScenarioConfig:
-    """Read a scenario from a flat key = value config file.
+_LINK_KEYS = ("kappa", "distance", "pathloss_exp")
 
-    Sections and keys are documented in the README; unknown keys raise.
-    """
-    import configparser
 
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise FileNotFoundError(path)
+def _read_users(parser, default_links):
+    """Links from the [users] section. Left-out keys keep the default
+    scenario's values; a propagation value its users share applies to any
+    user count."""
+    if not parser.has_section("users"):
+        return default_links
+    users = parser["users"]
+    unknown = set(users) - {"count", "eps_max", *_LINK_KEYS}
+    if unknown:
+        raise ValueError(f"unknown users keys: {sorted(unknown)}")
+    count = int(users.get("count", len(default_links)))
 
-    users = parser["users"] if parser.has_section("users") else {}
-    count = int(users.get("count", 4))
-    caps = _parse_list(users.get("eps_max", "1e-5 5e-5 1e-4 5e-4"), float)
+    def floats(key, default):
+        return tuple(float(tok) for tok in users[key].split()) if key in users else default
+
+    caps = floats("eps_max", tuple(l.eps_max for l in default_links))
     if len(caps) != count:
         raise ValueError("eps_max must list one cap per user")
-
-    def per_user(key, default):
-        raw = users.get(key, default)
-        vals = _parse_list(raw, float)
+    columns = []
+    for key in _LINK_KEYS:
+        vals = floats(key, tuple(dict.fromkeys(getattr(l, key) for l in default_links)))
         if len(vals) == 1:
             vals = vals * count
         if len(vals) != count:
             raise ValueError(f"{key} must give one value or one per user")
-        return vals
-
-    kappas = per_user("kappa", "1.0")
-    dists = per_user("distance", "1.0")
-    exps = per_user("pathloss_exp", "3.0")
-    links = tuple(
+        columns.append(vals)
+    return tuple(
         UserLink(kappa=k, distance=d, pathloss_exp=e, eps_max=c)
-        for k, d, e, c in zip(kappas, dists, exps, caps)
+        for k, d, e, c in zip(*columns, caps)
     )
 
-    scen = parser["scenario"] if parser.has_section("scenario") else {}
-    known = {
-        "omega_grid", "l_grid", "p_max_grid", "p_max_unit", "n_trials",
-        "master_seed", "schemes", "noise_power", "n_jobs",
-    }
-    extra = set(scen.keys()) - known if scen else set()
-    if extra:
-        raise ValueError(f"unknown scenario keys: {sorted(extra)}")
 
-    oracle = None
-    if parser.has_section("oracle"):
-        osec = parser["oracle"]
-        oracle = OracleGrid(
-            p_points=int(osec.get("p_points", 200)),
-            eps_points=int(osec.get("eps_points", 200)),
-        )
+def load_config_file(path) -> ScenarioConfig:
+    """Read a scenario from an INI file with [scenario], [users], [solver]
+    and [oracle] sections, documented in the README.
 
-    solver = SolverConfig()
-    if parser.has_section("solver"):
-        fields = {f: type(getattr(solver, f)) for f in solver.__dataclass_fields__}
-        overrides = {}
-        for key, raw in parser["solver"].items():
-            if key not in fields:
-                raise ValueError(f"unknown solver key: {key}")
-            overrides[key] = fields[key](raw)
-        solver = replace(solver, **overrides)
-
-    return ScenarioConfig(
-        links=links,
-        noise_power=float(scen.get("noise_power", 1.0)),
-        p_max_grid=_parse_list(scen.get("p_max_grid", "6"), float),
-        p_max_unit=scen.get("p_max_unit", "db"),
-        l_grid=_parse_list(scen.get("l_grid", "200"), int),
-        omega_grid=_parse_list(scen.get("omega_grid", "0.9"), float),
-        n_trials=int(scen.get("n_trials", 1000)),
-        master_seed=int(scen.get("master_seed", 12345)),
-        schemes=tuple(scen.get("schemes", " ".join(SCHEMES)).split()),
-        oracle=oracle,
-        solver=solver,
-        n_jobs=int(scen.get("n_jobs", 1)),
+    Every value left out keeps its default_config() value (the seed thus
+    falls back to FBLOPT_SEED); unknown sections and keys raise.
+    """
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    if not parser.read(path):
+        raise FileNotFoundError(path)
+    unknown = set(parser.sections()) - {"scenario", "users", "solver", "oracle"}
+    if unknown:
+        raise ValueError(f"unknown config sections: {sorted(unknown)}")
+    base = default_config()
+    return replace(
+        _read_section(parser, "scenario", base),
+        links=_read_users(parser, base.links),
+        solver=_read_section(parser, "solver", base.solver),
+        oracle=_read_section(parser, "oracle", OracleGrid())
+        if parser.has_section("oracle")
+        else base.oracle,
     )

@@ -7,10 +7,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import NetworkRealization
 from .config import SolverConfig
-from .error_assignment import SortedQosProfile, optimal_errors
-from .kernels import EPS_FLOOR, achievable_rate, dispersion_coeff, q_inverse
+from .error_assignment import floor_errors, optimal_errors, z_sweep
+from .kernels import EPS_FLOOR, achievable_rate, dispersion_coeff, q_inverse, rate_term
 from .power import simplex_grid, solve_power, sr_infinity, water_filling
 
 
@@ -49,9 +48,8 @@ def u1(realization, p, eps, sr_inf) -> float:
     the decision variables; reported rates include it (see per_user_rates).
     """
     s = realization.gamma * np.asarray(p, dtype=float)
-    a = dispersion_coeff(s, realization.block_length)
     qinv = q_inverse(np.maximum(np.asarray(eps, dtype=float), EPS_FLOOR))
-    return float(np.sum(np.log1p(s) - a * qinv)) / sr_inf
+    return float(np.sum(rate_term(s, realization.block_length, qinv))) / sr_inf
 
 
 def u2(eps, eps_max_overall) -> float:
@@ -135,6 +133,8 @@ def _alternate(realization, profile, omega, sr_inf, config, p0):
         )
         if not power.converged and "power_stage_cap" not in flags:
             flags.append("power_stage_cap")
+        if power.infeasible and "infeasible" not in flags:
+            flags.append("infeasible")
         p = power.p
         obj = weighted_objective(
             realization, p, assign.eps, omega, sr_inf, profile.eps_max_overall
@@ -186,11 +186,9 @@ def solve_joint(realization, profile, omega, config=None) -> SolveReport:
     n = realization.n_users
 
     if omega == 0.0:
-        caps = profile.caps_original()
-        eps = np.minimum(np.full(n, EPS_FLOOR), caps)
         p = water_filling(realization.gamma, realization.p_max)
         return make_report(
-            realization, profile, p, eps, omega, sr_inf,
+            realization, profile, p, floor_errors(profile), omega, sr_inf,
             iterations=1, flags=["omega_zero"],
         )
 
@@ -212,23 +210,14 @@ def solve_joint(realization, profile, omega, config=None) -> SolveReport:
     )
 
 
-def _eps_grids(profile, points):
-    """Per-user log grids on (EPS_FLOOR, cap], original user order."""
-    return [
-        np.geomspace(EPS_FLOOR, cap, points + 1)[1:]
-        for cap in profile.caps_original()
-    ]
-
-
 def exhaustive_oracle(realization, profile, omega, grid=None):
     """Best weighted objective over the Cartesian product of a power simplex
     grid and per-user log error grids. Guarded to N <= 3 users.
 
     The error part is maximized exactly for each power point by sweeping the
-    max level z over the union of the user grids: for a given z each user's
-    best grid point is the largest one <= z because Qinv is decreasing. The
-    sweep provably attains the same maximum as enumerating the full product
-    grid (verified against naive enumeration in the tests).
+    max level z over the union of the user grids (z_sweep), which attains the
+    same maximum as enumerating the full product grid (verified against
+    naive enumeration in the tests).
 
     Returns (Allocation, objective value).
     """
@@ -240,17 +229,9 @@ def exhaustive_oracle(realization, profile, omega, grid=None):
         raise ValueError("profile and realization disagree on user count")
     sr_inf = sr_infinity(realization.gamma, realization.p_max)
 
-    grids = _eps_grids(profile, grid.eps_points)
-    z_cand = np.unique(np.concatenate(grids))
+    grids, z_cand, idx, feasible = z_sweep(profile.caps_original(), grid.eps_points)
     nz = z_cand.size
-    qbest = np.empty((n, nz))
-    idx_per_user = np.empty((n, nz), dtype=int)
-    feasible = np.ones(nz, dtype=bool)
-    for i, g in enumerate(grids):
-        idx = np.searchsorted(g, z_cand, side="right") - 1
-        feasible &= idx >= 0
-        idx_per_user[i] = np.clip(idx, 0, None)
-        qbest[i] = q_inverse(g[idx_per_user[i]])
+    qbest = np.array([q_inverse(g[ix]) for g, ix in zip(grids, idx)])
 
     # column value pieces independent of p
     z_term = (1.0 - omega) * (1.0 - z_cand / profile.eps_max_overall)
@@ -274,7 +255,7 @@ def exhaustive_oracle(realization, profile, omega, grid=None):
             best_p = block[row].copy()
             best_zi = col
 
-    eps = np.array([g[idx_per_user[i][best_zi]] for i, g in enumerate(grids)])
+    eps = np.array([g[idx[i, best_zi]] for i, g in enumerate(grids)])
     value = weighted_objective(
         realization, best_p, eps, omega, sr_inf, profile.eps_max_overall
     )

@@ -52,16 +52,21 @@ def q_inverse(eps):
     return float(y) if y.ndim == 0 else y
 
 
-def dispersion_coeff(snr, block_length):
-    """Square-root dispersion penalty sqrt((1/L) * (1 - (1+snr)^-2)).
+def dispersion_coeff(s, block_length):
+    """Square-root dispersion penalty sqrt((1/L) * (1 - (1+s)^-2)) at SNR s.
 
-    Evaluated as snr*(snr+2)/(1+snr)^2 inside the radical to avoid
-    cancellation at small snr. Lies in [0, sqrt(1/L)) and increases with snr.
+    Evaluated as sqrt(s*(s+2)/L)/(1+s) to avoid cancellation at small s.
+    Lies in [0, sqrt(1/L)) and increases with s. Plain arithmetic on a float
+    or a float array, with no conversion: the power solver calls it on
+    every objective evaluation.
     """
-    s = np.asarray(snr, dtype=float)
-    v = s * (s + 2.0) / np.square(1.0 + s)
-    out = np.sqrt(v / block_length)
-    return float(out) if out.ndim == 0 else out
+    return np.sqrt(s * (s + 2.0) / block_length) / (1.0 + s)
+
+
+def rate_term(s, block_length, qinv):
+    """log(1+s) - dispersion_coeff(s, L) * qinv at SNR s: the normal-
+    approximation rate without its log(L)/L offset, for a given Qinv(eps)."""
+    return np.log1p(s) - dispersion_coeff(s, block_length) * qinv
 
 
 def achievable_rate(snr, block_length, eps):
@@ -74,9 +79,5 @@ def achievable_rate(snr, block_length, eps):
     the Shannon rate log(1+snr) as the block length grows.
     """
     L = block_length
-    out = (
-        np.log1p(np.asarray(snr, dtype=float))
-        - dispersion_coeff(snr, L) * q_inverse(eps)
-        + np.log(L) / L
-    )
+    out = rate_term(np.asarray(snr, dtype=float), L, q_inverse(eps)) + np.log(L) / L
     return float(out) if np.ndim(out) == 0 else out

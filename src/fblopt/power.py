@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import SolverConfig
-from .kernels import EPS_FLOOR, q_inverse
+from .kernels import EPS_FLOOR, dispersion_coeff, q_inverse, rate_term
 
 # stand-in for the infinite dispersion slope at exactly zero power; large
 # enough to pin the component at the boundary, finite so 0 * BIG == 0
@@ -54,6 +54,7 @@ class PowerSolveResult:
     converged: bool = False
     violation: float = 0.0
     projected: bool = False
+    infeasible: bool = False  # every start ended over budget
 
 
 def water_filling(gamma, p_max) -> np.ndarray:
@@ -98,9 +99,7 @@ class _PowerObjective:
 
     def rate_value(self, p):
         """Scaled rate objective (the quantity being maximized), no penalty."""
-        s = self.gamma * p
-        disp = np.sqrt(s * (s + 2.0) / self.L) / (1.0 + s)
-        return self.scale * float(np.sum(np.log1p(s) - disp * self.qinv))
+        return self.scale * float(np.sum(rate_term(self.gamma * p, self.L, self.qinv)))
 
     def value(self, p, mu, zeta):
         v = max(0.0, zeta - mu * (self.p_max - float(np.sum(p))))
@@ -109,7 +108,7 @@ class _PowerObjective:
     def grad(self, p, mu, zeta):
         s = self.gamma * p
         one = 1.0 + s
-        disp = np.sqrt(s * (s + 2.0) / self.L) / one
+        disp = dispersion_coeff(s, self.L)
         safe = np.where(disp > 0.0, disp, 1.0)
         slope = np.where(
             disp > 0.0,
@@ -195,12 +194,13 @@ def inner_maximize(realization, eps, omega, sr_inf, mu, zeta, p_init, config=Non
     return _spg(obj, mu, zeta, p_init, config)
 
 
-def update_multipliers(state: AugLagState, realization) -> AugLagState:
+def update_multipliers(state: AugLagState, realization, config=None) -> AugLagState:
     """Multiplier and penalty update between stages:
-    zeta <- max(0, zeta - mu*(P_max - sum p)), mu <- 2*mu (capped)."""
+    zeta <- max(0, zeta - mu*(P_max - sum p)), mu <- 2*mu (capped at the
+    config's mu_cap, by default SolverConfig's)."""
     residual = realization.p_max - float(np.sum(state.p))
     zeta_next = max(0.0, state.zeta - state.mu * residual)
-    mu_next = min(2.0 * state.mu, SolverConfig().mu_cap)
+    mu_next = min(2.0 * state.mu, (config or SolverConfig).mu_cap)
     return AugLagState(mu=mu_next, zeta=zeta_next, p=state.p, stage=state.stage + 1)
 
 
@@ -229,6 +229,7 @@ def _alm_run(obj, realization, config, p_init) -> PowerSolveResult:
         state = update_multipliers(
             AugLagState(mu=state.mu, zeta=state.zeta, p=p_new, stage=state.stage),
             realization,
+            config,
         )
         p_prev = p_new
         if delta <= config.power_tol and violation <= config.feas_tol:
@@ -265,6 +266,8 @@ def solve_power(realization, eps, omega, sr_inf, config=None, p_init=None) -> Po
     water-filling (or warm) start, and keeps the best feasible rate
     objective. For two users this covers every support pattern, including
     transmitting nothing when every rate would come out negative.
+    If no start ends within budget, the warm-start run is returned with
+    infeasible set.
 
     With omega == 0 the objective is identically zero and the water-filling
     allocation is returned as the deterministic tie-break.
@@ -295,19 +298,14 @@ def solve_power(realization, eps, omega, sr_inf, config=None, p_init=None) -> Po
         starts.append(np.zeros(n))
 
     obj = _PowerObjective(realization, eps, omega, sr_inf)
-    best = None
-    best_val = -np.inf
-    for p0 in starts:
-        result = _alm_run(obj, realization, config, p0)
-        if result.violation > config.project_tol:
-            continue
-        val = obj.rate_value(result.p)
-        if val > best_val:
-            best, best_val = result, val
-    if best is None:
-        # every start ended infeasible; report the warm-start run as-is
-        best = _alm_run(obj, realization, config, starts[0])
-    return best
+    runs = [_alm_run(obj, realization, config, p0) for p0 in starts]
+    feasible = [r for r in runs if r.violation <= config.project_tol]
+    if not feasible:
+        # every start ended over budget, which the all-zero start (pinned at
+        # zero by the kink) prevents today; report the warm-start run, flagged
+        runs[0].infeasible = True
+        return runs[0]
+    return max(feasible, key=lambda r: obj.rate_value(r.p))
 
 
 def simplex_grid(n_users, p_max, points) -> np.ndarray:
@@ -328,8 +326,7 @@ def power_grid_oracle(realization, eps, omega, sr_inf, points=300):
     for solve_power. Returns (p, objective value)."""
     pts = simplex_grid(realization.n_users, realization.p_max, points)
     qinv = q_inverse(np.maximum(np.asarray(eps, dtype=float), EPS_FLOOR))
-    s = pts * realization.gamma
-    disp = np.sqrt(s * (s + 2.0) / realization.block_length) / (1.0 + s)
-    vals = (omega / sr_inf) * np.sum(np.log1p(s) - disp * qinv, axis=1)
+    terms = rate_term(pts * realization.gamma, realization.block_length, qinv)
+    vals = (omega / sr_inf) * np.sum(terms, axis=1)
     best = int(np.argmax(vals))
     return pts[best], float(vals[best])

@@ -1,0 +1,23 @@
+import numpy as np
+import pytest
+
+import fblopt.power
+
+
+@pytest.fixture
+def over_budget_alm(monkeypatch):
+    """Make every augmented-Lagrangian run end 10% over the power budget.
+
+    No configuration reaches this through solve_power's own starts: the
+    all-zero start stays pinned at zero power by the dispersion kink and so
+    always ends feasible.
+    """
+    real = fblopt.power._alm_run
+
+    def run(obj, realization, config, p_init):
+        result = real(obj, realization, config, p_init)
+        result.p = np.full(realization.n_users, 1.1 * realization.p_max / realization.n_users)
+        result.violation = 0.1 * realization.p_max
+        return result
+
+    monkeypatch.setattr(fblopt.power, "_alm_run", run)

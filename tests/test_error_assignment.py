@@ -42,6 +42,19 @@ def random_instance(rng, n=None):
     return r, profile, p, omega, sr
 
 
+def many_users_instance(rng):
+    """Twelve users with caps geomspace(1e-5, 5e-4, 12), the regime where
+    the branch scan's tail sums run longest."""
+    gamma = rng.exponential(1.0, 12) + 0.02
+    p_max = 10.0 ** (rng.choice([0.0, 12.0]) / 10.0)
+    r = NetworkRealization(
+        gamma=gamma, p_max=p_max, block_length=int(rng.choice([100, 1600])), noise_power=1.0
+    )
+    profile = SortedQosProfile.from_caps(rng.permutation(np.geomspace(1e-5, 5e-4, 12)))
+    p = rng.dirichlet(np.ones(12)) * p_max
+    return r, profile, p, rng.uniform(0.1, 0.99), sr_infinity(gamma, p_max)
+
+
 def naive_grid_min(realization, p, profile, omega, sr_inf, points):
     """Direct enumeration of the full product grid (small cases only)."""
     caps = profile.caps_original()
@@ -196,8 +209,8 @@ class TestOptimalErrors:
 
     def test_oracle_equivalence_random(self):
         rng = np.random.default_rng(17)
-        for _ in range(40):
-            r, profile, p, omega, sr = random_instance(rng)
+        instances = [random_instance(rng) for _ in range(40)]
+        for r, profile, p, omega, sr in instances + [many_users_instance(rng) for _ in range(8)]:
             out = optimal_errors(r, p, profile, omega, sr)
             obj = subproblem_objective(r, p, profile, omega, sr, out.eps)
             _, grid_obj = grid_search_errors(r, p, profile, omega, sr, points_per_user=2000)
@@ -239,8 +252,8 @@ class TestOptimalErrors:
 class TestKktResidual:
     def test_closed_form_residual_small(self):
         rng = np.random.default_rng(41)
-        for _ in range(40):
-            r, profile, p, omega, sr = random_instance(rng)
+        instances = [random_instance(rng) for _ in range(40)]
+        for r, profile, p, omega, sr in instances + [many_users_instance(rng) for _ in range(8)]:
             out = optimal_errors(r, p, profile, omega, sr)
             assert kkt_residual(out, r, p, profile, omega, sr) <= 1e-8
 

@@ -1,6 +1,8 @@
 import hashlib
 import os
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,10 +10,12 @@ import pytest
 from fblopt.channel import UserLink, sample_realization
 from fblopt.config import SolverConfig
 from fblopt.error_assignment import SortedQosProfile, optimal_errors
+import fblopt.harness
 from fblopt.harness import (
     ResultRow,
     SCHEMES,
     _aggregate,
+    config_hash,
     default_config,
     emit_csv,
     load_config_file,
@@ -21,10 +25,11 @@ from fblopt.harness import (
     seed_from_env,
     write_manifest,
 )
-from fblopt.joint import solve_joint
+from fblopt.joint import OracleGrid, solve_joint
 from fblopt.power import equal_power, sr_infinity, water_filling
 
 PAPER_CAPS = (1e-5, 5e-5, 1e-4, 5e-4)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def file_hash(path):
@@ -70,6 +75,11 @@ class TestSchemeDispatch:
         with pytest.raises(ValueError):
             scheme_dispatch("zf_beamforming", self.r, self.profile, 0.9)
 
+    @pytest.mark.parametrize("scheme", ["proposed", "proposedpower_minmax"])
+    def test_infeasible_power_solve_flagged(self, scheme, over_budget_alm):
+        rep = scheme_dispatch(scheme, self.r, self.profile, 0.9)
+        assert "infeasible" in rep.flags
+
 
 class TestRunScenario:
     def test_degenerate_cell_reproducible_by_hand(self):
@@ -110,6 +120,27 @@ class TestRunScenario:
         emit_csv(run_scenario(cfg), a)
         emit_csv(run_scenario(replace(cfg, n_jobs=2)), b)
         assert file_hash(a) == file_hash(b)
+
+    def test_infeasible_trials_fail(self, over_budget_alm):
+        cfg = tiny_config(schemes=("proposedpower_minmax",), n_trials=1)
+        with pytest.raises(RuntimeError, match="1/1 trials failed"):
+            run_scenario(cfg)
+
+    def test_numerical_error_fails_trial(self, monkeypatch):
+        def dispatch(*args):
+            raise FloatingPointError("overflow")
+
+        monkeypatch.setattr(fblopt.harness, "scheme_dispatch", dispatch)
+        with pytest.raises(RuntimeError, match="1/1 trials failed"):
+            run_scenario(tiny_config(schemes=("wf_minmax",), n_trials=1))
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def dispatch(*args):
+            raise TypeError("bad call")
+
+        monkeypatch.setattr(fblopt.harness, "scheme_dispatch", dispatch)
+        with pytest.raises(TypeError):
+            run_scenario(tiny_config(schemes=("wf_minmax",), n_trials=1))
 
     def test_failure_budget_enforced(self):
         results = [(i, i > 0, 1.0, 1e-5, 1.0) for i in range(20)]  # 1 of 20 failed
@@ -189,6 +220,11 @@ class TestManifestAndConfig:
         assert "config_hash" in text and "master_seed = 777" in text
         assert "numpy" in text and "scipy" in text
 
+    def test_config_hash_ignores_jobs(self):
+        cfg = tiny_config()
+        assert config_hash(cfg) == config_hash(replace(cfg, n_jobs=2))
+        assert config_hash(cfg) != config_hash(replace(cfg, n_trials=9))
+
     def test_seed_from_env(self, monkeypatch):
         monkeypatch.delenv("FBLOPT_SEED", raising=False)
         assert seed_from_env(42) == 42
@@ -206,6 +242,7 @@ n_trials = 12
 master_seed = 31415
 schemes = proposed wf_minmax
 noise_power = 1.0
+fading = false
 
 [users]
 count = 2
@@ -229,12 +266,35 @@ max_alternations = 20
         assert cfg.links[1].distance == 2.0
         assert cfg.links[0].eps_max == 1e-5
         assert cfg.solver.max_alternations == 20
+        assert cfg.fading is False
 
     def test_load_config_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "bad.ini"
-        path.write_text("[scenario]\nfrobnicate = 1\n")
+        for text in [
+            "[scenario]\nfrobnicate = 1\n",
+            "[scenario]\nsolver = 1\n",
+            "[users]\nfrobnicate = 1\n",
+            "[solver]\nfrobnicate = 1\n",
+            "[oracle]\nfrobnicate = 1\n",
+            "[frobnicate]\ncount = 1\n",
+        ]:
+            path.write_text(text)
+            with pytest.raises(ValueError):
+                load_config_file(path)
+
+    @pytest.mark.parametrize("line", ["p_max_unit = dbm", "n_jobs = 0"])
+    def test_load_config_rejects_bad_values(self, tmp_path, line):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[scenario]\n{line}\n")
         with pytest.raises(ValueError):
             load_config_file(path)
+
+    def test_readme_schema_loads(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("FBLOPT_SEED", raising=False)
+        readme = (ROOT / "README.md").read_text()
+        path = tmp_path / "readme.ini"
+        path.write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
+        assert load_config_file(path) == default_config(l_grid=(100, 200), oracle=OracleGrid())
 
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
@@ -276,6 +336,43 @@ class TestCli:
             ]
         )
         assert read_rows(out)[0].seed == 555
+
+    def test_env_seed_fallback_with_config(self, tmp_path, monkeypatch):
+        from fblopt.cli import main
+
+        monkeypatch.setenv("FBLOPT_SEED", "555")
+        config = tmp_path / "s.ini"
+        out = tmp_path / "env.csv"
+        argv = ["--config", str(config), "--trials", "2", "--schemes", "wf_minmax", "--out", str(out)]
+        config.write_text("[scenario]\nl_grid = 100\n")
+        main(argv)
+        assert read_rows(out)[0].seed == 555
+        config.write_text("[scenario]\nmaster_seed = 31\n")
+        main(argv)
+        assert read_rows(out)[0].seed == 31
+
+    def test_bad_values_rejected(self, tmp_path, monkeypatch):
+        from fblopt.cli import main
+
+        def never(config):
+            raise AssertionError("run_scenario reached")
+
+        monkeypatch.setattr("fblopt.cli.run_scenario", never)
+        config = tmp_path / "s.ini"
+        config.write_text("[scenario]\np_max_unit = dBm\n")
+        with pytest.raises(ValueError):
+            main(["--config", str(config), "--out", str(tmp_path / "x.csv")])
+        with pytest.raises(ValueError):
+            main(["--jobs", "0", "--out", str(tmp_path / "x.csv")])
+
+    @pytest.mark.parametrize("scenario", sorted((ROOT / "scenarios").glob("*.ini")), ids=lambda p: p.stem)
+    def test_scenario_files_run(self, tmp_path, scenario):
+        from fblopt.cli import main
+
+        out = tmp_path / "s.csv"
+        argv = ["--config", str(scenario), "--trials", "1", "--schemes", "wf_minmax", "--out", str(out)]
+        assert main(argv) == 0
+        assert len(read_rows(out)) >= 3
 
 
 GOLDEN_CSV = """\

@@ -195,6 +195,13 @@ class TestUpdateMultipliers:
         out = update_multipliers(state, r)
         assert out.zeta == pytest.approx(0.2, abs=1e-15)
 
+    def test_configured_mu_cap_bounds_trace(self):
+        r = make_realization([0.8, 1.3], p_max=3.0)
+        eps = np.array([1e-4, 5e-4])
+        res = solve_power(r, eps, 0.8, sr_infinity(r.gamma, r.p_max), SolverConfig(mu_cap=4.0))
+        mus = [rec.mu for rec in res.trace]
+        assert len(mus) > 3 and max(mus) == 4.0
+
 
 class TestSolvePower:
     def test_defaults_match_multiplier_seeds(self):
@@ -234,6 +241,12 @@ class TestSolvePower:
             val = rate_value(r, res.p, eps, omega, sr)
             _, oracle = power_grid_oracle(r, eps, omega, sr, points=300)
             assert val >= oracle - 1e-3 * max(abs(oracle), 1e-12)
+
+    def test_every_start_infeasible_flagged(self, over_budget_alm):
+        r = make_realization([0.8, 1.3], p_max=3.0)
+        res = solve_power(r, np.array([1e-4, 5e-4]), 0.8, sr_infinity(r.gamma, r.p_max))
+        assert res.infeasible
+        assert np.sum(res.p) > r.p_max
 
     def test_omega_zero_returns_water_filling(self):
         r = make_realization([0.5, 2.0], p_max=3.0)
