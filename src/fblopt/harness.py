@@ -1,12 +1,13 @@
 """Monte Carlo experiment harness.
 
 Defines scenarios (user links, power/length/weight grids, trial counts),
-runs seeded trials serially or across processes with per-trial RNG
-substreams, dispatches the four schemes, aggregates per-cell statistics, and
-emits deterministic CSV plus a run manifest. The same (config, seed) pair
-always produces byte-identical CSV regardless of parallelism: every trial's
-randomness is a pure function of (master_seed, trial_index) and aggregation
-reduces in trial order.
+runs seeded trials serially or across processes, dispatches the four
+schemes, aggregates per-cell statistics, and emits deterministic CSV plus a
+run manifest. The work item is one trial: it draws the channel once, as a
+pure function of (master_seed, trial_index), and evaluates every cell and
+scheme on that draw. Each (cell, scheme) is reduced in trial order, so the
+same (config, seed) pair always produces byte-identical CSV regardless of
+parallelism; failure budgets are judged after all trials have run.
 """
 
 import configparser
@@ -17,6 +18,8 @@ import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
+from itertools import product
 
 import numpy as np
 
@@ -60,6 +63,26 @@ class ScenarioConfig:
             raise ValueError(f"p_max_unit must be 'db' or 'linear', not {self.p_max_unit!r}")
         if self.n_jobs < 1:
             raise ValueError("n_jobs must be >= 1")
+        if self.n_trials < 1:
+            raise ValueError("n_trials must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
+        if not self.links:
+            raise ValueError("links must be nonempty")
+        if not self.noise_power > 0:
+            raise ValueError("noise_power must be positive")
+        if not (self.omega_grid and self.l_grid and self.p_max_grid):
+            raise ValueError("omega, L and p_max grids must be nonempty")
+        if not all(0.0 <= w <= 1.0 for w in self.omega_grid):
+            raise ValueError(f"omega values must lie in [0, 1]: {self.omega_grid}")
+        if not all(float(l).is_integer() and l >= 2 for l in self.l_grid):
+            raise ValueError(f"block lengths must be integers >= 2: {self.l_grid}")
+        if not all(self.p_max_linear(p) > 0 for p in self.p_max_grid):
+            raise ValueError(f"power budgets must be positive: {self.p_max_grid}")
+        if not self.schemes or not set(self.schemes) <= set(SCHEMES):
+            raise ValueError(f"schemes must be a nonempty subset of {SCHEMES}: {self.schemes}")
+        if self.oracle is not None and len(self.links) > 3:
+            raise ValueError("exhaustive oracle rows require 3 users or fewer")
 
     def p_max_linear(self, value) -> float:
         if self.p_max_unit == "db":
@@ -137,93 +160,64 @@ def scheme_dispatch(scheme, realization, profile, omega, config=None):
     )
 
 
-def _run_trial(task):
-    """One (cell, trial) evaluation; module-level so it pickles for workers.
+def _columns(config):
+    """(omega, L, p_max, scheme) of each row in run order; an oracle adds `exhaustive`."""
+    schemes = tuple(config.schemes) + (("exhaustive",) if config.oracle is not None else ())
+    return product(config.omega_grid, config.l_grid, config.p_max_grid, schemes)
 
-    The fading draw depends only on (master_seed, trial_index), so the same
-    trial index sees the same channel in every cell and scheme comparisons
-    are paired.
-    """
-    (links, noise, p_max_lin, length, omega, scheme, solver, seed, trial, oracle, fading) = task
-    rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
-    realization = sample_realization(
-        links, p_max_lin, length, noise, rng=rng, fading=fading
-    )
-    profile = SortedQosProfile.from_caps([l.eps_max for l in links])
-    try:
-        if scheme == "exhaustive":
-            alloc, _ = exhaustive_oracle(realization, profile, omega, oracle)
-            report = make_report(realization, profile, alloc.p, alloc.eps, omega)
+
+def _run_trial(config, profile, trial):
+    """(trial, ok, sum_rate, max_eps, throughput) of each _columns entry in
+    one trial; module-level so it pickles for workers. The fading is drawn
+    once, from (master_seed, trial) alone (budget and length do not enter
+    it), and each cell sets its own budget and length on that draw, so
+    comparisons across cells are paired."""
+    seed = np.random.SeedSequence([config.master_seed, trial])
+    draw = sample_realization(config.links, 1.0, 2, config.noise_power, seed, fading=config.fading)
+    realizations = {
+        (length, p_max): replace(draw, p_max=config.p_max_linear(p_max), block_length=int(length))
+        for length, p_max in product(config.l_grid, config.p_max_grid)
+    }
+    results = []
+    for omega, length, p_max, scheme in _columns(config):
+        realization = realizations[length, p_max]
+        try:
+            if scheme == "exhaustive":
+                alloc, _ = exhaustive_oracle(realization, profile, float(omega), config.oracle)
+                report = make_report(realization, profile, alloc.p, alloc.eps, float(omega))
+            else:
+                report = scheme_dispatch(scheme, realization, profile, float(omega), config.solver)
+        except (ValueError, ArithmeticError):
+            logger.exception("trial %d of cell %s failed", trial, (scheme, omega, length, p_max))
+            results.append((trial, False, np.nan, np.nan, np.nan))
         else:
-            report = scheme_dispatch(scheme, realization, profile, omega, solver)
-    except (ValueError, ArithmeticError):
-        logger.exception("trial %d of scheme %s failed", trial, scheme)
-        return trial, False, np.nan, np.nan, np.nan
-    ok = "not_converged" not in report.flags and "infeasible" not in report.flags
-    return trial, ok, report.sum_rate, report.max_eps, report.throughput
+            ok = "not_converged" not in report.flags and "infeasible" not in report.flags
+            results.append((trial, ok, report.sum_rate, report.max_eps, report.throughput))
+    return results
 
 
 def run_scenario(config: ScenarioConfig):
-    """Run every (scheme, omega, L, p_max) cell of the scenario.
+    """Run every (scheme, omega, L, p_max) cell of the scenario, one trial
+    per work item, in one pass over a process pool when n_jobs > 1.
 
     Failed trials (numerical errors, joint-solver non-convergence, or a power
     solve that no start brought within budget) are excluded from the means
-    and logged; a cell aborts when more than 1% of its trials fail. Returns
-    ResultRow objects sorted by (scheme, omega, L, p_max).
+    and logged; after all trials, the first cell where more than 1% failed
+    aborts the run. Returns ResultRow objects sorted by (scheme, omega, L,
+    p_max).
     """
-    if config.n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    if not (config.omega_grid and config.l_grid and config.p_max_grid):
-        raise ValueError("omega, L and p_max grids must be nonempty")
-    if not config.schemes:
-        raise ValueError("scheme set must be nonempty")
-    unknown = set(config.schemes) - set(SCHEMES)
-    if unknown:
-        raise ValueError(f"unknown schemes: {sorted(unknown)}")
-    schemes = tuple(config.schemes)
-    if config.oracle is not None:
-        if len(config.links) > 3:
-            raise ValueError("exhaustive oracle rows require 3 users or fewer")
-        schemes = schemes + ("exhaustive",)
-
-    executor = (
-        ProcessPoolExecutor(max_workers=config.n_jobs) if config.n_jobs > 1 else None
-    )
-    rows = []
-    try:
-        for omega in config.omega_grid:
-            for length in config.l_grid:
-                for p_max in config.p_max_grid:
-                    p_lin = config.p_max_linear(p_max)
-                    for scheme in schemes:
-                        tasks = [
-                            (
-                                config.links,
-                                config.noise_power,
-                                p_lin,
-                                int(length),
-                                float(omega),
-                                scheme,
-                                config.solver,
-                                config.master_seed,
-                                trial,
-                                config.oracle,
-                                config.fading,
-                            )
-                            for trial in range(config.n_trials)
-                        ]
-                        if executor is not None:
-                            chunk = max(1, config.n_trials // (config.n_jobs * 8))
-                            results = list(executor.map(_run_trial, tasks, chunksize=chunk))
-                        else:
-                            results = [_run_trial(t) for t in tasks]
-                        rows.append(
-                            _aggregate(results, scheme, omega, length, p_max, config)
-                        )
-    finally:
-        if executor is not None:
-            executor.shutdown()
-
+    profile = SortedQosProfile.from_caps([l.eps_max for l in config.links])
+    run = partial(_run_trial, config, profile)
+    if config.n_jobs > 1:
+        chunk = max(1, config.n_trials // (config.n_jobs * 8))
+        with ProcessPoolExecutor(max_workers=config.n_jobs) as executor:
+            per_trial = list(executor.map(run, range(config.n_trials), chunksize=chunk))
+    else:
+        per_trial = list(map(run, range(config.n_trials)))
+    rows = [
+        _aggregate(results, scheme, omega, length, p_max, config)
+        for (omega, length, p_max, scheme), results in zip(_columns(config), zip(*per_trial))
+    ]
     rows.sort(key=lambda r: (r.scheme, r.omega, r.block_length, r.p_max))
     _log_scheme_ordering(rows)
     return rows

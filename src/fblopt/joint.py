@@ -41,6 +41,10 @@ class OracleGrid:
     p_points: int = 200
     eps_points: int = 200
 
+    def __post_init__(self):
+        if self.p_points < 1 or self.eps_points < 1:
+            raise ValueError(f"oracle grid points must be >= 1: {self.p_points}, {self.eps_points}")
+
 
 def u1(realization, p, eps, sr_inf) -> float:
     """Normalized rate objective: the dispersion-penalized log-rate sum over

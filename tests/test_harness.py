@@ -25,7 +25,7 @@ from fblopt.harness import (
     seed_from_env,
     write_manifest,
 )
-from fblopt.joint import OracleGrid, solve_joint
+from fblopt.joint import solve_joint
 from fblopt.power import equal_power, sr_infinity, water_filling
 
 PAPER_CAPS = (1e-5, 5e-5, 1e-4, 5e-4)
@@ -103,9 +103,16 @@ class TestRunScenario:
         assert rows[0].std_throughput == 0.0
 
     def test_unknown_scheme_rejected_at_config(self):
-        cfg = tiny_config(schemes=("proposed", "genie"))
         with pytest.raises(ValueError):
-            run_scenario(cfg)
+            tiny_config(schemes=("proposed", "genie"))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"l_grid": (100.5,)}, {"omega_grid": (float("nan"),)}, {"p_max_grid": (float("-inf"),)}],
+    )
+    def test_library_only_bad_values_rejected(self, overrides):
+        with pytest.raises(ValueError):
+            tiny_config(**overrides)
 
     def test_same_seed_identical_csv(self, tmp_path):
         cfg = tiny_config(schemes=("wf_minmax", "equalpower_opteps"))
@@ -114,16 +121,99 @@ class TestRunScenario:
         emit_csv(run_scenario(cfg), b)
         assert file_hash(a) == file_hash(b)
 
-    def test_parallel_matches_serial(self, tmp_path):
-        cfg = tiny_config(schemes=("proposed",), n_trials=6)
-        a, b = tmp_path / "serial.csv", tmp_path / "par.csv"
-        emit_csv(run_scenario(cfg), a)
-        emit_csv(run_scenario(replace(cfg, n_jobs=2)), b)
-        assert file_hash(a) == file_hash(b)
+    def test_parallel_matches_serial(self, tmp_path, monkeypatch):
+        pools, maps = [], []
+
+        class CountingPool(fblopt.harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+            def map(self, *args, **kwargs):
+                maps.append(args)
+                return super().map(*args, **kwargs)
+
+        monkeypatch.setattr(fblopt.harness, "ProcessPoolExecutor", CountingPool)
+        one_cell = tiny_config(schemes=("proposed",), n_trials=6)
+        multi_cell = replace(
+            one_cell,
+            omega_grid=(0.5, 0.9),
+            l_grid=(100, 200),
+            schemes=("proposed", "equalpower_opteps"),
+        )
+        for cfg in (one_cell, multi_cell):
+            pools.clear()
+            maps.clear()
+            a, b = tmp_path / "serial.csv", tmp_path / "par.csv"
+            emit_csv(run_scenario(cfg), a)
+            emit_csv(run_scenario(replace(cfg, n_jobs=2)), b)
+            assert file_hash(a) == file_hash(b)
+            assert len(pools) == 1 and len(maps) == 1
+        assert len(read_rows(b)) == 8
+
+    def test_one_draw_per_trial_shared_by_every_cell(self, monkeypatch):
+        cfg = tiny_config(
+            schemes=("wf_minmax", "equalpower_opteps"),
+            n_trials=3,
+            omega_grid=(0.5, 0.9),
+            l_grid=(100, 200),
+            p_max_grid=(0.0, 6.0),
+        )
+        real_trial, real_dispatch = fblopt.harness._run_trial, fblopt.harness.scheme_dispatch
+        real_sample = fblopt.harness.sample_realization
+        real_from_caps = SortedQosProfile.from_caps.__func__
+        seen, counts = {}, {"sample": 0, "from_caps": 0}
+        current = []
+
+        def run_trial(config, profile, trial):
+            current[:] = [trial]
+            return real_trial(config, profile, trial)
+
+        def dispatch(scheme, realization, *args):
+            seen.setdefault(current[0], []).append(
+                (realization.gamma, realization.block_length, realization.p_max)
+            )
+            return real_dispatch(scheme, realization, *args)
+
+        def sample(*args, **kwargs):
+            counts["sample"] += 1
+            return real_sample(*args, **kwargs)
+
+        def from_caps(cls, caps):
+            counts["from_caps"] += 1
+            return real_from_caps(cls, caps)
+
+        monkeypatch.setattr(fblopt.harness, "_run_trial", run_trial)
+        monkeypatch.setattr(fblopt.harness, "scheme_dispatch", dispatch)
+        monkeypatch.setattr(fblopt.harness, "sample_realization", sample)
+        monkeypatch.setattr(SortedQosProfile, "from_caps", classmethod(from_caps))
+        run_scenario(cfg)
+        assert counts == {"sample": cfg.n_trials, "from_caps": 1}
+        assert sorted(seen) == list(range(cfg.n_trials))
+        for trial, calls in seen.items():
+            assert len(calls) == 16
+            rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, trial]))
+            expected = real_sample(cfg.links, 1.0, 2, 1.0, rng=rng).gamma
+            assert all(np.array_equal(gamma, expected) for gamma, _, _ in calls)
+            cells = {(length, p_max) for _, length, p_max in calls}
+            assert cells == {(l, 10.0 ** (p / 10.0)) for l in (100, 200) for p in (0.0, 6.0)}
 
     def test_infeasible_trials_fail(self, over_budget_alm):
         cfg = tiny_config(schemes=("proposedpower_minmax",), n_trials=1)
         with pytest.raises(RuntimeError, match="1/1 trials failed"):
+            run_scenario(cfg)
+
+    def test_failure_budget_names_failing_cell(self, monkeypatch):
+        real = fblopt.harness.scheme_dispatch
+
+        def dispatch(scheme, realization, profile, omega, *args):
+            if omega == 0.5:
+                raise FloatingPointError("overflow")
+            return real(scheme, realization, profile, omega, *args)
+
+        monkeypatch.setattr(fblopt.harness, "scheme_dispatch", dispatch)
+        cfg = tiny_config(schemes=("wf_minmax",), omega_grid=(0.1, 0.5, 0.9), n_trials=4)
+        with pytest.raises(RuntimeError, match=r"cell \(wf_minmax, omega=0\.5, L=200, p_max=6\.0\): 4/4"):
             run_scenario(cfg)
 
     def test_numerical_error_fails_trial(self, monkeypatch):
@@ -282,7 +372,27 @@ max_alternations = 20
             with pytest.raises(ValueError):
                 load_config_file(path)
 
-    @pytest.mark.parametrize("line", ["p_max_unit = dbm", "n_jobs = 0"])
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "p_max_unit = dbm",
+            "n_jobs = 0",
+            "n_trials = 0",
+            "omega_grid = 0.5 1.5",
+            "omega_grid = -0.1",
+            "l_grid = 1",
+            "l_grid =",
+            "p_max_unit = linear\np_max_grid = 4 0",
+            "noise_power = 0",
+            "master_seed = -1",
+            "schemes =",
+            "schemes = proposed genie",
+            "[users]\ncount = 0\neps_max =",
+            "[oracle]\np_points = 30",  # four default users
+            "[users]\ncount = 3\neps_max = 1e-5 5e-5 1e-4\n[oracle]\np_points = 0",
+            "[users]\ncount = 3\neps_max = 1e-5 5e-5 1e-4\n[oracle]\neps_points = 0",
+        ],
+    )
     def test_load_config_rejects_bad_values(self, tmp_path, line):
         path = tmp_path / "bad.ini"
         path.write_text(f"[scenario]\n{line}\n")
@@ -294,7 +404,7 @@ max_alternations = 20
         readme = (ROOT / "README.md").read_text()
         path = tmp_path / "readme.ini"
         path.write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
-        assert load_config_file(path) == default_config(l_grid=(100, 200), oracle=OracleGrid())
+        assert load_config_file(path) == default_config(l_grid=(100, 200))
 
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
@@ -364,6 +474,19 @@ class TestCli:
             main(["--config", str(config), "--out", str(tmp_path / "x.csv")])
         with pytest.raises(ValueError):
             main(["--jobs", "0", "--out", str(tmp_path / "x.csv")])
+        three = tmp_path / "three.ini"
+        three.write_text("[users]\ncount = 3\neps_max = 1e-5 5e-5 1e-4\n")
+        for argv in [
+            ["--omega", "1.5", "--schemes", "wf_minmax", "--trials", "3"],
+            ["--lgrid", "1"],
+            ["--seed", "-1"],
+            ["--trials", "0"],
+            ["--oracle", "30", "30"],  # four default users
+            ["--config", str(three), "--oracle", "0", "30"],
+            ["--config", str(three), "--oracle", "30", "0"],
+        ]:
+            with pytest.raises(ValueError):
+                main([*argv, "--out", str(tmp_path / "x.csv")])
 
     @pytest.mark.parametrize("scenario", sorted((ROOT / "scenarios").glob("*.ini")), ids=lambda p: p.stem)
     def test_scenario_files_run(self, tmp_path, scenario):
