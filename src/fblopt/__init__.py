@@ -11,7 +11,6 @@ from .kernels import (
     q_inverse,
 )
 from .channel import UserLink, NetworkRealization, mean_gain, sample_realization
-from .config import SolverConfig
 from .error_assignment import (
     ErrorAssignment,
     SortedQosProfile,

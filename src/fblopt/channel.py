@@ -3,8 +3,11 @@ gains from Rayleigh small-scale fading, with seeded, reproducible sampling.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from .power import sr_infinity
 
 
 @dataclass(frozen=True)
@@ -22,7 +25,7 @@ class UserLink:
     eps_max: float
 
     def __post_init__(self):
-        if self.kappa <= 0 or self.distance <= 0 or self.pathloss_exp <= 0:
+        if not (self.kappa > 0 and self.distance > 0 and self.pathloss_exp > 0):
             raise ValueError("kappa, distance and pathloss_exp must be positive")
         if not 0.0 < self.eps_max < 0.5:
             raise ValueError("eps_max must lie in (0, 0.5)")
@@ -47,16 +50,22 @@ class NetworkRealization:
             raise ValueError("gamma must be a nonempty 1-D vector")
         if not np.all(np.isfinite(self.gamma)) or np.any(self.gamma <= 0):
             raise ValueError("gamma entries must be finite and positive")
-        if self.p_max <= 0:
+        if not self.p_max > 0:
             raise ValueError("p_max must be positive")
-        if self.block_length < 2:
+        if not self.block_length >= 2:
             raise ValueError("block_length must be >= 2")
-        if self.noise_power <= 0:
+        if not self.noise_power > 0:
             raise ValueError("noise_power must be positive")
 
     @property
     def n_users(self) -> int:
         return self.gamma.size
+
+    @cached_property
+    def sr_inf(self) -> float:
+        """Shannon sum rate under water-filling (power.sr_infinity), computed
+        once per realization; dataclasses.replace starts a fresh cache."""
+        return sr_infinity(self.gamma, self.p_max)
 
 
 def mean_gain(link: UserLink) -> float:

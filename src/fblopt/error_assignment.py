@@ -42,7 +42,7 @@ class SortedQosProfile:
         caps = np.asarray(eps_max, dtype=float)
         if caps.ndim != 1 or caps.size < 1:
             raise ValueError("eps_max must be a nonempty 1-D sequence")
-        if np.any(caps <= 0.0) or np.any(caps >= 0.5):
+        if not np.all((0.0 < caps) & (caps < 0.5)):
             raise ValueError("every eps_max must lie in (0, 0.5)")
         order = np.argsort(caps, kind="stable")
         return cls(
@@ -149,7 +149,7 @@ def optimal_errors(realization, p, profile, omega, sr_inf) -> ErrorAssignment:
     """
     if not 0.0 < omega <= 1.0:
         raise ValueError("omega must lie in (0, 1] for the error subproblem")
-    if sr_inf <= 0.0:
+    if not sr_inf > 0.0:
         raise ValueError("sr_inf must be positive")
     n = realization.n_users
     if profile.n_users != n:

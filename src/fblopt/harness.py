@@ -17,17 +17,16 @@ import json
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from itertools import product
 
 import numpy as np
 
 from .channel import UserLink, sample_realization
-from .config import SolverConfig
 from .error_assignment import SortedQosProfile, floor_errors, optimal_errors
 from .joint import OracleGrid, exhaustive_oracle, make_report, solve_joint
-from .power import equal_power, solve_power, sr_infinity, water_filling
+from .power import equal_power, solve_power, water_filling
 
 logger = logging.getLogger("fblopt")
 
@@ -54,7 +53,6 @@ class ScenarioConfig:
     master_seed: int = 12345
     schemes: tuple = SCHEMES
     oracle: OracleGrid | None = None
-    solver: SolverConfig = field(default_factory=SolverConfig)
     n_jobs: int = 1
     fading: bool = True  # False pins theta = 1, for hand-checkable runs
 
@@ -120,7 +118,7 @@ def default_config(**overrides) -> ScenarioConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
-def scheme_dispatch(scheme, realization, profile, omega, config=None):
+def scheme_dispatch(scheme, realization, profile, omega):
     """Solve one realization under the named scheme and report it.
 
     proposed             joint alternating solver
@@ -128,19 +126,18 @@ def scheme_dispatch(scheme, realization, profile, omega, config=None):
     proposedpower_minmax augmented-Lagrangian power, errors at strictest cap
     equalpower_opteps    equal power split, closed-form error assignment
     """
-    config = config or SolverConfig()
     if scheme == "proposed":
-        return solve_joint(realization, profile, omega, config)
+        return solve_joint(realization, profile, omega)
 
     n = realization.n_users
-    sr_inf = sr_infinity(realization.gamma, realization.p_max)
+    sr_inf = realization.sr_inf
     minmax_eps = np.full(n, profile.eps_max_sorted[0])
     flags = []
     if scheme == "wf_minmax":
         p = water_filling(realization.gamma, realization.p_max)
         eps = minmax_eps
     elif scheme == "proposedpower_minmax":
-        result = solve_power(realization, minmax_eps, omega, sr_inf, config)
+        result = solve_power(realization, minmax_eps, omega, sr_inf)
         p = result.p
         eps = minmax_eps
         if not result.converged:
@@ -155,9 +152,7 @@ def scheme_dispatch(scheme, realization, profile, omega, config=None):
             eps = optimal_errors(realization, p, profile, omega, sr_inf).eps
     else:
         raise ValueError(f"unknown scheme: {scheme!r}")
-    return make_report(
-        realization, profile, p, eps, omega, sr_inf, iterations=1, flags=flags
-    )
+    return make_report(realization, profile, p, eps, omega, iterations=1, flags=flags)
 
 
 def _columns(config):
@@ -186,7 +181,7 @@ def _run_trial(config, profile, trial):
                 alloc, _ = exhaustive_oracle(realization, profile, float(omega), config.oracle)
                 report = make_report(realization, profile, alloc.p, alloc.eps, float(omega))
             else:
-                report = scheme_dispatch(scheme, realization, profile, float(omega), config.solver)
+                report = scheme_dispatch(scheme, realization, profile, float(omega))
         except (ValueError, ArithmeticError):
             logger.exception("trial %d of cell %s failed", trial, (scheme, omega, length, p_max))
             results.append((trial, False, np.nan, np.nan, np.nan))
@@ -425,8 +420,8 @@ def _read_users(parser, default_links):
 
 
 def load_config_file(path) -> ScenarioConfig:
-    """Read a scenario from an INI file with [scenario], [users], [solver]
-    and [oracle] sections, documented in the README.
+    """Read a scenario from an INI file with [scenario], [users] and
+    [oracle] sections, documented in the README.
 
     Every value left out keeps its default_config() value (the seed thus
     falls back to FBLOPT_SEED); unknown sections and keys raise.
@@ -434,14 +429,13 @@ def load_config_file(path) -> ScenarioConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     if not parser.read(path):
         raise FileNotFoundError(path)
-    unknown = set(parser.sections()) - {"scenario", "users", "solver", "oracle"}
+    unknown = set(parser.sections()) - {"scenario", "users", "oracle"}
     if unknown:
         raise ValueError(f"unknown config sections: {sorted(unknown)}")
     base = default_config()
     return replace(
         _read_section(parser, "scenario", base),
         links=_read_users(parser, base.links),
-        solver=_read_section(parser, "solver", base.solver),
         oracle=_read_section(parser, "oracle", OracleGrid())
         if parser.has_section("oracle")
         else base.oracle,

@@ -7,10 +7,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import SolverConfig
 from .error_assignment import floor_errors, optimal_errors, z_sweep
 from .kernels import EPS_FLOOR, achievable_rate, dispersion_coeff, q_inverse, rate_term
-from .power import simplex_grid, solve_power, sr_infinity, water_filling
+from .power import simplex_grid, solve_power, water_filling
+
+MAX_ALTERNATIONS = 50
+EPS_TOL = 1e-9        # inf-norm change of eps between alternations
 
 
 @dataclass(frozen=True)
@@ -92,16 +94,13 @@ def make_report(
     p,
     eps,
     omega,
-    sr_inf=None,
     iterations=1,
     trace=None,
     flags=None,
 ) -> SolveReport:
     """Assemble a SolveReport for any feasible allocation."""
-    if sr_inf is None:
-        sr_inf = sr_infinity(realization.gamma, realization.p_max)
     rates = per_user_rates(realization, p, eps)
-    val_u1 = u1(realization, p, eps, sr_inf)
+    val_u1 = u1(realization, p, eps, realization.sr_inf)
     val_u2 = u2(eps, profile.eps_max_overall)
     return SolveReport(
         allocation=Allocation(p=np.asarray(p, dtype=float), eps=np.asarray(eps, dtype=float)),
@@ -117,7 +116,7 @@ def make_report(
     )
 
 
-def _alternate(realization, profile, omega, sr_inf, config, p0):
+def _alternate(realization, profile, omega, sr_inf, p0):
     """One alternation run from a given initial power vector. Returns
     (best objective, best p, best eps, trace, flags, iterations)."""
     p = np.asarray(p0, dtype=float)
@@ -129,12 +128,10 @@ def _alternate(realization, profile, omega, sr_inf, config, p0):
     converged = False
     iterations = 0
 
-    for t in range(1, config.max_alternations + 1):
+    for t in range(1, MAX_ALTERNATIONS + 1):
         iterations = t
         assign = optimal_errors(realization, p, profile, omega, sr_inf)
-        power = solve_power(
-            realization, assign.eps, omega, sr_inf, config, p_init=p
-        )
+        power = solve_power(realization, assign.eps, omega, sr_inf, p_init=p)
         if not power.converged and "power_stage_cap" not in flags:
             flags.append("power_stage_cap")
         if power.infeasible and "infeasible" not in flags:
@@ -157,7 +154,7 @@ def _alternate(realization, profile, omega, sr_inf, config, p0):
             best = (obj, p.copy(), assign.eps.copy())
         eps_prev = assign.eps
         p_prev = p
-        if d_eps <= config.eps_tol:
+        if d_eps <= EPS_TOL:
             converged = True
             break
 
@@ -166,10 +163,10 @@ def _alternate(realization, profile, omega, sr_inf, config, p0):
     return best[0], best[1], best[2], trace, flags, iterations
 
 
-def solve_joint(realization, profile, omega, config=None) -> SolveReport:
+def solve_joint(realization, profile, omega) -> SolveReport:
     """Alternate the closed-form error assignment and the augmented-
     Lagrangian power solve until the error vector stalls (inf-norm <=
-    eps_tol) or the alternation cap is reached.
+    EPS_TOL) or the alternation cap is reached.
 
     The alternation runs twice, once from water-filling and once from zero
     power: block updates cannot cross between the transmit basin and the
@@ -181,35 +178,32 @@ def solve_joint(realization, profile, omega, config=None) -> SolveReport:
     omega == 0 is the pure reliability regime: every error probability is
     pinned at the floor and water-filling breaks the power tie.
     """
-    config = config or SolverConfig()
     if not 0.0 <= omega <= 1.0:
         raise ValueError("omega must lie in [0, 1]")
     if profile.n_users != realization.n_users:
         raise ValueError("profile and realization disagree on user count")
-    sr_inf = sr_infinity(realization.gamma, realization.p_max)
+    sr_inf = realization.sr_inf
     n = realization.n_users
 
     if omega == 0.0:
         p = water_filling(realization.gamma, realization.p_max)
         return make_report(
-            realization, profile, p, floor_errors(profile), omega, sr_inf,
+            realization, profile, p, floor_errors(profile), omega,
             iterations=1, flags=["omega_zero"],
         )
 
     wf_run = _alternate(
-        realization, profile, omega, sr_inf, config,
+        realization, profile, omega, sr_inf,
         water_filling(realization.gamma, realization.p_max),
     )
-    silent_run = _alternate(
-        realization, profile, omega, sr_inf, config, np.zeros(n)
-    )
+    silent_run = _alternate(realization, profile, omega, sr_inf, np.zeros(n))
     if silent_run[0] > wf_run[0]:
         obj, p_best, eps_best, trace, flags, iterations = silent_run
         flags = flags + ["silent_start"]
     else:
         obj, p_best, eps_best, trace, flags, iterations = wf_run
     return make_report(
-        realization, profile, p_best, eps_best, omega, sr_inf,
+        realization, profile, p_best, eps_best, omega,
         iterations=iterations, trace=trace, flags=flags,
     )
 
@@ -231,7 +225,7 @@ def exhaustive_oracle(realization, profile, omega, grid=None):
         raise ValueError("exhaustive_oracle is guarded to 3 users or fewer")
     if profile.n_users != n:
         raise ValueError("profile and realization disagree on user count")
-    sr_inf = sr_infinity(realization.gamma, realization.p_max)
+    sr_inf = realization.sr_inf
 
     grids, z_cand, idx, feasible = z_sweep(profile.caps_original(), grid.eps_points)
     nz = z_cand.size

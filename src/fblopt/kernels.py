@@ -43,7 +43,7 @@ def q_inverse(eps):
     Raises ValueError for eps outside the open interval (0, 0.5).
     """
     e = np.asarray(eps, dtype=float)
-    if np.any(e <= 0.0) or np.any(e >= 0.5):
+    if not np.all((0.0 < e) & (e < 0.5)):
         raise ValueError("q_inverse requires 0 < eps < 0.5")
     y = -ndtri(e)
     # Newton on Q(y) = eps: y <- y + (Q(y) - eps)/phi(y); stays in [0, 50].

@@ -16,8 +16,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import SolverConfig
 from .kernels import EPS_FLOOR, dispersion_coeff, q_inverse, rate_term
+
+# augmented-Lagrangian outer loop
+MU0 = 1.0
+ZETA0 = 0.15
+MU_CAP = 1e12
+MAX_STAGES = 30
+POWER_TOL = 1e-6      # inf-norm change of p between stages
+FEAS_TOL = 1e-8       # allowed budget violation at convergence
+PROJECT_TOL = 1e-6    # worst violation still projected to feasibility
+
+# projected-gradient inner solver
+INNER_TOL = 1e-6      # projected-gradient norm target
+INNER_MAX_ITER = 500
+ARMIJO = 1e-4
 
 # stand-in for the infinite dispersion slope at exactly zero power; large
 # enough to pin the component at the boundary, finite so 0 * BIG == 0
@@ -61,7 +74,7 @@ def water_filling(gamma, p_max) -> np.ndarray:
     """Allocation p_i = max(0, level - 1/gamma_i) with the water level set so
     the powers sum to p_max. Exact active-set solve, no iteration."""
     gamma = np.asarray(gamma, dtype=float)
-    if np.any(gamma <= 0) or p_max <= 0:
+    if not np.all(gamma > 0) or not p_max > 0:
         raise ValueError("gains and p_max must be positive")
     inv = 1.0 / gamma
     order = np.argsort(inv, kind="stable")
@@ -137,7 +150,7 @@ def _projected_residual(p, g):
     return np.where(p > 0.0, g, np.maximum(g, 0.0))
 
 
-def _spg(obj, mu, zeta, p_init, config):
+def _spg(obj, mu, zeta, p_init):
     """Projected gradient ascent with BB trial step and Armijo halving."""
     p = np.maximum(np.asarray(p_init, dtype=float), 0.0)
     f = obj.value(p, mu, zeta)
@@ -146,9 +159,9 @@ def _spg(obj, mu, zeta, p_init, config):
     s_prev = y_prev = None
     converged = False
     it = 0
-    for it in range(1, config.inner_max_iter + 1):
+    for it in range(1, INNER_MAX_ITER + 1):
         pg = _projected_residual(p, g)
-        if float(np.linalg.norm(pg)) <= config.inner_tol:
+        if float(np.linalg.norm(pg)) <= INNER_TOL:
             converged = True
             break
         if s_prev is not None:
@@ -170,7 +183,7 @@ def _spg(obj, mu, zeta, p_init, config):
             if gd == 0.0:
                 break
             f_trial = obj.value(p_trial, mu, zeta)
-            if f_trial >= f + config.armijo * gd:
+            if f_trial >= f + ARMIJO * gd:
                 g_trial = obj.grad(p_trial, mu, zeta)
                 s_prev, y_prev = d, g_trial - g
                 p, f, g = p_trial, f_trial, g_trial
@@ -183,35 +196,33 @@ def _spg(obj, mu, zeta, p_init, config):
     return p, converged, it
 
 
-def inner_maximize(realization, eps, omega, sr_inf, mu, zeta, p_init, config=None):
+def inner_maximize(realization, eps, omega, sr_inf, mu, zeta, p_init):
     """Maximize the augmented Lagrangian over p >= 0 for fixed mu, zeta.
 
     Returns (p, converged, iterations); converged is False when the
     projected-gradient tolerance was not met within the iteration cap.
     """
-    config = config or SolverConfig()
     obj = _PowerObjective(realization, eps, omega, sr_inf)
-    return _spg(obj, mu, zeta, p_init, config)
+    return _spg(obj, mu, zeta, p_init)
 
 
-def update_multipliers(state: AugLagState, realization, config=None) -> AugLagState:
+def update_multipliers(state: AugLagState, realization) -> AugLagState:
     """Multiplier and penalty update between stages:
-    zeta <- max(0, zeta - mu*(P_max - sum p)), mu <- 2*mu (capped at the
-    config's mu_cap, by default SolverConfig's)."""
+    zeta <- max(0, zeta - mu*(P_max - sum p)), mu <- 2*mu (capped at MU_CAP)."""
     residual = realization.p_max - float(np.sum(state.p))
     zeta_next = max(0.0, state.zeta - state.mu * residual)
-    mu_next = min(2.0 * state.mu, (config or SolverConfig).mu_cap)
+    mu_next = min(2.0 * state.mu, MU_CAP)
     return AugLagState(mu=mu_next, zeta=zeta_next, p=state.p, stage=state.stage + 1)
 
 
-def _alm_run(obj, realization, config, p_init) -> PowerSolveResult:
+def _alm_run(obj, realization, p_init) -> PowerSolveResult:
     """One multiplier-method run from a given starting point."""
     p_prev = np.asarray(p_init, dtype=float)
-    state = AugLagState(mu=config.mu0, zeta=config.zeta0, p=p_prev, stage=0)
+    state = AugLagState(mu=MU0, zeta=ZETA0, p=p_prev, stage=0)
     trace = []
     converged = False
-    for _ in range(config.max_stages):
-        p_new, inner_ok, iters = _spg(obj, state.mu, state.zeta, state.p, config)
+    for _ in range(MAX_STAGES):
+        p_new, inner_ok, iters = _spg(obj, state.mu, state.zeta, state.p)
         delta = float(np.max(np.abs(p_new - p_prev)))
         violation = max(0.0, float(np.sum(p_new)) - realization.p_max)
         trace.append(
@@ -229,17 +240,16 @@ def _alm_run(obj, realization, config, p_init) -> PowerSolveResult:
         state = update_multipliers(
             AugLagState(mu=state.mu, zeta=state.zeta, p=p_new, stage=state.stage),
             realization,
-            config,
         )
         p_prev = p_new
-        if delta <= config.power_tol and violation <= config.feas_tol:
+        if delta <= POWER_TOL and violation <= FEAS_TOL:
             converged = True
             break
 
     p_final = p_prev.copy()
     violation = max(0.0, float(np.sum(p_final)) - realization.p_max)
     projected = False
-    if 0.0 < violation <= config.project_tol:
+    if 0.0 < violation <= PROJECT_TOL:
         p_final *= realization.p_max / float(np.sum(p_final))
         violation = 0.0
         projected = True
@@ -252,13 +262,13 @@ def _alm_run(obj, realization, config, p_init) -> PowerSolveResult:
     )
 
 
-def solve_power(realization, eps, omega, sr_inf, config=None, p_init=None) -> PowerSolveResult:
+def solve_power(realization, eps, omega, sr_inf, p_init=None) -> PowerSolveResult:
     """Augmented-Lagrangian outer loop for the fixed-error power subproblem.
 
     Stages alternate an inner maximization with the multiplier update until
-    the power vector stalls (inf-norm change <= power_tol) with the budget
-    violation below feas_tol, or the stage cap is reached. A tiny residual
-    violation (<= project_tol) is removed by scaling onto the budget.
+    the power vector stalls (inf-norm change <= POWER_TOL) with the budget
+    violation below FEAS_TOL, or the stage cap is reached. A tiny residual
+    violation (<= PROJECT_TOL) is removed by scaling onto the budget.
 
     The dispersion penalty's square-root kink makes switching a user off a
     separate basin that projected ascent cannot enter, so the method restarts
@@ -272,9 +282,8 @@ def solve_power(realization, eps, omega, sr_inf, config=None, p_init=None) -> Po
     With omega == 0 the objective is identically zero and the water-filling
     allocation is returned as the deterministic tie-break.
     """
-    config = config or SolverConfig()
     eps = np.asarray(eps, dtype=float)
-    if np.any(eps <= 0.0) or np.any(eps >= 0.5):
+    if not np.all((0.0 < eps) & (eps < 0.5)):
         raise ValueError("eps must lie componentwise in (0, 0.5)")
     if not 0.0 <= omega <= 1.0:
         raise ValueError("omega must lie in [0, 1]")
@@ -298,8 +307,8 @@ def solve_power(realization, eps, omega, sr_inf, config=None, p_init=None) -> Po
         starts.append(np.zeros(n))
 
     obj = _PowerObjective(realization, eps, omega, sr_inf)
-    runs = [_alm_run(obj, realization, config, p0) for p0 in starts]
-    feasible = [r for r in runs if r.violation <= config.project_tol]
+    runs = [_alm_run(obj, realization, p0) for p0 in starts]
+    feasible = [r for r in runs if r.violation <= PROJECT_TOL]
     if not feasible:
         # every start ended over budget, which the all-zero start (pinned at
         # zero by the kink) prevents today; report the warm-start run, flagged

@@ -14,8 +14,8 @@ def over_budget_alm(monkeypatch):
     """
     real = fblopt.power._alm_run
 
-    def run(obj, realization, config, p_init):
-        result = real(obj, realization, config, p_init)
+    def run(obj, realization, p_init):
+        result = real(obj, realization, p_init)
         result.p = np.full(realization.n_users, 1.1 * realization.p_max / realization.n_users)
         result.violation = 0.1 * realization.p_max
         return result

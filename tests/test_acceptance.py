@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from fblopt.channel import NetworkRealization
-from fblopt.config import SolverConfig
 from fblopt.error_assignment import (
     SortedQosProfile,
     grid_search_errors,
@@ -221,6 +220,7 @@ def trend_rows():
     return rows_l, rows_p, rows_s
 
 
+@pytest.mark.slow
 def test_criterion_08a_throughput_increasing_in_length(trend_rows):
     rows_l, _, _ = trend_rows
     tp = {r.block_length: r.mean_throughput for r in rows_l}
@@ -235,6 +235,7 @@ def test_criterion_08a_throughput_increasing_in_length(trend_rows):
     )
 
 
+@pytest.mark.slow
 def test_criterion_08b_throughput_increasing_in_power(trend_rows):
     _, rows_p, _ = trend_rows
     tp = {r.p_max: r.mean_throughput for r in rows_p}
@@ -244,6 +245,7 @@ def test_criterion_08b_throughput_increasing_in_power(trend_rows):
     report("8b", ok, "throughput " + " -> ".join(f"{tp[g]:.4f}" for g in grid))
 
 
+@pytest.mark.slow
 def test_criterion_08c_proposed_dominates_baselines(trend_rows):
     _, _, rows_s = trend_rows
     tp = {r.scheme: r.mean_throughput for r in rows_s}
@@ -254,6 +256,7 @@ def test_criterion_08c_proposed_dominates_baselines(trend_rows):
     ))
 
 
+@pytest.mark.slow
 def test_criterion_09_determinism_across_parallelism(tmp_path):
     cfg = default_config()
     serial = tmp_path / "serial.csv"

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from fblopt.channel import NetworkRealization, UserLink, mean_gain, sample_realization
+from fblopt.power import sr_infinity
 
 
 def make_links(caps=(1e-5, 5e-5, 1e-4, 5e-4), kappa=1.0, d=1.0, delta=3.0):
@@ -19,6 +22,10 @@ class TestUserLink:
             UserLink(kappa=1.0, distance=1.0, pathloss_exp=3.0, eps_max=0.5)
         with pytest.raises(ValueError):
             UserLink(kappa=1.0, distance=1.0, pathloss_exp=3.0, eps_max=0.0)
+        with pytest.raises(ValueError):
+            UserLink(kappa=np.nan, distance=1.0, pathloss_exp=3.0, eps_max=1e-4)
+        with pytest.raises(ValueError):
+            UserLink(kappa=1.0, distance=1.0, pathloss_exp=3.0, eps_max=np.nan)
 
 
 class TestMeanGain:
@@ -40,6 +47,18 @@ class TestNetworkRealization:
             NetworkRealization(gamma=np.array([1.0]), p_max=0.0, block_length=100, noise_power=1.0)
         with pytest.raises(ValueError):
             NetworkRealization(gamma=np.array([1.0]), p_max=1.0, block_length=1, noise_power=1.0)
+        with pytest.raises(ValueError):
+            NetworkRealization(gamma=np.array([1.0]), p_max=np.nan, block_length=100, noise_power=1.0)
+        with pytest.raises(ValueError):
+            NetworkRealization(gamma=np.array([1.0]), p_max=1.0, block_length=np.nan, noise_power=1.0)
+        with pytest.raises(ValueError):
+            NetworkRealization(gamma=np.array([1.0]), p_max=1.0, block_length=100, noise_power=np.nan)
+
+    def test_sr_inf_follows_replaced_budget(self):
+        r = NetworkRealization(gamma=np.array([0.5, 2.0]), p_max=1.0, block_length=100, noise_power=1.0)
+        assert r.sr_inf == sr_infinity(r.gamma, 1.0)
+        for p_max in (0.25, 4.0):
+            assert replace(r, p_max=p_max).sr_inf == sr_infinity(r.gamma, p_max)
 
 
 class TestSampleRealization:

@@ -86,6 +86,8 @@ class TestSortedQosProfile:
             SortedQosProfile.from_caps([0.5])
         with pytest.raises(ValueError):
             SortedQosProfile.from_caps([0.0, 1e-4])
+        with pytest.raises(ValueError):
+            SortedQosProfile.from_caps([np.nan])
 
 
 class TestBetaK:
@@ -162,6 +164,12 @@ class TestOptimalErrors:
         r, prof = make_instance([1.0])
         with pytest.raises(ValueError):
             optimal_errors(r, np.array([1.0]), prof, 0.0, 1.0)
+
+    @pytest.mark.parametrize("sr_inf", [0.0, -1.0, np.nan])
+    def test_bad_sr_inf_rejected(self, sr_inf):
+        r, prof = make_instance([1.0])
+        with pytest.raises(ValueError):
+            optimal_errors(r, np.array([1.0]), prof, 0.9, sr_inf)
 
     def test_paper_profile_shape(self):
         rng = np.random.default_rng(11)

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from fblopt.channel import UserLink, sample_realization
-from fblopt.config import SolverConfig
 from fblopt.error_assignment import SortedQosProfile, optimal_errors
+import fblopt.channel
 import fblopt.harness
 from fblopt.harness import (
     ResultRow,
@@ -25,7 +25,7 @@ from fblopt.harness import (
     seed_from_env,
     write_manifest,
 )
-from fblopt.joint import solve_joint
+from fblopt.joint import OracleGrid, solve_joint
 from fblopt.power import equal_power, sr_infinity, water_filling
 
 PAPER_CAPS = (1e-5, 5e-5, 1e-4, 5e-4)
@@ -198,6 +198,26 @@ class TestRunScenario:
             cells = {(length, p_max) for _, length, p_max in calls}
             assert cells == {(l, 10.0 ** (p / 10.0)) for l in (100, 200) for p in (0.0, 6.0)}
 
+    def test_sr_infinity_once_per_realization(self, monkeypatch):
+        cfg = tiny_config(
+            links=default_config().links[:3],
+            n_trials=2,
+            omega_grid=(0.0, 0.9),
+            l_grid=(100, 200),
+            p_max_grid=(0.0, 6.0),
+            oracle=OracleGrid(p_points=5, eps_points=5),
+        )
+        real = fblopt.channel.sr_infinity
+        calls = []
+
+        def counted(gamma, p_max):
+            calls.append(p_max)
+            return real(gamma, p_max)
+
+        monkeypatch.setattr(fblopt.channel, "sr_infinity", counted)
+        run_scenario(cfg)
+        assert len(calls) == cfg.n_trials * 2 * 2
+
     def test_infeasible_trials_fail(self, over_budget_alm):
         cfg = tiny_config(schemes=("proposedpower_minmax",), n_trials=1)
         with pytest.raises(RuntimeError, match="1/1 trials failed"):
@@ -340,9 +360,6 @@ kappa = 1.0
 distance = 1.0 2.0
 pathloss_exp = 3.0
 eps_max = 1e-5 5e-4
-
-[solver]
-max_alternations = 20
 """
         path = tmp_path / "scenario.ini"
         path.write_text(text)
@@ -355,7 +372,6 @@ max_alternations = 20
         assert len(cfg.links) == 2
         assert cfg.links[1].distance == 2.0
         assert cfg.links[0].eps_max == 1e-5
-        assert cfg.solver.max_alternations == 20
         assert cfg.fading is False
 
     def test_load_config_rejects_unknown_keys(self, tmp_path):
@@ -365,6 +381,7 @@ max_alternations = 20
             "[scenario]\nsolver = 1\n",
             "[users]\nfrobnicate = 1\n",
             "[solver]\nfrobnicate = 1\n",
+            "[solver]\nmax_alternations = 20\n",
             "[oracle]\nfrobnicate = 1\n",
             "[frobnicate]\ncount = 1\n",
         ]:

@@ -69,7 +69,7 @@ class TestQInverse:
         for eps in [1e-9, 1e-6, 1e-3, 0.05, 0.3, 0.49]:
             assert q_inverse(eps) == pytest.approx(bisect_inverse(eps), abs=1e-10)
 
-    @pytest.mark.parametrize("bad", [0.0, -0.1, 0.5, 0.7, 1.0])
+    @pytest.mark.parametrize("bad", [0.0, -0.1, 0.5, 0.7, 1.0, np.nan])
     def test_domain_rejected(self, bad):
         with pytest.raises(ValueError):
             q_inverse(bad)

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fblopt.channel import NetworkRealization
-from fblopt.config import SolverConfig
 from fblopt.kernels import dispersion_coeff, q_inverse
+import fblopt.power
 from fblopt.power import (
+    MU0,
+    ZETA0,
     AugLagState,
     augmented_lagrangian,
     augmented_lagrangian_grad,
@@ -48,6 +50,13 @@ class TestWaterFilling:
     def test_weak_user_shut_off(self):
         p = water_filling(np.array([10.0, 0.01]), 0.5)
         assert p[1] == 0.0 and p[0] == 0.5
+
+    @pytest.mark.parametrize(
+        "gamma, p_max", [([1.0, 0.0], 1.0), ([1.0, np.nan], 1.0), ([1.0], 0.0), ([1.0], np.nan)]
+    )
+    def test_rejects_bad_inputs(self, gamma, p_max):
+        with pytest.raises(ValueError):
+            water_filling(np.array(gamma), p_max)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -195,18 +204,18 @@ class TestUpdateMultipliers:
         out = update_multipliers(state, r)
         assert out.zeta == pytest.approx(0.2, abs=1e-15)
 
-    def test_configured_mu_cap_bounds_trace(self):
+    def test_configured_mu_cap_bounds_trace(self, monkeypatch):
+        monkeypatch.setattr(fblopt.power, "MU_CAP", 4.0)
         r = make_realization([0.8, 1.3], p_max=3.0)
         eps = np.array([1e-4, 5e-4])
-        res = solve_power(r, eps, 0.8, sr_infinity(r.gamma, r.p_max), SolverConfig(mu_cap=4.0))
+        res = solve_power(r, eps, 0.8, sr_infinity(r.gamma, r.p_max))
         mus = [rec.mu for rec in res.trace]
         assert len(mus) > 3 and max(mus) == 4.0
 
 
 class TestSolvePower:
     def test_defaults_match_multiplier_seeds(self):
-        cfg = SolverConfig()
-        assert cfg.mu0 == 1.0 and cfg.zeta0 == 0.15
+        assert MU0 == 1.0 and ZETA0 == 0.15
 
     def test_mu_trace_doubles_exactly(self):
         r = make_realization([0.8, 1.3], p_max=3.0)
@@ -260,6 +269,8 @@ class TestSolvePower:
             solve_power(r, np.array([0.6]), 0.5, 1.0)
         with pytest.raises(ValueError):
             solve_power(r, np.array([0.0]), 0.5, 1.0)
+        with pytest.raises(ValueError):
+            solve_power(r, np.array([np.nan]), 0.5, 1.0)
 
 
 class TestGridHelpers:
