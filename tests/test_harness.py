@@ -319,6 +319,22 @@ class TestCsv:
         golden.write_text(GOLDEN_CSV)
         assert path.read_text() == GOLDEN_CSV
 
+    def test_golden_many_users(self, tmp_path):
+        # twelve users reach numpy's 8-accumulator pairwise sums, which the
+        # four-user golden above does not; frozen like GOLDEN_CSV
+        links = tuple(UserLink(1.0, 1.0, 3.0, c) for c in np.geomspace(1e-5, 5e-4, 12))
+        cfg = default_config(
+            links=links,
+            n_trials=2,
+            master_seed=20240,
+            l_grid=(100, 1600),
+            p_max_grid=(0.0, 12.0),
+            schemes=("proposed", "proposedpower_minmax"),
+        )
+        path = tmp_path / "golden12.csv"
+        emit_csv(run_scenario(cfg), path)
+        assert path.read_text() == GOLDEN_MANY_USERS_CSV
+
 
 class TestManifestAndConfig:
     def test_manifest_contents(self, tmp_path):
@@ -521,4 +537,17 @@ equalpower_opteps,0.9,200,6,1.4399605,5.38895138e-05,1.44348768,0.685546012,25,2
 proposed,0.9,200,6,2.02829698,4.56855394e-05,2.02821614,0.610054523,25,20240
 proposedpower_minmax,0.9,200,6,1.98787792,1e-05,1.98785804,0.607427193,25,20240
 wf_minmax,0.9,200,6,1.90823039,1e-05,1.91020933,0.599137759,25,20240
+"""
+
+
+GOLDEN_MANY_USERS_CSV = """\
+scheme,omega,L,p_max,mean_sum_rate,mean_max_eps,mean_throughput,std_throughput,n_trials,seed
+proposed,0.9,100,0,1.37459994,6.46391568e-05,1.37452081,0.0264106229,2,20240
+proposed,0.9,100,12,7.95459129,4.61410352e-05,7.95427511,0.168150865,2,20240
+proposed,0.9,1600,0,1.32593777,3.54124593e-05,1.32589108,0.0109891854,2,20240
+proposed,0.9,1600,12,9.45424801,1.68109759e-05,9.4540915,0.565871749,2,20240
+proposedpower_minmax,0.9,100,0,1.33305665,1e-05,1.33304331,0.0235154372,2,20240
+proposedpower_minmax,0.9,100,12,7.75654463,1e-05,7.75646706,0.140589816,2,20240
+proposedpower_minmax,0.9,1600,0,1.30912389,1e-05,1.3091108,0.00719488269,2,20240
+proposedpower_minmax,0.9,1600,12,9.43403895,1e-05,9.43394461,0.566238381,2,20240
 """
