@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .power import sr_infinity
+from .power import sr_infinity, water_filling
 
 
 @dataclass(frozen=True)
@@ -61,11 +61,26 @@ class NetworkRealization:
     def n_users(self) -> int:
         return self.gamma.size
 
+    # Per-realization caches below: each is computed once, on first use, and
+    # dataclasses.replace builds a new instance that starts them afresh.
+
+    @cached_property
+    def p_wf(self) -> np.ndarray:
+        """The water-filling allocation (power.water_filling), read-only."""
+        p = water_filling(self.gamma, self.p_max)
+        p.flags.writeable = False
+        return p
+
     @cached_property
     def sr_inf(self) -> float:
-        """Shannon sum rate under water-filling (power.sr_infinity), computed
-        once per realization; dataclasses.replace starts a fresh cache."""
-        return sr_infinity(self.gamma, self.p_max)
+        """Shannon sum rate under water-filling (power.sr_infinity) at p_wf."""
+        return sr_infinity(self.gamma, self.p_max, self.p_wf)
+
+    @cached_property
+    def alm_runs(self) -> dict:
+        """Results of power.solve_power's generated starts, kept under its
+        reuse rule."""
+        return {}
 
 
 def mean_gain(link: UserLink) -> float:

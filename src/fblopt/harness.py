@@ -26,7 +26,7 @@ import numpy as np
 from .channel import UserLink, sample_realization
 from .error_assignment import SortedQosProfile, floor_errors, optimal_errors
 from .joint import OracleGrid, exhaustive_oracle, make_report, solve_joint
-from .power import equal_power, solve_power, water_filling
+from .power import equal_power, solve_power
 
 logger = logging.getLogger("fblopt")
 
@@ -134,7 +134,7 @@ def scheme_dispatch(scheme, realization, profile, omega):
     minmax_eps = np.full(n, profile.eps_max_sorted[0])
     flags = []
     if scheme == "wf_minmax":
-        p = water_filling(realization.gamma, realization.p_max)
+        p = realization.p_wf
         eps = minmax_eps
     elif scheme == "proposedpower_minmax":
         result = solve_power(realization, minmax_eps, omega, sr_inf)

@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .error_assignment import floor_errors, optimal_errors, z_sweep
-from .kernels import EPS_FLOOR, achievable_rate, dispersion_coeff, q_inverse, rate_term
-from .power import simplex_grid, solve_power, water_filling
+from .kernels import EPS_FLOOR, dispersion_coeff, length_offset, q_inverse, rate_term
+from .power import simplex_grid, solve_power
 
 MAX_ALTERNATIONS = 50
 EPS_TOL = 1e-9        # inf-norm change of eps between alternations
@@ -48,14 +48,20 @@ class OracleGrid:
             raise ValueError(f"oracle grid points must be >= 1: {self.p_points}, {self.eps_points}")
 
 
+def _rate_terms(realization, p, eps) -> np.ndarray:
+    """Each user's rate_term at (p, eps), eps clamped to EPS_FLOOR: one
+    inversion of eps shared by u1 and per_user_rates."""
+    s = realization.gamma * np.asarray(p, dtype=float)
+    qinv = q_inverse(np.maximum(np.asarray(eps, dtype=float), EPS_FLOOR))
+    return rate_term(s, realization.block_length, qinv)
+
+
 def u1(realization, p, eps, sr_inf) -> float:
     """Normalized rate objective: the dispersion-penalized log-rate sum over
     sr_inf. Deliberately excludes the log(L)/L offset, which is constant in
     the decision variables; reported rates include it (see per_user_rates).
     """
-    s = realization.gamma * np.asarray(p, dtype=float)
-    qinv = q_inverse(np.maximum(np.asarray(eps, dtype=float), EPS_FLOOR))
-    return float(np.sum(rate_term(s, realization.block_length, qinv))) / sr_inf
+    return float(np.sum(_rate_terms(realization, p, eps))) / sr_inf
 
 
 def u2(eps, eps_max_overall) -> float:
@@ -70,14 +76,9 @@ def weighted_objective(realization, p, eps, omega, sr_inf, eps_max_overall) -> f
 
 
 def per_user_rates(realization, p, eps) -> np.ndarray:
-    """Full normal-approximation rates (including log(L)/L), possibly
-    negative; used for reporting and throughput."""
-    eps = np.maximum(np.asarray(eps, dtype=float), EPS_FLOOR)
-    return achievable_rate(
-        realization.gamma * np.asarray(p, dtype=float),
-        realization.block_length,
-        eps,
-    )
+    """Full normal-approximation rates (kernels.achievable_rate, including
+    log(L)/L), possibly negative; used for reporting and throughput."""
+    return _rate_terms(realization, p, eps) + length_offset(realization.block_length)
 
 
 def sum_throughput(rates, eps) -> float:
@@ -98,9 +99,11 @@ def make_report(
     trace=None,
     flags=None,
 ) -> SolveReport:
-    """Assemble a SolveReport for any feasible allocation."""
-    rates = per_user_rates(realization, p, eps)
-    val_u1 = u1(realization, p, eps, realization.sr_inf)
+    """Assemble a SolveReport for any feasible allocation. The rates and u1
+    come from one _rate_terms vector, as per_user_rates and u1 compute them."""
+    terms = _rate_terms(realization, p, eps)
+    rates = terms + length_offset(realization.block_length)
+    val_u1 = float(np.sum(terms)) / realization.sr_inf
     val_u2 = u2(eps, profile.eps_max_overall)
     return SolveReport(
         allocation=Allocation(p=np.asarray(p, dtype=float), eps=np.asarray(eps, dtype=float)),
@@ -186,16 +189,12 @@ def solve_joint(realization, profile, omega) -> SolveReport:
     n = realization.n_users
 
     if omega == 0.0:
-        p = water_filling(realization.gamma, realization.p_max)
         return make_report(
-            realization, profile, p, floor_errors(profile), omega,
+            realization, profile, realization.p_wf, floor_errors(profile), omega,
             iterations=1, flags=["omega_zero"],
         )
 
-    wf_run = _alternate(
-        realization, profile, omega, sr_inf,
-        water_filling(realization.gamma, realization.p_max),
-    )
+    wf_run = _alternate(realization, profile, omega, sr_inf, realization.p_wf)
     silent_run = _alternate(realization, profile, omega, sr_inf, np.zeros(n))
     if silent_run[0] > wf_run[0]:
         obj, p_best, eps_best, trace, flags, iterations = silent_run

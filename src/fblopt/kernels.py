@@ -63,10 +63,18 @@ def dispersion_coeff(s, block_length):
     return np.sqrt(s * (s + 2.0) / block_length) / (1.0 + s)
 
 
-def rate_term(s, block_length, qinv):
+def rate_term(s, block_length, qinv, disp=None):
     """log(1+s) - dispersion_coeff(s, L) * qinv at SNR s: the normal-
-    approximation rate without its log(L)/L offset, for a given Qinv(eps)."""
-    return np.log1p(s) - dispersion_coeff(s, block_length) * qinv
+    approximation rate without its log(L)/L offset, for a given Qinv(eps).
+    disp, when given, is dispersion_coeff(s, L) already computed."""
+    if disp is None:
+        disp = dispersion_coeff(s, block_length)
+    return np.log1p(s) - disp * qinv
+
+
+def length_offset(block_length):
+    """log(L)/L, the normal approximation's offset that rate_term leaves out."""
+    return np.log(block_length) / block_length
 
 
 def achievable_rate(snr, block_length, eps):
@@ -79,5 +87,5 @@ def achievable_rate(snr, block_length, eps):
     the Shannon rate log(1+snr) as the block length grows.
     """
     L = block_length
-    out = rate_term(np.asarray(snr, dtype=float), L, q_inverse(eps)) + np.log(L) / L
+    out = rate_term(np.asarray(snr, dtype=float), L, q_inverse(eps)) + length_offset(L)
     return float(out) if np.ndim(out) == 0 else out

@@ -12,6 +12,7 @@ Also provides the water-filling and equal-power baselines and the
 Shannon-sum-rate normalizer sr_infinity.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,9 @@ ARMIJO = 1e-4
 # stand-in for the infinite dispersion slope at exactly zero power; large
 # enough to pin the component at the boundary, finite so 0 * BIG == 0
 _BIG_SLOPE = 1e30
+
+# the ufunc reduction behind np.sum, called without np.sum's wrapper
+_sum = np.add.reduce
 
 
 @dataclass
@@ -92,16 +96,25 @@ def equal_power(n_users, p_max) -> np.ndarray:
     return np.full(n_users, p_max / n_users)
 
 
-def sr_infinity(gamma, p_max) -> float:
+def sr_infinity(gamma, p_max, p_wf=None) -> float:
     """Shannon sum rate under water-filling; normalizes the rate objective
-    and upper-bounds it for every feasible allocation."""
+    and upper-bounds it for every feasible allocation. p_wf, when given, is
+    water_filling(gamma, p_max) already computed."""
     gamma = np.asarray(gamma, dtype=float)
-    return float(np.sum(np.log1p(gamma * water_filling(gamma, p_max))))
+    if p_wf is None:
+        p_wf = water_filling(gamma, p_max)
+    return float(np.sum(np.log1p(gamma * p_wf)))
 
 
 class _PowerObjective:
     """Augmented-Lagrangian value/gradient with per-call invariants cached
-    (gains, inverse-Q of the fixed error probabilities, scaling)."""
+    (gains, inverse-Q of the fixed error probabilities, scaling, and the
+    slope pieces that do not depend on p).
+
+    value() keeps the SNR vector, the dispersion vector and the power sum it
+    computes; grad() on the same array object reuses them, so the gradient
+    at an accepted point costs no second evaluation. Callers must not write
+    into p between the two calls."""
 
     def __init__(self, realization, eps, omega, sr_inf):
         self.gamma = realization.gamma
@@ -109,26 +122,37 @@ class _PowerObjective:
         self.p_max = realization.p_max
         self.qinv = q_inverse(np.maximum(np.asarray(eps, dtype=float), EPS_FLOOR))
         self.scale = omega / sr_inf
+        self._qinv_gamma = self.qinv * self.gamma
+        self._pinned_slope = np.where(self.qinv > 0.0, _BIG_SLOPE, 0.0)
+        self._at = None  # (p, s, disp, sum p) of the last value() call
 
     def rate_value(self, p):
         """Scaled rate objective (the quantity being maximized), no penalty."""
-        return self.scale * float(np.sum(rate_term(self.gamma * p, self.L, self.qinv)))
+        return self.scale * float(_sum(rate_term(self.gamma * p, self.L, self.qinv)))
+
+    def _point(self, p):
+        """(p, SNR, dispersion, sum p) at p; the last value() call's tuple
+        when p is the array it was called on."""
+        at = self._at
+        if at is None or at[0] is not p:
+            s = self.gamma * p
+            at = (p, s, dispersion_coeff(s, self.L), float(_sum(p)))
+        return at
 
     def value(self, p, mu, zeta):
-        v = max(0.0, zeta - mu * (self.p_max - float(np.sum(p))))
-        return self.rate_value(p) - (v * v - zeta * zeta) / (2.0 * mu)
+        self._at = self._point(p)
+        _, s, disp, total = self._at
+        rate = self.scale * float(_sum(rate_term(s, self.L, self.qinv, disp)))
+        v = max(0.0, zeta - mu * (self.p_max - total))
+        return rate - (v * v - zeta * zeta) / (2.0 * mu)
 
     def grad(self, p, mu, zeta):
-        s = self.gamma * p
+        _, s, disp, total = self._point(p)
         one = 1.0 + s
-        disp = dispersion_coeff(s, self.L)
-        safe = np.where(disp > 0.0, disp, 1.0)
-        slope = np.where(
-            disp > 0.0,
-            self.qinv * self.gamma / (self.L * one**3 * safe),
-            np.where(self.qinv > 0.0, _BIG_SLOPE, 0.0),
-        )
-        v = max(0.0, zeta - mu * (self.p_max - float(np.sum(p))))
+        positive = disp > 0.0
+        safe = np.where(positive, disp, 1.0)
+        slope = np.where(positive, self._qinv_gamma / (self.L * one**3 * safe), self._pinned_slope)
+        v = max(0.0, zeta - mu * (self.p_max - total))
         return self.scale * (self.gamma / one - slope) - v
 
 
@@ -161,17 +185,17 @@ def _spg(obj, mu, zeta, p_init):
     it = 0
     for it in range(1, INNER_MAX_ITER + 1):
         pg = _projected_residual(p, g)
-        if float(np.linalg.norm(pg)) <= INNER_TOL:
+        if math.sqrt(pg.dot(pg)) <= INNER_TOL:
             converged = True
             break
         if s_prev is not None:
-            sy = float(np.dot(s_prev, y_prev))
+            sy = float(s_prev.dot(y_prev))
             if sy < 0.0:
-                alpha = -float(np.dot(s_prev, s_prev)) / sy
+                alpha = -float(s_prev.dot(s_prev)) / sy
             else:
                 alpha *= 2.0
         else:
-            alpha = 1.0 / max(float(np.max(np.abs(pg))), 1e-12)
+            alpha = 1.0 / max(float(np.abs(pg).max()), 1e-12)
         alpha = min(max(alpha, 1e-16), 1e12)
 
         eta = alpha
@@ -179,7 +203,7 @@ def _spg(obj, mu, zeta, p_init):
         while eta >= 1e-18:
             p_trial = np.maximum(p + eta * g, 0.0)
             d = p_trial - p
-            gd = float(np.dot(g, d))
+            gd = float(g.dot(d))
             if gd == 0.0:
                 break
             f_trial = obj.value(p_trial, mu, zeta)
@@ -209,7 +233,7 @@ def inner_maximize(realization, eps, omega, sr_inf, mu, zeta, p_init):
 def update_multipliers(state: AugLagState, realization) -> AugLagState:
     """Multiplier and penalty update between stages:
     zeta <- max(0, zeta - mu*(P_max - sum p)), mu <- 2*mu (capped at MU_CAP)."""
-    residual = realization.p_max - float(np.sum(state.p))
+    residual = realization.p_max - float(_sum(state.p))
     zeta_next = max(0.0, state.zeta - state.mu * residual)
     mu_next = min(2.0 * state.mu, MU_CAP)
     return AugLagState(mu=mu_next, zeta=zeta_next, p=state.p, stage=state.stage + 1)
@@ -223,8 +247,8 @@ def _alm_run(obj, realization, p_init) -> PowerSolveResult:
     converged = False
     for _ in range(MAX_STAGES):
         p_new, inner_ok, iters = _spg(obj, state.mu, state.zeta, state.p)
-        delta = float(np.max(np.abs(p_new - p_prev)))
-        violation = max(0.0, float(np.sum(p_new)) - realization.p_max)
+        delta = float(np.abs(p_new - p_prev).max())
+        violation = max(0.0, float(_sum(p_new)) - realization.p_max)
         trace.append(
             StageRecord(
                 stage=state.stage,
@@ -247,10 +271,10 @@ def _alm_run(obj, realization, p_init) -> PowerSolveResult:
             break
 
     p_final = p_prev.copy()
-    violation = max(0.0, float(np.sum(p_final)) - realization.p_max)
+    violation = max(0.0, float(_sum(p_final)) - realization.p_max)
     projected = False
     if 0.0 < violation <= PROJECT_TOL:
-        p_final *= realization.p_max / float(np.sum(p_final))
+        p_final *= realization.p_max / float(_sum(p_final))
         violation = 0.0
         projected = True
     return PowerSolveResult(
@@ -279,6 +303,18 @@ def solve_power(realization, eps, omega, sr_inf, p_init=None) -> PowerSolveResul
     If no start ends within budget, the warm-start run is returned with
     infeasible set.
 
+    Support invariant: a user at zero power in a run's start has gradient
+    about -_BIG_SLOPE, so every trial step leaves it at exactly zero for the
+    whole run, and exact zeros change no sum, dot product or maximum. A run
+    therefore depends only on its start vector, on Qinv(eps) over the
+    start's support and on omega / sr_inf (the realization fixed). Reuse
+    rule: each generated start (a vertex or zero; never the warm start) is
+    run once per realization and its result kept in realization.alm_runs,
+    keyed on exactly those values; a later call with the same key takes the
+    kept result, which is then shared between the two calls. A user with
+    Qinv(eps) == 0 gets zero slope instead and is not pinned, so such a call
+    runs every start afresh.
+
     With omega == 0 the objective is identically zero and the water-filling
     allocation is returned as the deterministic tie-break.
     """
@@ -289,15 +325,10 @@ def solve_power(realization, eps, omega, sr_inf, p_init=None) -> PowerSolveResul
         raise ValueError("omega must lie in [0, 1]")
 
     if omega == 0.0:
-        p = water_filling(realization.gamma, realization.p_max)
-        return PowerSolveResult(p=p, trace=[], converged=True)
+        return PowerSolveResult(p=realization.p_wf, trace=[], converged=True)
 
     n = realization.n_users
-    starts = [
-        np.asarray(p_init, dtype=float)
-        if p_init is not None
-        else water_filling(realization.gamma, realization.p_max)
-    ]
+    starts = [np.asarray(p_init, dtype=float) if p_init is not None else realization.p_wf]
     for i in range(n):
         vertex = np.zeros(n)
         vertex[i] = realization.p_max
@@ -307,7 +338,13 @@ def solve_power(realization, eps, omega, sr_inf, p_init=None) -> PowerSolveResul
         starts.append(np.zeros(n))
 
     obj = _PowerObjective(realization, eps, omega, sr_inf)
-    runs = [_alm_run(obj, realization, p0) for p0 in starts]
+    runs = [_alm_run(obj, realization, starts[0])]
+    memo = realization.alm_runs if np.all(obj.qinv > 0.0) else {}
+    for p0 in starts[1:]:
+        key = (p0.tobytes(), obj.qinv[p0 != 0.0].tobytes(), obj.scale)
+        if key not in memo:
+            memo[key] = _alm_run(obj, realization, p0)
+        runs.append(memo[key])
     feasible = [r for r in runs if r.violation <= PROJECT_TOL]
     if not feasible:
         # every start ended over budget, which the all-zero start (pinned at

@@ -11,10 +11,13 @@ from fblopt.channel import UserLink, sample_realization
 from fblopt.error_assignment import SortedQosProfile, optimal_errors
 import fblopt.channel
 import fblopt.harness
+import fblopt.joint
+import fblopt.power
 from fblopt.harness import (
     ResultRow,
     SCHEMES,
     _aggregate,
+    _run_trial,
     config_hash,
     default_config,
     emit_csv,
@@ -210,13 +213,45 @@ class TestRunScenario:
         real = fblopt.channel.sr_infinity
         calls = []
 
-        def counted(gamma, p_max):
+        def counted(gamma, p_max, *rest):
             calls.append(p_max)
-            return real(gamma, p_max)
+            return real(gamma, p_max, *rest)
 
         monkeypatch.setattr(fblopt.channel, "sr_infinity", counted)
         run_scenario(cfg)
         assert len(calls) == cfg.n_trials * 2 * 2
+
+    def test_water_filling_once_per_realization(self, monkeypatch):
+        cfg = tiny_config(
+            links=default_config().links[:3],
+            omega_grid=(0.0, 0.9),
+            l_grid=(100, 200),
+            p_max_grid=(0.0, 6.0),
+            oracle=OracleGrid(p_points=5, eps_points=5),
+        )
+        real = fblopt.power.water_filling
+        calls = []
+
+        def counted(gamma, p_max):
+            calls.append(p_max)
+            return real(gamma, p_max)
+
+        # every module that holds the function, as the benchmark's hook does
+        for module in (fblopt.power, fblopt.channel, fblopt.joint, fblopt.harness):
+            if getattr(module, "water_filling", None) is real:
+                monkeypatch.setattr(module, "water_filling", counted)
+        results = _run_trial(cfg, SortedQosProfile.from_caps([l.eps_max for l in cfg.links]), 0)
+        assert len(results) == 2 * 2 * 2 * (len(SCHEMES) + 1)
+        assert all(ok for _, ok, *_ in results)
+        assert sorted(calls) == sorted(cfg.p_max_linear(p) for p in (0.0, 6.0) for _ in range(2))
+
+    def test_cached_water_filling_is_read_only(self):
+        r = sample_realization(default_config().links, 4.0, 200, 1.0, seed=5)
+        assert np.array_equal(r.p_wf, water_filling(r.gamma, 4.0))
+        with pytest.raises(ValueError):
+            r.p_wf[0] = 0.0
+        rep = scheme_dispatch("wf_minmax", r, SortedQosProfile.from_caps(PAPER_CAPS), 0.9)
+        assert rep.allocation.p is r.p_wf
 
     def test_infeasible_trials_fail(self, over_budget_alm):
         cfg = tiny_config(schemes=("proposedpower_minmax",), n_trials=1)

@@ -1,11 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import fblopt.joint
+import fblopt.kernels
+import fblopt.power
 from fblopt.channel import NetworkRealization, UserLink, sample_realization
 from fblopt.error_assignment import SortedQosProfile
 from fblopt.joint import (
     OracleGrid,
     exhaustive_oracle,
+    make_report,
     per_user_rates,
     solve_joint,
     sum_throughput,
@@ -92,6 +98,46 @@ class TestThroughput:
             )
 
 
+class TestMakeReport:
+    @pytest.mark.parametrize("n", [1, 4, 12])
+    def test_one_inversion_same_bits(self, n, monkeypatch):
+        rng = np.random.default_rng(40 + n)
+        real = fblopt.joint.q_inverse
+        calls = []
+        for module in (fblopt.kernels, fblopt.joint):
+            monkeypatch.setattr(module, "q_inverse", lambda e: calls.append(1) or real(e))
+        for _ in range(10):
+            caps = tuple(np.sort(rng.uniform(1e-6, 1e-2, n)))
+            r, prof = make_instance(
+                rng.exponential(1.0, n) + 0.05, p_max=rng.uniform(0.5, 10.0),
+                L=int(rng.integers(50, 2000)), caps=caps,
+            )
+            p = rng.dirichlet(np.ones(n)) * r.p_max
+            p[rng.random(n) < 0.25] = 0.0
+            eps = np.minimum(caps, rng.uniform(0.0, 1e-2, n))
+            eps[0] = 0.0  # below EPS_FLOOR
+            omega = rng.uniform(0.0, 1.0)
+            r.sr_inf  # computed outside the counted window
+            calls.clear()
+            rep = make_report(r, prof, p, eps, omega, iterations=3, flags=["x"])
+            assert len(calls) == 1
+            rates = per_user_rates(r, p, eps)
+            val_u1, val_u2 = u1(r, p, eps, r.sr_inf), u2(eps, prof.eps_max_overall)
+            assert rep.u1 == val_u1 and rep.u2 == val_u2
+            assert rep.objective == omega * val_u1 + (1.0 - omega) * val_u2
+            assert rep.sum_rate == float(np.sum(rates))
+            assert rep.throughput == sum_throughput(rates, eps)
+            assert rep.max_eps == float(np.max(eps))
+            assert np.array_equal(rep.allocation.p, p) and np.array_equal(rep.allocation.eps, eps)
+            assert (rep.iterations, rep.trace, rep.flags) == (3, [], ["x"])
+
+    def test_rates_match_kernel_bitwise(self):
+        r, _ = make_instance([0.8, 1.5, 0.3, 2.0])
+        p, eps = np.array([1.0, 2.0, 0.0, 1.0]), np.array([1e-4, 1e-3, 5e-5, 0.0])
+        expected = achievable_rate(r.gamma * p, r.block_length, np.maximum(eps, EPS_FLOOR))
+        assert np.array_equal(per_user_rates(r, p, eps), expected)
+
+
 class TestSolveJoint:
     def test_omega_one_uses_caps(self):
         r, prof = make_instance([0.7, 1.2, 0.5, 1.0])
@@ -134,6 +180,44 @@ class TestSolveJoint:
             )
             assert rep.max_eps == alloc.eps.max()
             assert rep.iterations <= 50
+
+    @pytest.mark.parametrize("n", [4, 12])
+    def test_generated_starts_never_repeat(self, n, monkeypatch):
+        real_solve, real_run = fblopt.power.solve_power, fblopt.power._alm_run
+        keys, calls, requested = [], [], []
+
+        def solve(realization, eps, omega, sr_inf, p_init):
+            calls.append("warm")  # the first run of each solve is its warm start
+            vertices = np.eye(n) * realization.p_max
+            requested.append(
+                n - any(np.array_equal(v, p_init) for v in vertices) + bool(np.any(p_init != 0.0))
+            )
+            return real_solve(realization, eps, omega, sr_inf, p_init)
+
+        def run(obj, realization, p_init):
+            if calls[-1] == "warm":
+                calls[-1] = "generated"
+            else:
+                keys.append((p_init.tobytes(), obj.qinv[p_init != 0.0].tobytes(), obj.scale))
+            return real_run(obj, realization, p_init)
+
+        monkeypatch.setattr(fblopt.joint, "solve_power", solve)
+        monkeypatch.setattr(fblopt.power, "_alm_run", run)
+        rng = np.random.default_rng(3)
+        caps = tuple(np.geomspace(1e-5, 5e-4, n))
+        for _ in range(3):
+            r, prof = make_instance(rng.exponential(1.0, n), p_max=4.0, caps=caps)
+            rep = solve_joint(r, prof, 0.9)
+            assert len(keys) == len(set(keys)) == len(r.alm_runs)
+            # fewer generated runs than generated starts: reuse happened
+            assert len(keys) < sum(requested)
+            before = len(keys)
+            again = solve_joint(replace(r), prof, 0.9)
+            assert len(keys) - before == before
+            assert again.objective == rep.objective
+            assert np.array_equal(again.allocation.p, rep.allocation.p)
+            keys.clear()
+            requested.clear()
 
     def test_objective_trace_nondecreasing(self):
         rng = np.random.default_rng(47)

@@ -1,15 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fblopt.channel import NetworkRealization
-from fblopt.kernels import dispersion_coeff, q_inverse
+from fblopt.kernels import EPS_FLOOR, dispersion_coeff, q_inverse
 import fblopt.power
 from fblopt.power import (
     MU0,
     ZETA0,
     AugLagState,
+    _alm_run,
+    _PowerObjective,
     augmented_lagrangian,
     augmented_lagrangian_grad,
     equal_power,
@@ -147,6 +151,132 @@ class TestAugmentedLagrangian:
                     - augmented_lagrangian(lo, r, eps, omega, sr, mu, zeta)
                 ) / (2 * h)
             assert np.max(np.abs(g - fd)) <= 1e-5
+
+
+class TestSharedEvaluation:
+    """grad() right after value() on the same array reuses value()'s SNR,
+    dispersion and power sum; that must not change a single bit."""
+
+    @staticmethod
+    def reference_grad(r, eps, omega, sr, mu, zeta, p):
+        # the gradient as written before value and grad shared work
+        gamma, L = r.gamma, r.block_length
+        qinv = q_inverse(np.maximum(eps, EPS_FLOOR))
+        s = gamma * p
+        one = 1.0 + s
+        disp = dispersion_coeff(s, L)
+        safe = np.where(disp > 0.0, disp, 1.0)
+        slope = np.where(
+            disp > 0.0,
+            qinv * gamma / (L * one**3 * safe),
+            np.where(qinv > 0.0, 1e30, 0.0),
+        )
+        v = max(0.0, zeta - mu * (r.p_max - float(np.sum(p))))
+        return (omega / sr) * (gamma / one - slope) - v
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 12])
+    def test_grad_after_value_is_fresh_grad(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(25):
+            gamma = rng.exponential(1.0, n) + 0.05
+            r = make_realization(gamma, p_max=rng.uniform(0.5, 8.0), L=int(rng.integers(100, 2000)))
+            eps = rng.uniform(1e-6, 1e-2, n)
+            omega, sr = rng.uniform(0.1, 1.0), sr_infinity(gamma, r.p_max)
+            mu, zeta = rng.uniform(0.5, 1e4), rng.uniform(0.0, 1.0)
+            p = rng.uniform(0.0, 2.0 * r.p_max / n, n)
+            p[rng.random(n) < 0.3] = 0.0
+            obj = _PowerObjective(r, eps, omega, sr)
+            f = obj.value(p, mu, zeta)
+            g = obj.grad(p, mu, zeta)
+            assert f == augmented_lagrangian(p, r, eps, omega, sr, mu, zeta)
+            assert np.array_equal(g, _PowerObjective(r, eps, omega, sr).grad(p, mu, zeta))
+            assert np.array_equal(g, augmented_lagrangian_grad(p, r, eps, omega, sr, mu, zeta))
+            assert np.array_equal(g, self.reference_grad(r, eps, omega, sr, mu, zeta, p))
+
+    def test_grad_on_another_array_is_not_reused(self):
+        r = make_realization([0.8, 1.3], p_max=3.0)
+        eps, sr = np.array([1e-4, 5e-4]), sr_infinity(r.gamma, 3.0)
+        obj = _PowerObjective(r, eps, 0.8, sr)
+        a, b = np.array([1.0, 0.5]), np.array([0.2, 2.0])
+        obj.value(a, 2.0, 0.15)
+        assert np.array_equal(obj.grad(b, 2.0, 0.15), augmented_lagrangian_grad(b, r, eps, 0.8, sr, 2.0, 0.15))
+
+
+def assert_same_run(a, b):
+    assert np.array_equal(a.p, b.p)
+    assert (a.converged, a.violation, a.projected) == (b.converged, b.violation, b.projected)
+    assert len(a.trace) == len(b.trace)
+    for x, y in zip(a.trace, b.trace):
+        assert np.array_equal(x.p, y.p)
+        assert (x.stage, x.mu, x.zeta, x.delta_p, x.violation, x.inner_iterations, x.inner_converged) == (
+            y.stage, y.mu, y.zeta, y.delta_p, y.violation, y.inner_iterations, y.inner_converged
+        )
+
+
+class TestStartReuse:
+    @pytest.mark.parametrize("n", [4, 12])
+    def test_run_ignores_users_outside_start_support(self, n):
+        # the support invariant behind the reuse rule: a run from a vertex or
+        # from zero is bitwise the same whatever the other users' gains and eps
+        rng = np.random.default_rng(7 * n)
+        for _ in range(3):
+            gamma = rng.exponential(1.0, n) + 0.05
+            p_max, L = rng.uniform(0.5, 16.0), int(rng.integers(100, 2000))
+            eps = rng.uniform(1e-6, 1e-2, n)
+            omega, sr = rng.uniform(0.1, 1.0), sr_infinity(gamma, p_max)
+            starts = [np.zeros(n)] + [np.eye(n)[i] * p_max for i in range(n)]
+            for p0 in starts:
+                off = p0 == 0.0
+                gamma2, eps2 = gamma.copy(), eps.copy()
+                gamma2[off] = rng.exponential(1.0, off.sum()) + 0.05
+                eps2[off] = rng.uniform(1e-6, 1e-2, off.sum())
+                r1 = make_realization(gamma, p_max, L)
+                r2 = make_realization(gamma2, p_max, L)
+                a = _alm_run(_PowerObjective(r1, eps, omega, sr), r1, p0)
+                b = _alm_run(_PowerObjective(r2, eps2, omega, sr), r2, p0)
+                assert_same_run(a, b)
+
+    def test_generated_starts_run_once_per_realization(self, monkeypatch):
+        real = fblopt.power._alm_run
+        calls = []
+
+        def counted(obj, realization, p_init):
+            calls.append(np.array(p_init))
+            return real(obj, realization, p_init)
+
+        monkeypatch.setattr(fblopt.power, "_alm_run", counted)
+        r = make_realization([0.8, 1.3, 0.4, 2.2], p_max=3.0)
+        eps, sr = np.array([1e-4, 5e-4, 1e-3, 2e-5]), sr_infinity(r.gamma, r.p_max)
+        first = solve_power(r, eps, 0.8, sr)
+        assert len(calls) == 6 and len(r.alm_runs) == 5
+        # eps changed off user 0: vertex 0 and zero (empty support) are kept,
+        # the warm start and the other vertices run
+        eps2 = np.where(np.arange(4) == 0, eps, 2 * eps)
+        solve_power(r, eps2, 0.8, sr)
+        assert len(calls) == 6 + 1 + 3 and len(r.alm_runs) == 8
+        again = solve_power(r, eps, 0.8, sr)
+        assert len(calls) == 11
+        assert_same_run(first, again)
+        # another omega is another key; a replaced realization starts empty
+        solve_power(r, eps, 0.7, sr)
+        assert len(calls) == 17
+        fresh = replace(r)
+        assert fresh.alm_runs == {}
+        assert_same_run(first, solve_power(fresh, eps, 0.8, sr))
+        assert len(calls) == 23
+
+    def test_zero_qinv_runs_every_start(self, monkeypatch):
+        # with Qinv(eps) == 0 a zero-power user is not pinned, so no reuse
+        real_q = fblopt.power.q_inverse
+        monkeypatch.setattr(fblopt.power, "q_inverse", lambda e: np.where(np.arange(2) == 1, 0.0, real_q(e)))
+        real = fblopt.power._alm_run
+        calls = []
+        monkeypatch.setattr(fblopt.power, "_alm_run", lambda *a: calls.append(1) or real(*a))
+        r = make_realization([0.8, 1.3], p_max=3.0)
+        eps, sr = np.array([1e-4, 5e-4]), sr_infinity(r.gamma, r.p_max)
+        solve_power(r, eps, 0.8, sr)
+        solve_power(r, eps, 0.8, sr)
+        assert len(calls) == 8 and r.alm_runs == {}
 
 
 class TestInnerMaximize:
