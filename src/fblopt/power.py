@@ -311,7 +311,8 @@ def solve_power(realization, eps, omega, sr_inf, p_init=None) -> PowerSolveResul
     rule: each generated start (a vertex or zero; never the warm start) is
     run once per realization and its result kept in realization.alm_runs,
     keyed on exactly those values; a later call with the same key takes the
-    kept result, which is then shared between the two calls. A user with
+    kept result, which is then shared between the calls (its p is read-only,
+    as is the water-filling allocation returned with omega == 0). A user with
     Qinv(eps) == 0 gets zero slope instead and is not pinned, so such a call
     runs every start afresh.
 
@@ -344,6 +345,7 @@ def solve_power(realization, eps, omega, sr_inf, p_init=None) -> PowerSolveResul
         key = (p0.tobytes(), obj.qinv[p0 != 0.0].tobytes(), obj.scale)
         if key not in memo:
             memo[key] = _alm_run(obj, realization, p0)
+            memo[key].p.flags.writeable = False  # shared by every call that reuses it
         runs.append(memo[key])
     feasible = [r for r in runs if r.violation <= PROJECT_TOL]
     if not feasible:

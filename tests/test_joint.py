@@ -184,10 +184,11 @@ class TestSolveJoint:
     @pytest.mark.parametrize("n", [4, 12])
     def test_generated_starts_never_repeat(self, n, monkeypatch):
         real_solve, real_run = fblopt.power.solve_power, fblopt.power._alm_run
-        keys, calls, requested = [], [], []
+        keys, requested = [], []
+        warm = [False]  # the next _alm_run is a solve's warm start
 
         def solve(realization, eps, omega, sr_inf, p_init):
-            calls.append("warm")  # the first run of each solve is its warm start
+            warm[0] = True
             vertices = np.eye(n) * realization.p_max
             requested.append(
                 n - any(np.array_equal(v, p_init) for v in vertices) + bool(np.any(p_init != 0.0))
@@ -195,10 +196,9 @@ class TestSolveJoint:
             return real_solve(realization, eps, omega, sr_inf, p_init)
 
         def run(obj, realization, p_init):
-            if calls[-1] == "warm":
-                calls[-1] = "generated"
-            else:
+            if not warm[0]:
                 keys.append((p_init.tobytes(), obj.qinv[p_init != 0.0].tobytes(), obj.scale))
+            warm[0] = False
             return real_run(obj, realization, p_init)
 
         monkeypatch.setattr(fblopt.joint, "solve_power", solve)
@@ -206,18 +206,19 @@ class TestSolveJoint:
         rng = np.random.default_rng(3)
         caps = tuple(np.geomspace(1e-5, 5e-4, n))
         for _ in range(3):
+            keys.clear()
+            requested.clear()
             r, prof = make_instance(rng.exponential(1.0, n), p_max=4.0, caps=caps)
             rep = solve_joint(r, prof, 0.9)
             assert len(keys) == len(set(keys)) == len(r.alm_runs)
             # fewer generated runs than generated starts: reuse happened
             assert len(keys) < sum(requested)
+            # a replaced realization runs every one of them afresh
             before = len(keys)
             again = solve_joint(replace(r), prof, 0.9)
-            assert len(keys) - before == before
+            assert len(keys) == 2 * before
             assert again.objective == rep.objective
             assert np.array_equal(again.allocation.p, rep.allocation.p)
-            keys.clear()
-            requested.clear()
 
     def test_objective_trace_nondecreasing(self):
         rng = np.random.default_rng(47)

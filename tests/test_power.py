@@ -249,6 +249,7 @@ class TestStartReuse:
         eps, sr = np.array([1e-4, 5e-4, 1e-3, 2e-5]), sr_infinity(r.gamma, r.p_max)
         first = solve_power(r, eps, 0.8, sr)
         assert len(calls) == 6 and len(r.alm_runs) == 5
+        assert not any(run.p.flags.writeable for run in r.alm_runs.values())
         # eps changed off user 0: vertex 0 and zero (empty support) are kept,
         # the warm start and the other vertices run
         eps2 = np.where(np.arange(4) == 0, eps, 2 * eps)
