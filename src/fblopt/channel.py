@@ -78,8 +78,8 @@ class NetworkRealization:
 
     @cached_property
     def alm_runs(self) -> dict:
-        """Results of power.solve_power's generated starts, kept under its
-        reuse rule."""
+        """(result, rate objective) of power.solve_power's generated starts,
+        kept under its reuse rule."""
         return {}
 
 

@@ -305,14 +305,15 @@ def solve_power(realization, eps, omega, sr_inf, p_init=None) -> PowerSolveResul
 
     Support invariant: a user at zero power in a run's start has gradient
     about -_BIG_SLOPE, so every trial step leaves it at exactly zero for the
-    whole run, and exact zeros change no sum, dot product or maximum. A run
-    therefore depends only on its start vector, on Qinv(eps) over the
-    start's support and on omega / sr_inf (the realization fixed). Reuse
-    rule: each generated start (a vertex or zero; never the warm start) is
-    run once per realization and its result kept in realization.alm_runs,
-    keyed on exactly those values; a later call with the same key takes the
-    kept result, which is then shared between the calls (its p is read-only,
-    as is the water-filling allocation returned with omega == 0). A user with
+    whole run, and exact zeros change no sum, dot product or maximum. A run,
+    and the rate objective of its result, therefore depend only on its start
+    vector, on Qinv(eps) over the start's support and on omega / sr_inf (the
+    realization fixed). Reuse rule: each generated start (a vertex or zero;
+    never the warm start) is run once per realization; the result and its
+    rate objective are kept in realization.alm_runs under exactly those
+    values, and a later call with the same key takes them from there. The
+    kept result is then shared between calls, so its p is read-only (as is
+    the water-filling allocation returned with omega == 0). A user with
     Qinv(eps) == 0 gets zero slope instead and is not pinned, so such a call
     runs every start afresh.
 
@@ -339,21 +340,23 @@ def solve_power(realization, eps, omega, sr_inf, p_init=None) -> PowerSolveResul
         starts.append(np.zeros(n))
 
     obj = _PowerObjective(realization, eps, omega, sr_inf)
-    runs = [_alm_run(obj, realization, starts[0])]
-    memo = realization.alm_runs if np.all(obj.qinv > 0.0) else {}
+    warm = _alm_run(obj, realization, starts[0])
+    runs = [(warm, obj.rate_value(warm.p))]
+    memo = realization.alm_runs if (obj.qinv > 0.0).all() else {}
     for p0 in starts[1:]:
         key = (p0.tobytes(), obj.qinv[p0 != 0.0].tobytes(), obj.scale)
         if key not in memo:
-            memo[key] = _alm_run(obj, realization, p0)
-            memo[key].p.flags.writeable = False  # shared by every call that reuses it
+            run = _alm_run(obj, realization, p0)
+            run.p.flags.writeable = False  # shared by every call that reuses it
+            memo[key] = (run, obj.rate_value(run.p))
         runs.append(memo[key])
-    feasible = [r for r in runs if r.violation <= PROJECT_TOL]
+    feasible = [(run, rate) for run, rate in runs if run.violation <= PROJECT_TOL]
     if not feasible:
         # every start ended over budget, which the all-zero start (pinned at
         # zero by the kink) prevents today; report the warm-start run, flagged
-        runs[0].infeasible = True
-        return runs[0]
-    return max(feasible, key=lambda r: obj.rate_value(r.p))
+        warm.infeasible = True
+        return warm
+    return max(feasible, key=lambda pair: pair[1])[0]
 
 
 def simplex_grid(n_users, p_max, points) -> np.ndarray:

@@ -232,9 +232,11 @@ class TestStartReuse:
                 eps2[off] = rng.uniform(1e-6, 1e-2, off.sum())
                 r1 = make_realization(gamma, p_max, L)
                 r2 = make_realization(gamma2, p_max, L)
-                a = _alm_run(_PowerObjective(r1, eps, omega, sr), r1, p0)
-                b = _alm_run(_PowerObjective(r2, eps2, omega, sr), r2, p0)
+                obj1 = _PowerObjective(r1, eps, omega, sr)
+                obj2 = _PowerObjective(r2, eps2, omega, sr)
+                a, b = _alm_run(obj1, r1, p0), _alm_run(obj2, r2, p0)
                 assert_same_run(a, b)
+                assert obj1.rate_value(a.p) == obj2.rate_value(b.p)
 
     def test_generated_starts_run_once_per_realization(self, monkeypatch):
         real = fblopt.power._alm_run
@@ -249,7 +251,7 @@ class TestStartReuse:
         eps, sr = np.array([1e-4, 5e-4, 1e-3, 2e-5]), sr_infinity(r.gamma, r.p_max)
         first = solve_power(r, eps, 0.8, sr)
         assert len(calls) == 6 and len(r.alm_runs) == 5
-        assert not any(run.p.flags.writeable for run in r.alm_runs.values())
+        assert not any(run.p.flags.writeable for run, _ in r.alm_runs.values())
         # eps changed off user 0: vertex 0 and zero (empty support) are kept,
         # the warm start and the other vertices run
         eps2 = np.where(np.arange(4) == 0, eps, 2 * eps)
