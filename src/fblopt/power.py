@@ -334,9 +334,9 @@ def solve_power(realization, eps, omega, sr_inf, p_init=None) -> PowerSolveResul
     for i in range(n):
         vertex = np.zeros(n)
         vertex[i] = realization.p_max
-        if not np.array_equal(vertex, starts[0]):
+        if (vertex != starts[0]).any():
             starts.append(vertex)
-    if np.any(starts[0] != 0.0):
+    if starts[0].any():
         starts.append(np.zeros(n))
 
     obj = _PowerObjective(realization, eps, omega, sr_inf)
