@@ -21,12 +21,8 @@ from .error_assignment import (
     subproblem_objective,
 )
 from .power import (
-    AugLagState,
     PowerSolveResult,
-    augmented_lagrangian,
-    augmented_lagrangian_grad,
     equal_power,
-    inner_maximize,
     power_grid_oracle,
     simplex_grid,
     solve_power,

@@ -1,7 +1,7 @@
 """Command-line entry point: run a scenario and write CSV plus a manifest.
 
-Seed precedence: --seed flag, then the config file, then the FBLOPT_SEED
-environment variable, then the built-in default.
+Seed precedence: --seed flag, then the config file, then the built-in
+default. Power budgets are in dB, on the command line and in config files.
 """
 
 import argparse
@@ -64,7 +64,6 @@ def main(argv=None) -> int:
         overrides["l_grid"] = tuple(args.lgrid)
     if args.pmax_db is not None:
         overrides["p_max_grid"] = tuple(args.pmax_db)
-        overrides["p_max_unit"] = "db"
     if args.schemes is not None:
         overrides["schemes"] = tuple(args.schemes)
     if args.oracle is not None:

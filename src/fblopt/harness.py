@@ -15,7 +15,6 @@ import csv
 import hashlib
 import json
 import logging
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
@@ -46,7 +45,6 @@ class ScenarioConfig:
     links: tuple
     noise_power: float = 1.0
     p_max_grid: tuple = (6.0,)
-    p_max_unit: str = "db"  # "db" or "linear"
     l_grid: tuple = (200,)
     omega_grid: tuple = (0.9,)
     n_trials: int = 1000
@@ -57,8 +55,6 @@ class ScenarioConfig:
     fading: bool = True  # False pins theta = 1, for hand-checkable runs
 
     def __post_init__(self):
-        if self.p_max_unit not in ("db", "linear"):
-            raise ValueError(f"p_max_unit must be 'db' or 'linear', not {self.p_max_unit!r}")
         if self.n_jobs < 1:
             raise ValueError("n_jobs must be >= 1")
         if self.n_trials < 1:
@@ -83,9 +79,8 @@ class ScenarioConfig:
             raise ValueError("exhaustive oracle rows require 3 users or fewer")
 
     def p_max_linear(self, value) -> float:
-        if self.p_max_unit == "db":
-            return 10.0 ** (value / 10.0)
-        return float(value)
+        """Linear power budget of a p_max_grid value, which is in dB."""
+        return 10.0 ** (value / 10.0)
 
 
 @dataclass(frozen=True)
@@ -107,14 +102,13 @@ def default_config(**overrides) -> ScenarioConfig:
     unit noise, 6 dB budget, 200 channel uses, omega 0.9, 10^3 trials.
 
     kappa=1, distance=1, exponent=3 give unit mean gains; these propagation
-    values are a declared harness default, not a modeled quantity. The
-    master seed is FBLOPT_SEED when that is set, else 12345.
+    values are a declared harness default, not a modeled quantity.
     """
     caps = (1e-5, 5e-5, 1e-4, 5e-4)
     links = tuple(
         UserLink(kappa=1.0, distance=1.0, pathloss_exp=3.0, eps_max=c) for c in caps
     )
-    cfg = ScenarioConfig(links=links, master_seed=seed_from_env(ScenarioConfig.master_seed))
+    cfg = ScenarioConfig(links=links)
     return replace(cfg, **overrides) if overrides else cfg
 
 
@@ -142,8 +136,6 @@ def scheme_dispatch(scheme, realization, profile, omega):
         eps = minmax_eps
         if not result.converged:
             flags.append("power_stage_cap")
-        if result.infeasible:
-            flags.append("infeasible")
     elif scheme == "equalpower_opteps":
         p = equal_power(n, realization.p_max)
         if omega == 0.0:
@@ -186,7 +178,7 @@ def _run_trial(config, profile, trial):
             logger.exception("trial %d of cell %s failed", trial, (scheme, omega, length, p_max))
             results.append((trial, False, np.nan, np.nan, np.nan))
         else:
-            ok = "not_converged" not in report.flags and "infeasible" not in report.flags
+            ok = "not_converged" not in report.flags
             results.append((trial, ok, report.sum_rate, report.max_eps, report.throughput))
     return results
 
@@ -195,11 +187,11 @@ def run_scenario(config: ScenarioConfig):
     """Run every (scheme, omega, L, p_max) cell of the scenario, one trial
     per work item, in one pass over a process pool when n_jobs > 1.
 
-    Failed trials (numerical errors, joint-solver non-convergence, or a power
-    solve that no start brought within budget) are excluded from the means
-    and logged; after all trials, the first cell where more than 1% failed
-    aborts the run. Returns ResultRow objects sorted by (scheme, omega, L,
-    p_max).
+    Failed trials (numerical errors, such as a power solve that no start
+    brought within budget, or joint-solver non-convergence) are excluded
+    from the means and logged; after all trials, the first cell where more
+    than 1% failed aborts the run. Returns ResultRow objects sorted by
+    (scheme, omega, L, p_max).
     """
     profile = SortedQosProfile.from_caps([l.eps_max for l in config.links])
     run = partial(_run_trial, config, profile)
@@ -353,14 +345,6 @@ def write_manifest(config: ScenarioConfig, csv_path, manifest_path=None):
     return manifest_path
 
 
-def seed_from_env(default):
-    """FBLOPT_SEED environment variable as a seed fallback."""
-    value = os.environ.get("FBLOPT_SEED")
-    if value is None:
-        return default
-    return int(value)
-
-
 def _read_section(parser, name, base):
     """Copy of the dataclass instance `base` with the keys of INI section
     `name` set on its fields of the same name, each parsed to the type of
@@ -423,8 +407,8 @@ def load_config_file(path) -> ScenarioConfig:
     """Read a scenario from an INI file with [scenario], [users] and
     [oracle] sections, documented in the README.
 
-    Every value left out keeps its default_config() value (the seed thus
-    falls back to FBLOPT_SEED); unknown sections and keys raise.
+    Every value left out keeps its default_config() value; unknown
+    sections and keys raise.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     if not parser.read(path):

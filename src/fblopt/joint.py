@@ -137,8 +137,6 @@ def _alternate(realization, profile, omega, sr_inf, p0):
         power = solve_power(realization, assign.eps, omega, sr_inf, p_init=p)
         if not power.converged and "power_stage_cap" not in flags:
             flags.append("power_stage_cap")
-        if power.infeasible and "infeasible" not in flags:
-            flags.append("infeasible")
         p = power.p
         obj = weighted_objective(
             realization, p, assign.eps, omega, sr_inf, profile.eps_max_overall

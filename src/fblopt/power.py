@@ -42,17 +42,6 @@ _sum = np.add.reduce
 
 
 @dataclass
-class AugLagState:
-    """Multiplier-method state: penalty mu, multiplier zeta, current power
-    vector, and the stage counter."""
-
-    mu: float
-    zeta: float
-    p: np.ndarray
-    stage: int = 0
-
-
-@dataclass
 class StageRecord:
     stage: int
     mu: float
@@ -71,7 +60,6 @@ class PowerSolveResult:
     converged: bool = False
     violation: float = 0.0
     projected: bool = False
-    infeasible: bool = False  # every start ended over budget
 
 
 def water_filling(gamma, p_max) -> np.ndarray:
@@ -111,10 +99,13 @@ class _PowerObjective:
     (gains, inverse-Q of the fixed error probabilities, scaling, and the
     slope pieces that do not depend on p).
 
-    value() keeps the SNR vector, the dispersion vector and the power sum it
-    computes; grad() on the same array object reuses them, so the gradient
-    at an accepted point costs no second evaluation. Callers must not write
-    into p between the two calls."""
+    value(p, mu, zeta) is the scaled rate sum minus
+    (1/2mu) * [max(0, zeta - mu*(P_max - sum p))^2 - zeta^2]; grad() is its
+    analytic gradient in p. value() keeps the SNR vector, the dispersion
+    vector and the power sum it computes; grad() on the same array object
+    reuses them, so the gradient at an accepted point costs no second
+    evaluation, and neither does the next stage's start. Callers must not
+    write into p between the calls."""
 
     def __init__(self, realization, eps, omega, sr_inf):
         self.gamma = realization.gamma
@@ -123,7 +114,6 @@ class _PowerObjective:
         self.qinv = q_inverse(np.maximum(np.asarray(eps, dtype=float), EPS_FLOOR))
         self.scale = omega / sr_inf
         self._qinv_gamma = self.qinv * self.gamma
-        self._pinned_slope = np.where(self.qinv > 0.0, _BIG_SLOPE, 0.0)
         self._at = None  # (p, s, disp, sum p) of the last value() call
 
     def rate_value(self, p):
@@ -151,22 +141,9 @@ class _PowerObjective:
         one = 1.0 + s
         positive = disp > 0.0
         safe = np.where(positive, disp, 1.0)
-        slope = np.where(positive, self._qinv_gamma / (self.L * one**3 * safe), self._pinned_slope)
+        slope = np.where(positive, self._qinv_gamma / (self.L * one**3 * safe), _BIG_SLOPE)
         v = max(0.0, zeta - mu * (self.p_max - total))
         return self.scale * (self.gamma / one - slope) - v
-
-
-def augmented_lagrangian(p, realization, eps, omega, sr_inf, mu, zeta) -> float:
-    """Value of the augmented Lagrangian at p: the scaled rate sum minus
-    (1/2mu) * [max(0, zeta - mu*(P_max - sum p))^2 - zeta^2]."""
-    obj = _PowerObjective(realization, eps, omega, sr_inf)
-    return obj.value(np.asarray(p, dtype=float), mu, zeta)
-
-
-def augmented_lagrangian_grad(p, realization, eps, omega, sr_inf, mu, zeta) -> np.ndarray:
-    """Analytic gradient of augmented_lagrangian in p."""
-    obj = _PowerObjective(realization, eps, omega, sr_inf)
-    return obj.grad(np.asarray(p, dtype=float), mu, zeta)
 
 
 def _projected_residual(p, g):
@@ -175,8 +152,10 @@ def _projected_residual(p, g):
 
 
 def _spg(obj, mu, zeta, p_init):
-    """Projected gradient ascent with BB trial step and Armijo halving."""
-    p = np.maximum(np.asarray(p_init, dtype=float), 0.0)
+    """Projected gradient ascent with BB trial step and Armijo halving, from
+    a nonnegative p_init; returns (p, converged, iterations), converged False
+    when the projected-gradient tolerance was not met within the cap."""
+    p = p_init
     f = obj.value(p, mu, zeta)
     g = obj.grad(p, mu, zeta)
     alpha = 1.0
@@ -220,69 +199,40 @@ def _spg(obj, mu, zeta, p_init):
     return p, converged, it
 
 
-def inner_maximize(realization, eps, omega, sr_inf, mu, zeta, p_init):
-    """Maximize the augmented Lagrangian over p >= 0 for fixed mu, zeta.
-
-    Returns (p, converged, iterations); converged is False when the
-    projected-gradient tolerance was not met within the iteration cap.
-    """
-    obj = _PowerObjective(realization, eps, omega, sr_inf)
-    return _spg(obj, mu, zeta, p_init)
-
-
-def update_multipliers(state: AugLagState, realization) -> AugLagState:
-    """Multiplier and penalty update between stages:
-    zeta <- max(0, zeta - mu*(P_max - sum p)), mu <- 2*mu (capped at MU_CAP)."""
-    residual = realization.p_max - float(_sum(state.p))
-    zeta_next = max(0.0, state.zeta - state.mu * residual)
-    mu_next = min(2.0 * state.mu, MU_CAP)
-    return AugLagState(mu=mu_next, zeta=zeta_next, p=state.p, stage=state.stage + 1)
+def update_multipliers(mu, zeta, slack):
+    """Multiplier and penalty update between stages, given the budget slack
+    P_max - sum p: zeta <- max(0, zeta - mu*slack), mu <- 2*mu (capped at
+    MU_CAP). Returns (mu, zeta)."""
+    zeta_next = max(0.0, zeta - mu * slack)
+    mu_next = min(2.0 * mu, MU_CAP)
+    return mu_next, zeta_next
 
 
 def _alm_run(obj, realization, p_init) -> PowerSolveResult:
-    """One multiplier-method run from a given starting point."""
-    p_prev = np.asarray(p_init, dtype=float)
-    state = AugLagState(mu=MU0, zeta=ZETA0, p=p_prev, stage=0)
+    """One multiplier-method run from a given nonnegative starting point."""
+    mu, zeta = MU0, ZETA0
+    p = p_init
     trace = []
     converged = False
-    for _ in range(MAX_STAGES):
-        p_new, inner_ok, iters = _spg(obj, state.mu, state.zeta, state.p)
-        delta = float(np.abs(p_new - p_prev).max())
-        violation = max(0.0, float(_sum(p_new)) - realization.p_max)
-        trace.append(
-            StageRecord(
-                stage=state.stage,
-                mu=state.mu,
-                zeta=state.zeta,
-                p=p_new.copy(),
-                delta_p=delta,
-                violation=violation,
-                inner_iterations=iters,
-                inner_converged=inner_ok,
-            )
-        )
-        state = update_multipliers(
-            AugLagState(mu=state.mu, zeta=state.zeta, p=p_new, stage=state.stage),
-            realization,
-        )
-        p_prev = p_new
+    for stage in range(MAX_STAGES):
+        p_new, inner_ok, iters = _spg(obj, mu, zeta, p)
+        delta = float(np.abs(p_new - p).max())
+        total = float(_sum(p_new))
+        slack = realization.p_max - total
+        violation = max(0.0, -slack)
+        trace.append(StageRecord(stage, mu, zeta, p_new, delta, violation, iters, inner_ok))
+        mu, zeta = update_multipliers(mu, zeta, slack)
+        p = p_new
         if delta <= POWER_TOL and violation <= FEAS_TOL:
             converged = True
             break
 
-    p_final = p_prev.copy()
-    violation = max(0.0, float(_sum(p_final)) - realization.p_max)
-    projected = False
-    if 0.0 < violation <= PROJECT_TOL:
-        p_final *= realization.p_max / float(_sum(p_final))
+    projected = 0.0 < violation <= PROJECT_TOL
+    if projected:
+        p = p * (realization.p_max / total)
         violation = 0.0
-        projected = True
     return PowerSolveResult(
-        p=p_final,
-        trace=trace,
-        converged=converged,
-        violation=violation,
-        projected=projected,
+        p=p, trace=trace, converged=converged, violation=violation, projected=projected
     )
 
 
@@ -299,23 +249,23 @@ def solve_power(realization, eps, omega, sr_inf, p_init=None) -> PowerSolveResul
     from each single-user vertex and from all-zero power in addition to the
     water-filling (or warm) start, and keeps the best feasible rate
     objective. For two users this covers every support pattern, including
-    transmitting nothing when every rate would come out negative.
-    If no start ends within budget, the warm-start run is returned with
-    infeasible set.
+    transmitting nothing when every rate would come out negative. The warm
+    start is projected onto p >= 0 first. The all-zero start stays at zero
+    (see below), so some start always ends within budget; if none does,
+    ArithmeticError is raised.
 
     Support invariant: a user at zero power in a run's start has gradient
-    about -_BIG_SLOPE, so every trial step leaves it at exactly zero for the
-    whole run, and exact zeros change no sum, dot product or maximum. A run,
-    and the rate objective of its result, therefore depend only on its start
-    vector, on Qinv(eps) over the start's support and on omega / sr_inf (the
-    realization fixed). Reuse rule: each generated start (a vertex or zero;
-    never the warm start) is run once per realization; the result and its
-    rate objective are kept in realization.alm_runs under exactly those
-    values, and a later call with the same key takes them from there. The
-    kept result is then shared between calls, so its p is read-only (as is
-    the water-filling allocation returned with omega == 0). A user with
-    Qinv(eps) == 0 gets zero slope instead and is not pinned, so such a call
-    runs every start afresh.
+    about -_BIG_SLOPE (Qinv(eps) > 0 on the whole domain of eps), so every
+    trial step leaves it at exactly zero for the whole run, and exact zeros
+    change no sum, dot product or maximum. A run, and the rate objective of
+    its result, therefore depend only on its start vector, on Qinv(eps) over
+    the start's support and on omega / sr_inf (the realization fixed). Reuse
+    rule: each generated start (a vertex or zero; never the warm start) is
+    run once per realization; the result and its rate objective are kept in
+    realization.alm_runs under exactly those values, and a later call with
+    the same key takes them from there. The kept result is then shared
+    between calls, so its p is read-only (as is the water-filling allocation
+    returned with omega == 0).
 
     With omega == 0 the objective is identically zero and the water-filling
     allocation is returned as the deterministic tie-break.
@@ -330,7 +280,7 @@ def solve_power(realization, eps, omega, sr_inf, p_init=None) -> PowerSolveResul
         return PowerSolveResult(p=realization.p_wf, trace=[], converged=True)
 
     n = realization.n_users
-    starts = [np.asarray(p_init, dtype=float) if p_init is not None else realization.p_wf]
+    starts = [realization.p_wf if p_init is None else np.maximum(p_init, 0.0)]
     for i in range(n):
         vertex = np.zeros(n)
         vertex[i] = realization.p_max
@@ -342,7 +292,7 @@ def solve_power(realization, eps, omega, sr_inf, p_init=None) -> PowerSolveResul
     obj = _PowerObjective(realization, eps, omega, sr_inf)
     warm = _alm_run(obj, realization, starts[0])
     runs = [(warm, obj.rate_value(warm.p))]
-    memo = realization.alm_runs if (obj.qinv > 0.0).all() else {}
+    memo = realization.alm_runs
     for p0 in starts[1:]:
         key = (p0.tobytes(), obj.qinv[p0 != 0.0].tobytes(), obj.scale)
         if key not in memo:
@@ -352,10 +302,7 @@ def solve_power(realization, eps, omega, sr_inf, p_init=None) -> PowerSolveResul
         runs.append(memo[key])
     feasible = [(run, rate) for run, rate in runs if run.violation <= PROJECT_TOL]
     if not feasible:
-        # every start ended over budget, which the all-zero start (pinned at
-        # zero by the kink) prevents today; report the warm-start run, flagged
-        warm.infeasible = True
-        return warm
+        raise ArithmeticError("no power-solve start ended within the budget")
     return max(feasible, key=lambda pair: pair[1])[0]
 
 

@@ -22,9 +22,7 @@ from fblopt.harness import default_config, emit_csv, run_scenario
 from fblopt.joint import OracleGrid, exhaustive_oracle, solve_joint, u1
 from fblopt.kernels import achievable_rate, q_function, q_inverse
 from fblopt.power import (
-    AugLagState,
-    augmented_lagrangian,
-    augmented_lagrangian_grad,
+    _PowerObjective,
     power_grid_oracle,
     solve_power,
     sr_infinity,
@@ -168,31 +166,27 @@ def test_criterion_06_gradient_check():
         if abs(zeta - mu * (p_max - p.sum())) < 1e-2:
             continue  # too close to the penalty kink for central differences
         checked += 1
-        g = augmented_lagrangian_grad(p, r, eps, omega, sr, mu, zeta)
+        obj = _PowerObjective(r, eps, omega, sr)
+        g = obj.grad(p, mu, zeta)
         fd = np.empty(n)
         for i in range(n):
             h = 1e-6 * max(abs(p[i]), 1.0)
             hi, lo = p.copy(), p.copy()
             hi[i] += h
             lo[i] -= h
-            fd[i] = (
-                augmented_lagrangian(hi, r, eps, omega, sr, mu, zeta)
-                - augmented_lagrangian(lo, r, eps, omega, sr, mu, zeta)
-            ) / (2 * h)
+            fd[i] = (obj.value(hi, mu, zeta) - obj.value(lo, mu, zeta)) / (2 * h)
         worst = max(worst, float(np.max(np.abs(g - fd))))
     report(6, worst <= 1e-5, f"worst |analytic - central difference| over 50 points: {worst:.3e}")
 
 
 def test_criterion_07_multiplier_update():
-    r = NetworkRealization(
-        gamma=np.array([1.0]), p_max=1.0, block_length=100, noise_power=1.0
-    )
-    s1 = update_multipliers(AugLagState(1.0, 0.15, np.array([0.95]), 0), r)
-    case1 = abs(s1.zeta - 0.10) < 1e-15 and s1.mu == 2.0
-    s2 = update_multipliers(AugLagState(4.0, 0.0, np.array([0.5]), 0), r)
-    case2 = s2.zeta == 0.0 and s2.mu == 8.0
-    s3 = update_multipliers(AugLagState(1.0, 0.0, np.array([1.2]), 0), r)
-    case3 = abs(s3.zeta - 0.2) < 1e-15 and s3.mu == 2.0
+    # (mu, zeta) after one update at P_max = 1 and sum p = 0.95, 0.5, 1.2
+    mu1, zeta1 = update_multipliers(1.0, 0.15, 1.0 - 0.95)
+    case1 = abs(zeta1 - 0.10) < 1e-15 and mu1 == 2.0
+    mu2, zeta2 = update_multipliers(4.0, 0.0, 1.0 - 0.5)
+    case2 = zeta2 == 0.0 and mu2 == 8.0
+    mu3, zeta3 = update_multipliers(1.0, 0.0, 1.0 - 1.2)
+    case3 = abs(zeta3 - 0.2) < 1e-15 and mu3 == 2.0
 
     r2 = NetworkRealization(
         gamma=np.array([0.8, 1.3]), p_max=3.0, block_length=200, noise_power=1.0

@@ -25,7 +25,6 @@ from fblopt.harness import (
     read_rows,
     run_scenario,
     scheme_dispatch,
-    seed_from_env,
     write_manifest,
 )
 from fblopt.joint import OracleGrid, solve_joint
@@ -80,8 +79,8 @@ class TestSchemeDispatch:
 
     @pytest.mark.parametrize("scheme", ["proposed", "proposedpower_minmax"])
     def test_infeasible_power_solve_flagged(self, scheme, over_budget_alm):
-        rep = scheme_dispatch(scheme, self.r, self.profile, 0.9)
-        assert "infeasible" in rep.flags
+        with pytest.raises(ArithmeticError):  # flagged by raising, as a failed trial
+            scheme_dispatch(scheme, self.r, self.profile, 0.9)
 
 
 class TestRunScenario:
@@ -91,14 +90,13 @@ class TestRunScenario:
             n_trials=1,
             schemes=("proposed",),
             fading=False,
-            p_max_grid=(4.0,),
-            p_max_unit="linear",
+            p_max_grid=(10.0,),  # dB, exactly 10 in linear units
             l_grid=(200,),
             omega_grid=(0.9,),
         )
         rows = run_scenario(cfg)
         assert len(rows) == 1
-        r = sample_realization(cfg.links, 4.0, 200, 1.0, fading=False)
+        r = sample_realization(cfg.links, 10.0, 200, 1.0, fading=False)
         rep = solve_joint(r, SortedQosProfile.from_caps([5e-4]), 0.9)
         assert rows[0].mean_sum_rate == rep.sum_rate
         assert rows[0].mean_throughput == rep.throughput
@@ -386,19 +384,12 @@ class TestManifestAndConfig:
         assert config_hash(cfg) == config_hash(replace(cfg, n_jobs=2))
         assert config_hash(cfg) != config_hash(replace(cfg, n_trials=9))
 
-    def test_seed_from_env(self, monkeypatch):
-        monkeypatch.delenv("FBLOPT_SEED", raising=False)
-        assert seed_from_env(42) == 42
-        monkeypatch.setenv("FBLOPT_SEED", "99")
-        assert seed_from_env(42) == 99
-
     def test_load_config_file(self, tmp_path):
         text = """
 [scenario]
 omega_grid = 0.5 0.9
 l_grid = 100 200
 p_max_grid = 0 6
-p_max_unit = db
 n_trials = 12
 master_seed = 31415
 schemes = proposed wf_minmax
@@ -443,14 +434,14 @@ eps_max = 1e-5 5e-4
     @pytest.mark.parametrize(
         "line",
         [
-            "p_max_unit = dbm",
+            "p_max_grid = nan",
             "n_jobs = 0",
             "n_trials = 0",
             "omega_grid = 0.5 1.5",
             "omega_grid = -0.1",
             "l_grid = 1",
             "l_grid =",
-            "p_max_unit = linear\np_max_grid = 4 0",
+            "p_max_grid = 4 -inf",
             "noise_power = 0",
             "master_seed = -1",
             "schemes =",
@@ -467,8 +458,7 @@ eps_max = 1e-5 5e-4
         with pytest.raises(ValueError):
             load_config_file(path)
 
-    def test_readme_schema_loads(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("FBLOPT_SEED", raising=False)
+    def test_readme_schema_loads(self, tmp_path):
         readme = (ROOT / "README.md").read_text()
         path = tmp_path / "readme.ini"
         path.write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
@@ -480,10 +470,9 @@ eps_max = 1e-5 5e-4
 
 
 class TestCli:
-    def test_end_to_end(self, tmp_path, monkeypatch):
+    def test_end_to_end(self, tmp_path):
         from fblopt.cli import main
 
-        monkeypatch.delenv("FBLOPT_SEED", raising=False)
         out = tmp_path / "cli.csv"
         code = main(
             [
@@ -501,11 +490,10 @@ class TestCli:
         assert len(rows) == 1 and rows[0].seed == 11
         assert os.path.exists(str(out) + ".manifest.txt")
 
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
+    def test_default_seed(self, tmp_path):
         from fblopt.cli import main
 
-        monkeypatch.setenv("FBLOPT_SEED", "555")
-        out = tmp_path / "env.csv"
+        out = tmp_path / "default.csv"
         main(
             [
                 "--trials", "2",
@@ -513,21 +501,22 @@ class TestCli:
                 "--out", str(out),
             ]
         )
-        assert read_rows(out)[0].seed == 555
+        assert read_rows(out)[0].seed == 12345
 
-    def test_env_seed_fallback_with_config(self, tmp_path, monkeypatch):
+    def test_seed_precedence_with_config(self, tmp_path):
         from fblopt.cli import main
 
-        monkeypatch.setenv("FBLOPT_SEED", "555")
         config = tmp_path / "s.ini"
-        out = tmp_path / "env.csv"
+        out = tmp_path / "seed.csv"
         argv = ["--config", str(config), "--trials", "2", "--schemes", "wf_minmax", "--out", str(out)]
         config.write_text("[scenario]\nl_grid = 100\n")
         main(argv)
-        assert read_rows(out)[0].seed == 555
+        assert read_rows(out)[0].seed == 12345
         config.write_text("[scenario]\nmaster_seed = 31\n")
         main(argv)
         assert read_rows(out)[0].seed == 31
+        main([*argv, "--seed", "7"])
+        assert read_rows(out)[0].seed == 7
 
     def test_bad_values_rejected(self, tmp_path, monkeypatch):
         from fblopt.cli import main
@@ -537,7 +526,7 @@ class TestCli:
 
         monkeypatch.setattr("fblopt.cli.run_scenario", never)
         config = tmp_path / "s.ini"
-        config.write_text("[scenario]\np_max_unit = dBm\n")
+        config.write_text("[scenario]\np_max_grid = nan\n")
         with pytest.raises(ValueError):
             main(["--config", str(config), "--out", str(tmp_path / "x.csv")])
         with pytest.raises(ValueError):
@@ -564,6 +553,31 @@ class TestCli:
         argv = ["--config", str(scenario), "--trials", "1", "--schemes", "wf_minmax", "--out", str(out)]
         assert main(argv) == 0
         assert len(read_rows(out)) >= 3
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_benchmark_timer_records_each_evaluation(self, tmp_path, jobs):
+        # the benchmark times evaluations by wrapping scheme_dispatch from its
+        # own hooks.py; a run that raises or records nothing prints no result
+        import importlib.util
+
+        from fblopt.cli import main
+
+        spec = importlib.util.spec_from_file_location("bench_hooks", ROOT / "benchmarks" / "hooks.py")
+        hooks = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(hooks)
+        out = tmp_path / "timed.csv"
+        argv = [
+            "--omega", "0.5", "0.9", "--lgrid", "100", "--pmax-db", "0", "6",
+            "--schemes", "proposed", "wf_minmax", "--trials", "3", "--seed", "3",
+            "--jobs", str(jobs), "--out", str(out),
+        ]
+        with hooks.EvalTimer(tmp_path / "evals.bin", "proposed") as timer:
+            assert main(argv) == 0
+            records = timer.records()
+        assert len(records) == 2 * 1 * 2 * 3  # omega x L x p_max cells, times trials
+        assert all(seconds > 0.0 for _, seconds in records)
+        assert scheme_dispatch.__module__ == "fblopt.harness"
+        assert fblopt.harness.scheme_dispatch is scheme_dispatch  # restored on exit
 
 
 GOLDEN_CSV = """\

@@ -74,6 +74,14 @@ class TestQInverse:
         with pytest.raises(ValueError):
             q_inverse(bad)
 
+    def test_positive_below_half(self):
+        # a zero would leave a zero-power user unpinned in the power solver
+        below_half = 0.5 - np.arange(1, 2002) * 2.0**-54  # the 2,001 largest floats < 0.5
+        near_half = 0.5 - np.geomspace(1e-17, 1e-3, 100_000)
+        criterion_10 = np.geomspace(1e-12, 0.499, 10_000)
+        for eps in (below_half, near_half[near_half < 0.5], criterion_10):
+            assert np.all(q_inverse(eps) > 0.0)
+
     def test_round_trip_grid(self):
         eps = np.geomspace(1e-12, 0.499, 10_000)
         rel = np.abs(q_function(q_inverse(eps)) - eps) / eps

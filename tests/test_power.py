@@ -11,13 +11,10 @@ import fblopt.power
 from fblopt.power import (
     MU0,
     ZETA0,
-    AugLagState,
     _alm_run,
     _PowerObjective,
-    augmented_lagrangian,
-    augmented_lagrangian_grad,
+    _spg,
     equal_power,
-    inner_maximize,
     power_grid_oracle,
     simplex_grid,
     solve_power,
@@ -108,19 +105,21 @@ class TestAugmentedLagrangian:
         self.eps = np.array([1e-4, 1e-4])
         self.sr = sr_infinity(self.r.gamma, self.r.p_max)
 
+        self.obj = _PowerObjective(self.r, self.eps, 0.7, self.sr)
+
     def test_no_penalty_when_slack_and_zero_multiplier(self):
         p = np.array([0.5, 0.5])
-        val = augmented_lagrangian(p, self.r, self.eps, 0.7, self.sr, 1.0, 0.0)
+        val = self.obj.value(p, 1.0, 0.0)
         assert val == pytest.approx(rate_value(self.r, p, self.eps, 0.7, self.sr), abs=1e-14)
 
     def test_penalty_zero_at_exact_budget(self):
         p = np.array([1.0, 1.0])
-        val = augmented_lagrangian(p, self.r, self.eps, 0.7, self.sr, 1.0, 0.15)
+        val = self.obj.value(p, 1.0, 0.15)
         assert val == pytest.approx(rate_value(self.r, p, self.eps, 0.7, self.sr), abs=1e-14)
 
     def test_penalty_for_violation(self):
         p = np.array([1.0, 1.35])  # budget exceeded by 0.35
-        val = augmented_lagrangian(p, self.r, self.eps, 0.7, self.sr, 1.0, 0.15)
+        val = self.obj.value(p, 1.0, 0.15)
         expected = rate_value(self.r, p, self.eps, 0.7, self.sr) - 0.11375
         assert val == pytest.approx(expected, abs=1e-14)
 
@@ -139,17 +138,15 @@ class TestAugmentedLagrangian:
             # keep clear of the penalty kink so central differences are valid
             if abs(zeta - mu * (r.p_max - p.sum())) < 1e-2:
                 p = p + 0.1
-            g = augmented_lagrangian_grad(p, r, eps, omega, sr, mu, zeta)
+            obj = _PowerObjective(r, eps, omega, sr)
+            g = obj.grad(p, mu, zeta)
             fd = np.empty(n)
             for i in range(n):
                 h = 1e-6 * max(abs(p[i]), 1.0)
                 hi, lo = p.copy(), p.copy()
                 hi[i] += h
                 lo[i] -= h
-                fd[i] = (
-                    augmented_lagrangian(hi, r, eps, omega, sr, mu, zeta)
-                    - augmented_lagrangian(lo, r, eps, omega, sr, mu, zeta)
-                ) / (2 * h)
+                fd[i] = (obj.value(hi, mu, zeta) - obj.value(lo, mu, zeta)) / (2 * h)
             assert np.max(np.abs(g - fd)) <= 1e-5
 
 
@@ -166,11 +163,7 @@ class TestSharedEvaluation:
         one = 1.0 + s
         disp = dispersion_coeff(s, L)
         safe = np.where(disp > 0.0, disp, 1.0)
-        slope = np.where(
-            disp > 0.0,
-            qinv * gamma / (L * one**3 * safe),
-            np.where(qinv > 0.0, 1e30, 0.0),
-        )
+        slope = np.where(disp > 0.0, qinv * gamma / (L * one**3 * safe), 1e30)
         v = max(0.0, zeta - mu * (r.p_max - float(np.sum(p))))
         return (omega / sr) * (gamma / one - slope) - v
 
@@ -188,9 +181,8 @@ class TestSharedEvaluation:
             obj = _PowerObjective(r, eps, omega, sr)
             f = obj.value(p, mu, zeta)
             g = obj.grad(p, mu, zeta)
-            assert f == augmented_lagrangian(p, r, eps, omega, sr, mu, zeta)
+            assert f == _PowerObjective(r, eps, omega, sr).value(p, mu, zeta)
             assert np.array_equal(g, _PowerObjective(r, eps, omega, sr).grad(p, mu, zeta))
-            assert np.array_equal(g, augmented_lagrangian_grad(p, r, eps, omega, sr, mu, zeta))
             assert np.array_equal(g, self.reference_grad(r, eps, omega, sr, mu, zeta, p))
 
     def test_grad_on_another_array_is_not_reused(self):
@@ -199,7 +191,37 @@ class TestSharedEvaluation:
         obj = _PowerObjective(r, eps, 0.8, sr)
         a, b = np.array([1.0, 0.5]), np.array([0.2, 2.0])
         obj.value(a, 2.0, 0.15)
-        assert np.array_equal(obj.grad(b, 2.0, 0.15), augmented_lagrangian_grad(b, r, eps, 0.8, sr, 2.0, 0.15))
+        assert np.array_equal(obj.grad(b, 2.0, 0.15), _PowerObjective(r, eps, 0.8, sr).grad(b, 2.0, 0.15))
+
+    @staticmethod
+    def count_dispersion(monkeypatch):
+        real = fblopt.power.dispersion_coeff
+        calls = []
+        monkeypatch.setattr(fblopt.power, "dispersion_coeff", lambda *a: calls.append(1) or real(*a))
+        return calls
+
+    def test_spg_restart_at_its_result_evaluates_nothing(self, monkeypatch):
+        # the next stage starts where the last one ended, with only mu and
+        # zeta changed; that point's SNR, dispersion and sum are already held
+        r = make_realization([0.9, 1.7], p_max=3.0)
+        obj = _PowerObjective(r, np.array([1e-4, 5e-4]), 0.7, sr_infinity(r.gamma, 3.0))
+        p, converged, _ = _spg(obj, 8.0, 0.15, np.array([1.5, 1.5]))
+        assert converged
+        calls = self.count_dispersion(monkeypatch)
+        again, converged, _ = _spg(obj, 8.0, 0.15, p)
+        assert converged and again is p and calls == []
+
+    def test_alm_stage_starts_cost_no_evaluation(self, monkeypatch):
+        r = make_realization([0.8, 1.3, 0.4, 2.2], p_max=3.0)
+        obj = _PowerObjective(r, np.array([1e-4, 5e-4, 1e-3, 2e-5]), 0.8, sr_infinity(r.gamma, 3.0))
+        values = []
+        value = obj.value
+        obj.value = lambda p, mu, zeta: values.append(1) or value(p, mu, zeta)
+        calls = self.count_dispersion(monkeypatch)
+        run = _alm_run(obj, r, r.p_wf)
+        # a converged stage ends on the point of its last value() call
+        assert len(run.trace) > 3 and all(rec.inner_converged for rec in run.trace)
+        assert len(calls) == len(values) - (len(run.trace) - 1)
 
 
 def assert_same_run(a, b):
@@ -268,19 +290,6 @@ class TestStartReuse:
         assert_same_run(first, solve_power(fresh, eps, 0.8, sr))
         assert len(calls) == 23
 
-    def test_zero_qinv_runs_every_start(self, monkeypatch):
-        # with Qinv(eps) == 0 a zero-power user is not pinned, so no reuse
-        real_q = fblopt.power.q_inverse
-        monkeypatch.setattr(fblopt.power, "q_inverse", lambda e: np.where(np.arange(2) == 1, 0.0, real_q(e)))
-        real = fblopt.power._alm_run
-        calls = []
-        monkeypatch.setattr(fblopt.power, "_alm_run", lambda *a: calls.append(1) or real(*a))
-        r = make_realization([0.8, 1.3], p_max=3.0)
-        eps, sr = np.array([1e-4, 5e-4]), sr_infinity(r.gamma, r.p_max)
-        solve_power(r, eps, 0.8, sr)
-        solve_power(r, eps, 0.8, sr)
-        assert len(calls) == 8 and r.alm_runs == {}
-
 
 class TestInnerMaximize:
     def test_single_user_matches_line_search(self):
@@ -288,9 +297,10 @@ class TestInnerMaximize:
         eps = np.array([1e-3])
         sr = sr_infinity(r.gamma, r.p_max)
         mu, zeta = 64.0, 0.0
-        p, converged, _ = inner_maximize(r, eps, 0.9, sr, mu, zeta, np.array([1.0]))
+        obj = _PowerObjective(r, eps, 0.9, sr)
+        p, converged, _ = _spg(obj, mu, zeta, np.array([1.0]))
         grid = np.linspace(0.0, 2 * r.p_max, 100_000)[:, None]
-        vals = [augmented_lagrangian(g, r, eps, 0.9, sr, mu, zeta) for g in grid]
+        vals = [obj.value(g, mu, zeta) for g in grid]
         best = grid[int(np.argmax(vals))][0]
         assert converged
         assert p[0] == pytest.approx(best, abs=1e-3)
@@ -301,41 +311,35 @@ class TestInnerMaximize:
         r = make_realization([1.2, 1.2], p_max=2.0)
         eps = np.array([1e-4, 1e-4])
         sr = sr_infinity(r.gamma, r.p_max)
-        p, _, _ = inner_maximize(r, eps, 0.8, sr, 4.0, 0.15, np.array([1.0, 1.0]))
+        p, _, _ = _spg(_PowerObjective(r, eps, 0.8, sr), 4.0, 0.15, np.array([1.0, 1.0]))
         assert abs(p[0] - p[1]) <= 1e-6
 
     def test_gradient_small_at_solution(self):
         r = make_realization([0.9, 1.7], p_max=3.0)
         eps = np.array([1e-4, 5e-4])
         sr = sr_infinity(r.gamma, r.p_max)
-        p, converged, _ = inner_maximize(r, eps, 0.7, sr, 8.0, 0.15, np.array([1.5, 1.5]))
+        p, converged, _ = _spg(_PowerObjective(r, eps, 0.7, sr), 8.0, 0.15, np.array([1.5, 1.5]))
         assert converged
-        g = augmented_lagrangian_grad(p, r, eps, 0.7, sr, 8.0, 0.15)
+        g = _PowerObjective(r, eps, 0.7, sr).grad(p, 8.0, 0.15)
         proj = np.where(p > 0, g, np.maximum(g, 0.0))
         assert np.linalg.norm(proj) <= 1e-6
 
 
 class TestUpdateMultipliers:
+    # slack is P_max - sum p
     def test_slack_reduces_multiplier(self):
-        r = make_realization([1.0], p_max=1.0)
-        state = AugLagState(mu=1.0, zeta=0.15, p=np.array([0.95]), stage=0)
-        out = update_multipliers(state, r)
-        assert out.zeta == pytest.approx(0.10, abs=1e-15)
-        assert out.mu == 2.0
-        assert out.stage == 1
+        mu, zeta = update_multipliers(1.0, 0.15, 1.0 - 0.95)
+        assert zeta == pytest.approx(0.10, abs=1e-15)
+        assert mu == 2.0
 
     def test_zero_multiplier_stays_zero_under_slack(self):
-        r = make_realization([1.0], p_max=2.0)
-        state = AugLagState(mu=4.0, zeta=0.0, p=np.array([1.0]), stage=3)
-        out = update_multipliers(state, r)
-        assert out.zeta == 0.0
-        assert out.mu == 8.0
+        mu, zeta = update_multipliers(4.0, 0.0, 2.0 - 1.0)
+        assert zeta == 0.0
+        assert mu == 8.0
 
     def test_violation_raises_multiplier(self):
-        r = make_realization([1.0], p_max=1.0)
-        state = AugLagState(mu=1.0, zeta=0.0, p=np.array([1.2]), stage=0)
-        out = update_multipliers(state, r)
-        assert out.zeta == pytest.approx(0.2, abs=1e-15)
+        mu, zeta = update_multipliers(1.0, 0.0, 1.0 - 1.2)
+        assert zeta == pytest.approx(0.2, abs=1e-15)
 
     def test_configured_mu_cap_bounds_trace(self, monkeypatch):
         monkeypatch.setattr(fblopt.power, "MU_CAP", 4.0)
@@ -386,9 +390,14 @@ class TestSolvePower:
 
     def test_every_start_infeasible_flagged(self, over_budget_alm):
         r = make_realization([0.8, 1.3], p_max=3.0)
-        res = solve_power(r, np.array([1e-4, 5e-4]), 0.8, sr_infinity(r.gamma, r.p_max))
-        assert res.infeasible
-        assert np.sum(res.p) > r.p_max
+        with pytest.raises(ArithmeticError, match="within the budget"):
+            solve_power(r, np.array([1e-4, 5e-4]), 0.8, sr_infinity(r.gamma, r.p_max))
+
+    def test_warm_start_projected_onto_nonnegative(self):
+        r = make_realization([0.8, 1.3], p_max=3.0)
+        eps, sr = np.array([1e-4, 5e-4]), sr_infinity(r.gamma, r.p_max)
+        res = solve_power(r, eps, 0.8, sr, p_init=np.array([-1.0, 2.0]))
+        assert_same_run(res, solve_power(r, eps, 0.8, sr, p_init=np.array([0.0, 2.0])))
 
     def test_omega_zero_returns_water_filling(self):
         r = make_realization([0.5, 2.0], p_max=3.0)
