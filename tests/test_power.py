@@ -104,7 +104,6 @@ class TestAugmentedLagrangian:
         self.r = make_realization([1.0, 2.0], p_max=2.0)
         self.eps = np.array([1e-4, 1e-4])
         self.sr = sr_infinity(self.r.gamma, self.r.p_max)
-
         self.obj = _PowerObjective(self.r, self.eps, 0.7, self.sr)
 
     def test_no_penalty_when_slack_and_zero_multiplier(self):
