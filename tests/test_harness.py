@@ -368,6 +368,20 @@ class TestCsv:
         emit_csv(run_scenario(cfg), path)
         assert path.read_text() == GOLDEN_MANY_USERS_CSV
 
+    def test_golden_oracle(self, tmp_path):
+        # the exhaustive oracle's rows, on three users across the weight
+        # range (omega = 0 included); frozen like GOLDEN_CSV
+        cfg = default_config(
+            links=default_config().links[:3],
+            n_trials=10,
+            master_seed=20240,
+            omega_grid=(0.0, 0.5, 0.9),
+            oracle=OracleGrid(30, 30),
+        )
+        path = tmp_path / "golden_oracle.csv"
+        emit_csv(run_scenario(cfg), path)
+        assert path.read_text() == GOLDEN_ORACLE_CSV
+
 
 class TestManifestAndConfig:
     def test_manifest_contents(self, tmp_path):
@@ -599,4 +613,24 @@ proposedpower_minmax,0.9,100,0,1.33305665,1e-05,1.33304331,0.0235154372,2,20240
 proposedpower_minmax,0.9,100,12,7.75654463,1e-05,7.75646706,0.140589816,2,20240
 proposedpower_minmax,0.9,1600,0,1.30912389,1e-05,1.3091108,0.00719488269,2,20240
 proposedpower_minmax,0.9,1600,12,9.43403895,1e-05,9.43394461,0.566238381,2,20240
+"""
+
+
+GOLDEN_ORACLE_CSV = """\
+scheme,omega,L,p_max,mean_sum_rate,mean_max_eps,mean_throughput,std_throughput,n_trials,seed
+equalpower_opteps,0,200,6,0.899856501,1e-12,0.945676444,0.526998643,10,20240
+equalpower_opteps,0.5,200,6,1.29170097,1.5860962e-06,1.29643017,0.607509288,10,20240
+equalpower_opteps,0.9,200,6,1.36024432,1.12058174e-05,1.36291828,0.622276363,10,20240
+exhaustive,0,200,6,0.0794747605,1.8478498e-12,0.0794747605,0,10,20240
+exhaustive,0.5,200,6,1.78398931,8.29689681e-07,1.78398788,0.478812726,10,20240
+exhaustive,0.9,200,6,1.83002673,8.04937516e-06,1.83001246,0.490542409,10,20240
+proposed,0,200,6,1.42860201,1e-12,1.4344565,0.433300816,10,20240
+proposed,0.5,200,6,1.7825941,9.02543453e-07,1.78259249,0.477838311,10,20240
+proposed,0.9,200,6,1.82185287,8.48503193e-06,1.82183757,0.491886105,10,20240
+proposedpower_minmax,0,200,6,1.77704841,1e-05,1.77703064,0.484356384,10,20240
+proposedpower_minmax,0.5,200,6,1.8249407,1e-05,1.82492245,0.493028821,10,20240
+proposedpower_minmax,0.9,200,6,1.8249407,1e-05,1.82492245,0.493028821,10,20240
+wf_minmax,0,200,6,1.77704841,1e-05,1.77703064,0.484356384,10,20240
+wf_minmax,0.5,200,6,1.77704841,1e-05,1.77703064,0.484356384,10,20240
+wf_minmax,0.9,200,6,1.77704841,1e-05,1.77703064,0.484356384,10,20240
 """
