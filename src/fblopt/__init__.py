@@ -35,10 +35,8 @@ from .joint import (
     OracleGrid,
     SolveReport,
     exhaustive_oracle,
-    per_user_rates,
     solve_joint,
     sum_throughput,
-    u1,
     u2,
     weighted_objective,
 )

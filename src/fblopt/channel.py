@@ -50,8 +50,8 @@ class NetworkRealization:
             raise ValueError("gamma must be a nonempty 1-D vector")
         if not np.all(np.isfinite(self.gamma)) or np.any(self.gamma <= 0):
             raise ValueError("gamma entries must be finite and positive")
-        if not self.p_max > 0:
-            raise ValueError("p_max must be positive")
+        if not 0.0 < self.p_max < np.inf:
+            raise ValueError("p_max must be positive and finite")
         if not self.block_length >= 2:
             raise ValueError("block_length must be >= 2")
         if not self.noise_power > 0:
@@ -78,8 +78,8 @@ class NetworkRealization:
 
     @cached_property
     def alm_runs(self) -> dict:
-        """(result, rate objective) of power.solve_power's generated starts,
-        kept under its reuse rule."""
+        """Results of power.solve_power's generated starts, kept under its
+        reuse rule."""
         return {}
 
 

@@ -71,16 +71,20 @@ class ScenarioConfig:
             raise ValueError(f"omega values must lie in [0, 1]: {self.omega_grid}")
         if not all(float(l).is_integer() and l >= 2 for l in self.l_grid):
             raise ValueError(f"block lengths must be integers >= 2: {self.l_grid}")
-        if not all(self.p_max_linear(p) > 0 for p in self.p_max_grid):
-            raise ValueError(f"power budgets must be positive: {self.p_max_grid}")
+        if not all(0.0 < self.p_max_linear(p) < np.inf for p in self.p_max_grid):
+            raise ValueError(f"power budgets must be positive and finite: {self.p_max_grid}")
         if not self.schemes or not set(self.schemes) <= set(SCHEMES):
             raise ValueError(f"schemes must be a nonempty subset of {SCHEMES}: {self.schemes}")
         if self.oracle is not None and len(self.links) > 3:
             raise ValueError("exhaustive oracle rows require 3 users or fewer")
 
     def p_max_linear(self, value) -> float:
-        """Linear power budget of a p_max_grid value, which is in dB."""
-        return 10.0 ** (value / 10.0)
+        """Linear power budget of a p_max_grid value, which is in dB; inf
+        when it overflows a float."""
+        try:
+            return 10.0 ** (value / 10.0)
+        except OverflowError:
+            return np.inf
 
 
 @dataclass(frozen=True)
@@ -170,8 +174,7 @@ def _run_trial(config, profile, trial):
         realization = realizations[length, p_max]
         try:
             if scheme == "exhaustive":
-                alloc, _ = exhaustive_oracle(realization, profile, float(omega), config.oracle)
-                report = make_report(realization, profile, alloc.p, alloc.eps, float(omega))
+                report = exhaustive_oracle(realization, profile, float(omega), config.oracle)
             else:
                 report = scheme_dispatch(scheme, realization, profile, float(omega))
         except (ValueError, ArithmeticError):

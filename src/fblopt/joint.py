@@ -48,37 +48,17 @@ class OracleGrid:
             raise ValueError(f"oracle grid points must be >= 1: {self.p_points}, {self.eps_points}")
 
 
-def _rate_terms(realization, p, eps) -> np.ndarray:
-    """Each user's rate_term at (p, eps), eps clamped to EPS_FLOOR: one
-    inversion of eps shared by u1 and per_user_rates."""
-    s = realization.gamma * np.asarray(p, dtype=float)
-    qinv = q_inverse(np.maximum(np.asarray(eps, dtype=float), EPS_FLOOR))
-    return rate_term(s, realization.block_length, qinv)
-
-
-def u1(realization, p, eps, sr_inf) -> float:
-    """Normalized rate objective: the dispersion-penalized log-rate sum over
-    sr_inf. Deliberately excludes the log(L)/L offset, which is constant in
-    the decision variables; reported rates include it (see per_user_rates).
-    """
-    return float(np.sum(_rate_terms(realization, p, eps))) / sr_inf
-
-
 def u2(eps, eps_max_overall) -> float:
     """Normalized reliability objective (cap_N - max eps) / cap_N."""
     return (eps_max_overall - float(np.max(eps))) / eps_max_overall
 
 
-def weighted_objective(realization, p, eps, omega, sr_inf, eps_max_overall) -> float:
-    return omega * u1(realization, p, eps, sr_inf) + (1.0 - omega) * u2(
-        eps, eps_max_overall
-    )
-
-
-def per_user_rates(realization, p, eps) -> np.ndarray:
-    """Full normal-approximation rates (kernels.achievable_rate, including
-    log(L)/L), possibly negative; used for reporting and throughput."""
-    return _rate_terms(realization, p, eps) + length_offset(realization.block_length)
+def weighted_objective(omega, rate_sum, sr_inf, eps, eps_max_overall) -> float:
+    """omega * U1 + (1 - omega) * U2, where U1 = rate_sum / sr_inf is the
+    normalized rate objective: the sum of each user's rate_term, which
+    deliberately leaves out the log(L)/L offset (constant in the decision
+    variables; reported rates include it)."""
+    return omega * (rate_sum / sr_inf) + (1.0 - omega) * u2(eps, eps_max_overall)
 
 
 def sum_throughput(rates, eps) -> float:
@@ -99,17 +79,22 @@ def make_report(
     trace=None,
     flags=None,
 ) -> SolveReport:
-    """Assemble a SolveReport for any feasible allocation. The rates and u1
-    come from one _rate_terms vector, as per_user_rates and u1 compute them."""
-    terms = _rate_terms(realization, p, eps)
+    """Assemble a SolveReport for any feasible allocation. One inversion of
+    eps (clamped to EPS_FLOOR) gives each user's rate_term; the reported
+    rates add log(L)/L (kernels.achievable_rate, possibly negative), and u1
+    and the objective take the terms' sum."""
+    p = np.asarray(p, dtype=float)
+    eps = np.asarray(eps, dtype=float)
+    qinv = q_inverse(np.maximum(eps, EPS_FLOOR))
+    terms = rate_term(realization.gamma * p, realization.block_length, qinv)
     rates = terms + length_offset(realization.block_length)
-    val_u1 = float(np.sum(terms)) / realization.sr_inf
-    val_u2 = u2(eps, profile.eps_max_overall)
+    rate_sum = float(np.sum(terms))
+    sr_inf = realization.sr_inf
     return SolveReport(
-        allocation=Allocation(p=np.asarray(p, dtype=float), eps=np.asarray(eps, dtype=float)),
-        objective=omega * val_u1 + (1.0 - omega) * val_u2,
-        u1=val_u1,
-        u2=val_u2,
+        allocation=Allocation(p=p, eps=eps),
+        objective=weighted_objective(omega, rate_sum, sr_inf, eps, profile.eps_max_overall),
+        u1=rate_sum / sr_inf,
+        u2=u2(eps, profile.eps_max_overall),
         sum_rate=float(np.sum(rates)),
         max_eps=float(np.max(eps)),
         throughput=sum_throughput(rates, eps),
@@ -138,9 +123,7 @@ def _alternate(realization, profile, omega, sr_inf, p0):
         if not power.converged and "power_stage_cap" not in flags:
             flags.append("power_stage_cap")
         p = power.p
-        obj = weighted_objective(
-            realization, p, assign.eps, omega, sr_inf, profile.eps_max_overall
-        )
+        obj = weighted_objective(omega, power.rate_sum, sr_inf, assign.eps, profile.eps_max_overall)
         d_eps = (
             float(np.max(np.abs(assign.eps - eps_prev)))
             if eps_prev is not None
@@ -214,7 +197,7 @@ def exhaustive_oracle(realization, profile, omega, grid=None):
     same maximum as enumerating the full product grid (verified against
     naive enumeration in the tests).
 
-    Returns (Allocation, objective value).
+    Returns the make_report of the best grid point.
     """
     grid = grid or OracleGrid()
     n = realization.n_users
@@ -251,7 +234,4 @@ def exhaustive_oracle(realization, profile, omega, grid=None):
             best_zi = col
 
     eps = np.array([g[idx[i, best_zi]] for i, g in enumerate(grids)])
-    value = weighted_objective(
-        realization, best_p, eps, omega, sr_inf, profile.eps_max_overall
-    )
-    return Allocation(p=best_p, eps=eps), value
+    return make_report(realization, profile, best_p, eps, omega)

@@ -56,6 +56,7 @@ class StageRecord:
 @dataclass
 class PowerSolveResult:
     p: np.ndarray
+    rate_sum: float  # sum of each user's rate_term at p: unscaled, no log(L)/L
     trace: list = field(default_factory=list)
     converged: bool = False
     violation: float = 0.0
@@ -116,9 +117,9 @@ class _PowerObjective:
         self._qinv_gamma = self.qinv * self.gamma
         self._at = None  # (p, s, disp, sum p) of the last value() call
 
-    def rate_value(self, p):
-        """Scaled rate objective (the quantity being maximized), no penalty."""
-        return self.scale * float(_sum(rate_term(self.gamma * p, self.L, self.qinv)))
+    def rate_sum(self, p):
+        """Rate objective at p before its scaling, with no penalty."""
+        return float(_sum(rate_term(self.gamma * p, self.L, self.qinv)))
 
     def _point(self, p):
         """(p, SNR, dispersion, sum p) at p; the last value() call's tuple
@@ -232,7 +233,8 @@ def _alm_run(obj, realization, p_init) -> PowerSolveResult:
         p = p * (realization.p_max / total)
         violation = 0.0
     return PowerSolveResult(
-        p=p, trace=trace, converged=converged, violation=violation, projected=projected
+        p=p, rate_sum=obj.rate_sum(p), trace=trace, converged=converged, violation=violation,
+        projected=projected,
     )
 
 
@@ -259,12 +261,13 @@ def solve_power(realization, eps, omega, sr_inf, p_init=None) -> PowerSolveResul
     trial step leaves it at exactly zero for the whole run, and exact zeros
     change no sum, dot product or maximum. A run, and the rate objective of
     its result, therefore depend only on its start vector, on Qinv(eps) over
-    the start's support and on omega / sr_inf (the realization fixed). Reuse
-    rule: each generated start (a vertex or zero; never the warm start) is
-    run once per realization; the result and its rate objective are kept in
+    the start's support and on omega / sr_inf (the realization fixed); so
+    does its rate_sum, since users at zero power add exactly 0.0 to it.
+    Reuse rule: each generated start (a vertex or zero; never the warm
+    start) is run once per realization; the result is kept in
     realization.alm_runs under exactly those values, and a later call with
-    the same key takes them from there. The kept result is then shared
-    between calls, so its p is read-only (as is the water-filling allocation
+    the same key takes it from there. The kept result is then shared between
+    calls, so its p is read-only (as is the water-filling allocation
     returned with omega == 0).
 
     With omega == 0 the objective is identically zero and the water-filling
@@ -276,8 +279,10 @@ def solve_power(realization, eps, omega, sr_inf, p_init=None) -> PowerSolveResul
     if not 0.0 <= omega <= 1.0:
         raise ValueError("omega must lie in [0, 1]")
 
+    obj = _PowerObjective(realization, eps, omega, sr_inf)
     if omega == 0.0:
-        return PowerSolveResult(p=realization.p_wf, trace=[], converged=True)
+        p = realization.p_wf
+        return PowerSolveResult(p=p, rate_sum=obj.rate_sum(p), trace=[], converged=True)
 
     n = realization.n_users
     starts = [realization.p_wf if p_init is None else np.maximum(p_init, 0.0)]
@@ -289,21 +294,19 @@ def solve_power(realization, eps, omega, sr_inf, p_init=None) -> PowerSolveResul
     if starts[0].any():
         starts.append(np.zeros(n))
 
-    obj = _PowerObjective(realization, eps, omega, sr_inf)
-    warm = _alm_run(obj, realization, starts[0])
-    runs = [(warm, obj.rate_value(warm.p))]
+    runs = [_alm_run(obj, realization, starts[0])]
     memo = realization.alm_runs
     for p0 in starts[1:]:
         key = (p0.tobytes(), obj.qinv[p0 != 0.0].tobytes(), obj.scale)
         if key not in memo:
             run = _alm_run(obj, realization, p0)
             run.p.flags.writeable = False  # shared by every call that reuses it
-            memo[key] = (run, obj.rate_value(run.p))
+            memo[key] = run
         runs.append(memo[key])
-    feasible = [(run, rate) for run, rate in runs if run.violation <= PROJECT_TOL]
+    feasible = [run for run in runs if run.violation <= PROJECT_TOL]
     if not feasible:
         raise ArithmeticError("no power-solve start ended within the budget")
-    return max(feasible, key=lambda pair: pair[1])[0]
+    return max(feasible, key=lambda run: obj.scale * run.rate_sum)
 
 
 def simplex_grid(n_users, p_max, points) -> np.ndarray:

@@ -19,8 +19,8 @@ from fblopt.error_assignment import (
     subproblem_objective,
 )
 from fblopt.harness import default_config, emit_csv, run_scenario
-from fblopt.joint import OracleGrid, exhaustive_oracle, solve_joint, u1
-from fblopt.kernels import achievable_rate, q_function, q_inverse
+from fblopt.joint import OracleGrid, exhaustive_oracle, solve_joint
+from fblopt.kernels import achievable_rate, dispersion_coeff, q_function, q_inverse
 from fblopt.power import (
     _PowerObjective,
     power_grid_oracle,
@@ -106,7 +106,9 @@ def test_criterion_04_power_solver_vs_grid():
         omega = rng.uniform(0.1, 0.99)
         sr = sr_infinity(gamma, p_max)
         res = solve_power(r, eps, omega, sr)
-        val = omega * u1(r, res.p, eps, sr)
+        s = gamma * res.p
+        rates = np.log1p(s) - dispersion_coeff(s, r.block_length) * q_inverse(eps)
+        val = omega * (float(np.sum(rates)) / sr)
         _, oracle = power_grid_oracle(r, eps, omega, sr, points=300)
         worst_gap = max(worst_gap, (oracle - val) / max(abs(oracle), 1e-12))
         worst_viol = max(
@@ -138,7 +140,7 @@ def test_criterion_05_joint_solver_vs_exhaustive():
         profile = SortedQosProfile.from_caps(np.sort(rng.uniform(1e-5, 1e-2, n)))
         omega = rng.uniform(0.1, 0.99)
         rep = solve_joint(r, profile, omega)
-        _, oracle = exhaustive_oracle(r, profile, omega, OracleGrid(200, 200))
+        oracle = exhaustive_oracle(r, profile, omega, OracleGrid(200, 200)).objective
         worst = max(worst, oracle - rep.objective)
     report(5, worst <= 1e-3, f"worst objective gap to 200-point exhaustive grid: {worst:.3e}")
 

@@ -50,6 +50,8 @@ class TestNetworkRealization:
         with pytest.raises(ValueError):
             NetworkRealization(gamma=np.array([1.0]), p_max=np.nan, block_length=100, noise_power=1.0)
         with pytest.raises(ValueError):
+            NetworkRealization(gamma=np.array([1.0]), p_max=np.inf, block_length=100, noise_power=1.0)
+        with pytest.raises(ValueError):
             NetworkRealization(gamma=np.array([1.0]), p_max=1.0, block_length=np.nan, noise_power=1.0)
         with pytest.raises(ValueError):
             NetworkRealization(gamma=np.array([1.0]), p_max=1.0, block_length=100, noise_power=np.nan)

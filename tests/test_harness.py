@@ -109,7 +109,13 @@ class TestRunScenario:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{"l_grid": (100.5,)}, {"omega_grid": (float("nan"),)}, {"p_max_grid": (float("-inf"),)}],
+        [
+            {"l_grid": (100.5,)},
+            {"omega_grid": (float("nan"),)},
+            {"p_max_grid": (float("-inf"),)},
+            {"p_max_grid": (6.0, float("inf"))},
+            {"p_max_grid": (4000.0,)},  # 10^400 overflows a float
+        ],
     )
     def test_library_only_bad_values_rejected(self, overrides):
         with pytest.raises(ValueError):
@@ -456,6 +462,8 @@ eps_max = 1e-5 5e-4
             "l_grid = 1",
             "l_grid =",
             "p_max_grid = 4 -inf",
+            "p_max_grid = 4 inf",
+            "p_max_grid = 4000",
             "noise_power = 0",
             "master_seed = -1",
             "schemes =",
@@ -555,6 +563,8 @@ class TestCli:
             ["--oracle", "30", "30"],  # four default users
             ["--config", str(three), "--oracle", "0", "30"],
             ["--config", str(three), "--oracle", "30", "0"],
+            ["--pmax-db", "inf", "--schemes", "wf_minmax", "--trials", "2"],
+            ["--pmax-db", "4000"],
         ]:
             with pytest.raises(ValueError):
                 main([*argv, "--out", str(tmp_path / "x.csv")])

@@ -12,14 +12,19 @@ from fblopt.joint import (
     OracleGrid,
     exhaustive_oracle,
     make_report,
-    per_user_rates,
     solve_joint,
     sum_throughput,
-    u1,
     u2,
     weighted_objective,
 )
-from fblopt.kernels import EPS_FLOOR, achievable_rate, dispersion_coeff, q_inverse
+from fblopt.kernels import (
+    EPS_FLOOR,
+    achievable_rate,
+    dispersion_coeff,
+    length_offset,
+    q_inverse,
+    rate_term,
+)
 from fblopt.power import simplex_grid, sr_infinity, water_filling
 
 PAPER_CAPS = (1e-5, 5e-5, 1e-4, 5e-4)
@@ -44,31 +49,33 @@ def random_small_instance(rng, n_max=2):
     return r, prof, rng.uniform(0.1, 0.99)
 
 
+def rate_sum(r, p, eps):
+    """The rate sum at (p, eps) re-evaluated user by user from the kernels."""
+    s = r.gamma * np.asarray(p, dtype=float)
+    return sum(
+        np.log1p(s[i]) - dispersion_coeff(s[i], r.block_length) * q_inverse(eps[i])
+        for i in range(s.size)
+    )
+
+
 class TestObjectives:
     def test_u1_is_one_at_waterfilling_without_dispersion(self):
-        r, _ = make_instance([0.6, 1.4, 0.9, 1.1])
+        r, prof = make_instance([0.6, 1.4, 0.9, 1.1])
         p = water_filling(r.gamma, r.p_max)
-        sr = sr_infinity(r.gamma, r.p_max)
         eps = np.full(4, 0.5 - 1e-16)
-        assert u1(r, p, eps, sr) == pytest.approx(1.0, abs=1e-12)
+        assert make_report(r, prof, p, eps, 1.0).u1 == pytest.approx(1.0, abs=1e-12)
 
     def test_u1_zero_power(self):
-        r, _ = make_instance([1.0, 2.0])
-        assert u1(r, np.zeros(2), np.array([1e-4, 1e-4]), 1.0) == 0.0
+        r, prof = make_instance([1.0, 2.0])
+        assert make_report(r, prof, np.zeros(2), np.array([1e-4, 1e-4]), 0.9).u1 == 0.0
 
     def test_u1_independent_reevaluation(self):
         rng = np.random.default_rng(4)
-        r, _ = make_instance(rng.exponential(1.0, 2) + 0.1)
+        r, prof = make_instance(rng.exponential(1.0, 2) + 0.1)
         p = rng.uniform(0.1, 2.0, 2)
         eps = rng.uniform(1e-5, 1e-2, 2)
-        sr = sr_infinity(r.gamma, r.p_max)
-        s = r.gamma * p
-        manual = sum(
-            np.log1p(s[i])
-            - dispersion_coeff(s[i], r.block_length) * q_inverse(eps[i])
-            for i in range(2)
-        ) / sr
-        assert u1(r, p, eps, sr) == pytest.approx(manual, rel=1e-12)
+        manual = rate_sum(r, p, eps) / sr_infinity(r.gamma, r.p_max)
+        assert make_report(r, prof, p, eps, 0.9).u1 == pytest.approx(manual, rel=1e-12)
 
     def test_u2_examples(self):
         assert u2(np.array([1e-5, 5e-4]), 5e-4) == 0.0
@@ -87,15 +94,16 @@ class TestThroughput:
         val = sum_throughput([-0.2, 1.0], [1e-4, 1e-4])
         assert val == pytest.approx(0.9999, rel=1e-10)
 
-    def test_per_user_rates_match_kernel(self):
-        r, _ = make_instance([0.8, 1.5])
+    def test_report_throughput_matches_kernel(self):
+        r, prof = make_instance([0.8, 1.5])
         p = np.array([1.0, 2.0])
         eps = np.array([1e-4, 1e-3])
-        rates = per_user_rates(r, p, eps)
-        for i in range(2):
-            assert rates[i] == pytest.approx(
-                achievable_rate(r.gamma[i] * p[i], r.block_length, eps[i]), rel=1e-12
-            )
+        rates = [achievable_rate(r.gamma[i] * p[i], r.block_length, eps[i]) for i in range(2)]
+        rep = make_report(r, prof, p, eps, 0.9)
+        assert rep.sum_rate == pytest.approx(sum(rates), rel=1e-12)
+        assert rep.throughput == pytest.approx(
+            sum(max(rates[i], 0.0) * (1.0 - eps[i]) for i in range(2)), rel=1e-12
+        )
 
 
 class TestMakeReport:
@@ -121,10 +129,13 @@ class TestMakeReport:
             calls.clear()
             rep = make_report(r, prof, p, eps, omega, iterations=3, flags=["x"])
             assert len(calls) == 1
-            rates = per_user_rates(r, p, eps)
-            val_u1, val_u2 = u1(r, p, eps, r.sr_inf), u2(eps, prof.eps_max_overall)
-            assert rep.u1 == val_u1 and rep.u2 == val_u2
-            assert rep.objective == omega * val_u1 + (1.0 - omega) * val_u2
+            terms = rate_term(r.gamma * p, r.block_length, real(np.maximum(eps, EPS_FLOOR)))
+            rates = terms + length_offset(r.block_length)
+            total = float(np.sum(terms))
+            assert rep.u1 == total / r.sr_inf and rep.u2 == u2(eps, prof.eps_max_overall)
+            assert rep.objective == weighted_objective(
+                omega, total, r.sr_inf, eps, prof.eps_max_overall
+            )
             assert rep.sum_rate == float(np.sum(rates))
             assert rep.throughput == sum_throughput(rates, eps)
             assert rep.max_eps == float(np.max(eps))
@@ -132,10 +143,12 @@ class TestMakeReport:
             assert (rep.iterations, rep.trace, rep.flags) == (3, [], ["x"])
 
     def test_rates_match_kernel_bitwise(self):
-        r, _ = make_instance([0.8, 1.5, 0.3, 2.0])
+        r, prof = make_instance([0.8, 1.5, 0.3, 2.0])
         p, eps = np.array([1.0, 2.0, 0.0, 1.0]), np.array([1e-4, 1e-3, 5e-5, 0.0])
         expected = achievable_rate(r.gamma * p, r.block_length, np.maximum(eps, EPS_FLOOR))
-        assert np.array_equal(per_user_rates(r, p, eps), expected)
+        rep = make_report(r, prof, p, eps, 0.9)
+        assert rep.sum_rate == float(np.sum(expected))
+        assert rep.throughput == sum_throughput(expected, eps)
 
 
 class TestSolveJoint:
@@ -154,16 +167,16 @@ class TestSolveJoint:
     def test_single_user_matches_oracle(self):
         r, prof = make_instance([1.0], p_max=4.0, L=200, caps=(5e-4,))
         rep = solve_joint(r, prof, 0.9)
-        _, oracle_val = exhaustive_oracle(r, prof, 0.9, OracleGrid(400, 400))
-        assert rep.objective >= oracle_val - 1e-3
+        oracle = exhaustive_oracle(r, prof, 0.9, OracleGrid(400, 400))
+        assert rep.objective >= oracle.objective - 1e-3
 
     def test_two_user_matches_oracle(self):
         rng = np.random.default_rng(37)
         for _ in range(6):
             r, prof, omega = random_small_instance(rng)
             rep = solve_joint(r, prof, omega)
-            _, oracle_val = exhaustive_oracle(r, prof, omega, OracleGrid(200, 200))
-            assert rep.objective >= oracle_val - 1e-3
+            oracle = exhaustive_oracle(r, prof, omega, OracleGrid(200, 200))
+            assert rep.objective >= oracle.objective - 1e-3
 
     def test_feasible_and_consistent_report(self):
         rng = np.random.default_rng(43)
@@ -220,6 +233,48 @@ class TestSolveJoint:
             assert again.objective == rep.objective
             assert np.array_equal(again.allocation.p, rep.allocation.p)
 
+    @pytest.mark.parametrize("n", [1, 4, 12])
+    def test_objective_is_best_alternation_score(self, n, monkeypatch):
+        # the report re-scores the kept iterate from scratch; that must give
+        # the same bits as the score the alternation kept it by
+        real = fblopt.joint._alternate
+        runs = []
+        monkeypatch.setattr(
+            fblopt.joint, "_alternate", lambda *a: runs.append(real(*a)) or runs[-1]
+        )
+        rng = np.random.default_rng(90 + n)
+        caps = tuple(np.geomspace(1e-5, 5e-4, n))
+        for _ in range(4):
+            r, prof = make_instance(rng.exponential(1.0, n), p_max=rng.uniform(0.5, 10.0), caps=caps)
+            runs.clear()
+            rep = solve_joint(r, prof, rng.uniform(0.1, 1.0))
+            assert len(runs) == 2 and rep.objective == max(run[0] for run in runs)
+
+    def test_inversions_per_solve(self, monkeypatch):
+        # the alternation scores each iterate with the power solve's rate
+        # sum; only the final report inverts eps on the joint side
+        calls = {"joint": 0, "power": 0, "solve_power": 0}
+
+        def counted(module, name, key):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(fblopt.joint, "q_inverse", "joint")
+        counted(fblopt.power, "q_inverse", "power")
+        counted(fblopt.joint, "solve_power", "solve_power")
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            r, prof = make_instance(rng.exponential(1.0, 4), p_max=rng.uniform(0.5, 10.0))
+            calls.update(joint=0, power=0, solve_power=0)
+            solve_joint(r, prof, 0.9)
+            assert calls["joint"] == 1
+            assert calls["power"] == calls["solve_power"] >= 2
+
     def test_objective_trace_nondecreasing(self):
         rng = np.random.default_rng(47)
         for _ in range(10):
@@ -242,14 +297,14 @@ class TestSolveJoint:
 class TestExhaustiveOracle:
     def test_refinement_consistency_single_user(self):
         r, prof = make_instance([1.0], p_max=4.0, caps=(5e-4,))
-        _, coarse = exhaustive_oracle(r, prof, 0.8, OracleGrid(60, 60))
-        _, fine = exhaustive_oracle(r, prof, 0.8, OracleGrid(240, 240))
+        coarse = exhaustive_oracle(r, prof, 0.8, OracleGrid(60, 60)).objective
+        fine = exhaustive_oracle(r, prof, 0.8, OracleGrid(240, 240)).objective
         assert fine >= coarse - 1e-12
         assert fine - coarse <= 5e-3
 
     def test_omega_one_eps_at_caps(self):
         r, prof = make_instance([0.9, 1.1], caps=(1e-4, 5e-4))
-        alloc, _ = exhaustive_oracle(r, prof, 1.0, OracleGrid(50, 50))
+        alloc = exhaustive_oracle(r, prof, 1.0, OracleGrid(50, 50)).allocation
         assert np.array_equal(alloc.eps, prof.caps_original())
 
     def test_rejects_many_users(self):
@@ -264,7 +319,7 @@ class TestExhaustiveOracle:
             if r.n_users != 2:
                 continue
             grid = OracleGrid(p_points=12, eps_points=10)
-            alloc, val = exhaustive_oracle(r, prof, omega, grid)
+            val = exhaustive_oracle(r, prof, omega, grid).objective
             sr = sr_infinity(r.gamma, r.p_max)
             caps = prof.caps_original()
             eps_grids = [np.geomspace(EPS_FLOOR, c, 11)[1:] for c in caps]
@@ -272,17 +327,18 @@ class TestExhaustiveOracle:
             for p in simplex_grid(2, r.p_max, 12):
                 for e0 in eps_grids[0]:
                     for e1 in eps_grids[1]:
+                        eps = np.array([e0, e1])
                         cand = weighted_objective(
-                            r, p, np.array([e0, e1]), omega, sr, prof.eps_max_overall
+                            omega, rate_sum(r, p, eps), sr, eps, prof.eps_max_overall
                         )
                         best = max(best, cand)
             assert val == pytest.approx(best, rel=1e-12)
 
     def test_allocation_matches_reported_value(self):
         r, prof, omega = random_small_instance(np.random.default_rng(61))
-        alloc, val = exhaustive_oracle(r, prof, omega, OracleGrid(40, 40))
-        sr = sr_infinity(r.gamma, r.p_max)
+        rep = exhaustive_oracle(r, prof, omega, OracleGrid(40, 40))
+        alloc, sr = rep.allocation, sr_infinity(r.gamma, r.p_max)
         recomputed = weighted_objective(
-            r, alloc.p, alloc.eps, omega, sr, prof.eps_max_overall
+            omega, rate_sum(r, alloc.p, alloc.eps), sr, alloc.eps, prof.eps_max_overall
         )
-        assert recomputed == pytest.approx(val, rel=1e-12)
+        assert recomputed == pytest.approx(rep.objective, rel=1e-12)

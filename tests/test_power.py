@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fblopt.channel import NetworkRealization
-from fblopt.kernels import EPS_FLOOR, dispersion_coeff, q_inverse
+from fblopt.kernels import EPS_FLOOR, dispersion_coeff, q_inverse, rate_term
 import fblopt.power
 from fblopt.power import (
     MU0,
@@ -225,7 +225,9 @@ class TestSharedEvaluation:
 
 def assert_same_run(a, b):
     assert np.array_equal(a.p, b.p)
-    assert (a.converged, a.violation, a.projected) == (b.converged, b.violation, b.projected)
+    assert (a.rate_sum, a.converged, a.violation, a.projected) == (
+        b.rate_sum, b.converged, b.violation, b.projected
+    )
     assert len(a.trace) == len(b.trace)
     for x, y in zip(a.trace, b.trace):
         assert np.array_equal(x.p, y.p)
@@ -255,9 +257,38 @@ class TestStartReuse:
                 r2 = make_realization(gamma2, p_max, L)
                 obj1 = _PowerObjective(r1, eps, omega, sr)
                 obj2 = _PowerObjective(r2, eps2, omega, sr)
-                a, b = _alm_run(obj1, r1, p0), _alm_run(obj2, r2, p0)
-                assert_same_run(a, b)
-                assert obj1.rate_value(a.p) == obj2.rate_value(b.p)
+                assert_same_run(_alm_run(obj1, r1, p0), _alm_run(obj2, r2, p0))
+
+    @pytest.mark.parametrize("n", [1, 4, 12])
+    def test_rate_sum_is_rate_term_sum(self, n):
+        # the joint solver scores each iterate with the returned rate_sum, so
+        # it must be the plain rate_term sum at the result's p and the eps of
+        # the call, also for a run kept from an earlier call
+        def expected(r, p, eps):
+            qinv = q_inverse(np.maximum(eps, EPS_FLOOR))
+            return float(np.sum(rate_term(r.gamma * p, r.block_length, qinv)))
+
+        rng = np.random.default_rng(60 + n)
+        for _ in range(3):
+            r = make_realization(
+                rng.exponential(1.0, n) + 0.05, rng.uniform(0.5, 16.0), int(rng.integers(100, 2000))
+            )
+            eps, omega = rng.uniform(1e-6, 1e-2, n), rng.uniform(0.1, 1.0)
+            sr = sr_infinity(r.gamma, r.p_max)
+            res = solve_power(r, eps, omega, sr)
+            assert res.rate_sum == expected(r, res.p, eps)
+            fresh = dict(r.alm_runs)
+            assert all(run.rate_sum == expected(r, run.p, eps) for run in fresh.values())
+            # eps changed off user 0: runs started on user 0 or on nobody are reused
+            eps2 = np.where(np.arange(n) == 0, eps, 2 * eps)
+            res2 = solve_power(r, eps2, omega, sr)
+            assert res2.rate_sum == expected(r, res2.p, eps2)
+            qinv2 = q_inverse(np.maximum(eps2, EPS_FLOOR))
+            reused = [
+                run for key, run in fresh.items()
+                if key[1] == qinv2[np.frombuffer(key[0]) != 0.0].tobytes()
+            ]
+            assert reused and all(run.rate_sum == expected(r, run.p, eps2) for run in reused)
 
     def test_generated_starts_run_once_per_realization(self, monkeypatch):
         real = fblopt.power._alm_run
@@ -272,7 +303,7 @@ class TestStartReuse:
         eps, sr = np.array([1e-4, 5e-4, 1e-3, 2e-5]), sr_infinity(r.gamma, r.p_max)
         first = solve_power(r, eps, 0.8, sr)
         assert len(calls) == 6 and len(r.alm_runs) == 5
-        assert not any(run.p.flags.writeable for run, _ in r.alm_runs.values())
+        assert not any(run.p.flags.writeable for run in r.alm_runs.values())
         # eps changed off user 0: vertex 0 and zero (empty support) are kept,
         # the warm start and the other vertices run
         eps2 = np.where(np.arange(4) == 0, eps, 2 * eps)
@@ -400,9 +431,12 @@ class TestSolvePower:
 
     def test_omega_zero_returns_water_filling(self):
         r = make_realization([0.5, 2.0], p_max=3.0)
-        res = solve_power(r, np.array([1e-4, 1e-4]), 0.0, 1.0)
+        eps = np.array([1e-4, 1e-4])
+        res = solve_power(r, eps, 0.0, 1.0)
         assert np.array_equal(res.p, water_filling(r.gamma, r.p_max))
         assert res.converged
+        s = r.gamma * res.p
+        assert res.rate_sum == float(np.sum(rate_term(s, r.block_length, q_inverse(eps))))
 
     def test_rejects_bad_eps(self):
         r = make_realization([1.0], p_max=1.0)
