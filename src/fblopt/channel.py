@@ -33,7 +33,7 @@ class UserLink:
 
 @dataclass(frozen=True)
 class NetworkRealization:
-    """A sampled network instance.
+    """One cell of a sampled network: gains, power budget and block length.
 
     gamma holds the normalized channel gains g_i / sigma^2, so gamma_i * p_i
     is user i's received SNR.
@@ -42,7 +42,6 @@ class NetworkRealization:
     gamma: np.ndarray
     p_max: float
     block_length: int
-    noise_power: float
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", np.asarray(self.gamma, dtype=float))
@@ -54,8 +53,6 @@ class NetworkRealization:
             raise ValueError("p_max must be positive and finite")
         if not self.block_length >= 2:
             raise ValueError("block_length must be >= 2")
-        if not self.noise_power > 0:
-            raise ValueError("noise_power must be positive")
 
     @property
     def n_users(self) -> int:
@@ -73,8 +70,12 @@ class NetworkRealization:
 
     @cached_property
     def sr_inf(self) -> float:
-        """Shannon sum rate under water-filling (power.sr_infinity) at p_wf."""
-        return sr_infinity(self.gamma, self.p_max, self.p_wf)
+        """Shannon sum rate under water-filling (power.sr_infinity) at p_wf,
+        the normalizer of the rate objective; ValueError unless positive."""
+        sr_inf = sr_infinity(self.gamma, self.p_max, self.p_wf)
+        if not sr_inf > 0.0:
+            raise ValueError("sr_inf must be positive")
+        return sr_inf
 
     @cached_property
     def alm_runs(self) -> dict:
@@ -88,36 +89,21 @@ def mean_gain(link: UserLink) -> float:
     return link.kappa * link.distance ** (-link.pathloss_exp)
 
 
-def sample_realization(
-    links,
-    p_max,
-    block_length,
-    noise_power,
-    seed=None,
-    rng=None,
-    fading=True,
-) -> NetworkRealization:
-    """Draw one network realization.
+def sample_realization(links, noise_power, seed=None, fading=True) -> np.ndarray:
+    """Draw one realization's normalized gains gamma_i = g_i / sigma^2.
 
     Small-scale fading multiplies each mean gain by a unit-mean exponential
     power gain theta (Rayleigh-distributed amplitude). With fading=False the
-    gains are deterministic (theta = 1). Pass either a seed or an existing
-    numpy Generator; the same seed always yields bit-identical output.
+    gains are deterministic (theta = 1). seed is anything
+    np.random.default_rng takes, a Generator included; the same seed always
+    yields bit-identical output.
     """
     links = tuple(links)
     if not links:
         raise ValueError("links must be nonempty")
     gbar = np.array([mean_gain(l) for l in links])
     if fading:
-        if rng is None:
-            rng = np.random.default_rng(seed)
-        theta = rng.exponential(1.0, size=len(links))
+        theta = np.random.default_rng(seed).exponential(1.0, size=len(links))
     else:
         theta = np.ones(len(links))
-    gamma = gbar * theta / noise_power
-    return NetworkRealization(
-        gamma=gamma,
-        p_max=float(p_max),
-        block_length=int(block_length),
-        noise_power=float(noise_power),
-    )
+    return gbar * theta / noise_power

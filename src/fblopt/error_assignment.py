@@ -90,12 +90,12 @@ def _branch_tails(realization, p, profile):
     return np.cumsum(dispersion_coeff(s, 1)[::-1])[::-1]
 
 
-def _beta_from_tail(tail, realization, profile, omega, sr_inf):
+def _beta_from_tail(tail, realization, profile, omega):
     """Shared error level of a branch whose dispersion tail sum is `tail`;
     see beta_k for the meaning of the returned pair."""
     if tail == 0.0:
         return 0.0, True
-    num = np.sqrt(realization.block_length) * (1.0 - omega) * sr_inf
+    num = np.sqrt(realization.block_length) * (1.0 - omega) * realization.sr_inf
     den = profile.eps_max_overall * omega * _SQRT_2PI * tail
     arg = num / den
     if arg < 1.0:
@@ -103,7 +103,7 @@ def _beta_from_tail(tail, realization, profile, omega, sr_inf):
     return float(q_function(np.sqrt(2.0 * np.log(arg)))), False
 
 
-def beta_k(realization, p, profile, omega, sr_inf, k):
+def beta_k(realization, p, profile, omega, k):
     """Candidate shared error level for branch k (1-based, sorted order).
 
     Returns (value, degenerate). value is None when the logarithm's argument
@@ -115,7 +115,7 @@ def beta_k(realization, p, profile, omega, sr_inf, k):
     if not 1 <= k <= n:
         raise ValueError("branch index k must lie in [1, n_users]")
     tail = float(_branch_tails(realization, p, profile)[k - 1])
-    return _beta_from_tail(tail, realization, profile, omega, sr_inf)
+    return _beta_from_tail(tail, realization, profile, omega)
 
 
 def _branch_assignment(profile, k, level) -> ErrorAssignment:
@@ -136,7 +136,7 @@ def floor_errors(profile) -> np.ndarray:
     return np.minimum(EPS_FLOOR, profile.caps_original())
 
 
-def optimal_errors(realization, p, profile, omega, sr_inf) -> ErrorAssignment:
+def optimal_errors(realization, p, profile, omega) -> ErrorAssignment:
     """Closed-form minimizer of the fixed-power error subproblem.
 
     The objective restricted to a common level z on the sorted segment
@@ -149,8 +149,6 @@ def optimal_errors(realization, p, profile, omega, sr_inf) -> ErrorAssignment:
     """
     if not 0.0 < omega <= 1.0:
         raise ValueError("omega must lie in (0, 1] for the error subproblem")
-    if not sr_inf > 0.0:
-        raise ValueError("sr_inf must be positive")
     n = realization.n_users
     if profile.n_users != n:
         raise ValueError("profile and realization disagree on user count")
@@ -161,7 +159,7 @@ def optimal_errors(realization, p, profile, omega, sr_inf) -> ErrorAssignment:
     if omega < 1.0:
         tails = _branch_tails(realization, p, profile)
         for k in range(1, n + 1):
-            b, _ = _beta_from_tail(float(tails[k - 1]), realization, profile, omega, sr_inf)
+            b, _ = _beta_from_tail(float(tails[k - 1]), realization, profile, omega)
             if b is None:
                 continue  # objective still decreasing across this whole segment
             lo = 0.0 if k == 1 else caps[k - 2]
@@ -178,15 +176,15 @@ def optimal_errors(realization, p, profile, omega, sr_inf) -> ErrorAssignment:
     return ErrorAssignment(eps=profile.to_original(caps), z=float(caps[-1]), branch=n + 1)
 
 
-def subproblem_objective(realization, p, profile, omega, sr_inf, eps) -> float:
+def subproblem_objective(realization, p, profile, omega, eps) -> float:
     """Value of the fixed-power error objective at eps (original order)."""
     eps = np.maximum(np.asarray(eps, dtype=float), EPS_FLOOR)
     a = dispersion_coeff(realization.gamma * np.asarray(p), realization.block_length)
-    cost = (omega / sr_inf) * float(np.sum(a * q_inverse(eps)))
+    cost = (omega / realization.sr_inf) * float(np.sum(a * q_inverse(eps)))
     return cost + (1.0 - omega) / profile.eps_max_overall * float(eps.max())
 
 
-def kkt_residual(assignment, realization, p, profile, omega, sr_inf) -> float:
+def kkt_residual(assignment, realization, p, profile, omega) -> float:
     """Max absolute residual of the subproblem's KKT system at an assignment.
 
     Multipliers are rebuilt from the active-set structure: lambda_i for the
@@ -203,7 +201,7 @@ def kkt_residual(assignment, realization, p, profile, omega, sr_inf) -> float:
         realization.block_length,
     )
     y = q_inverse(np.maximum(eps_s, EPS_FLOOR))
-    weight = (omega / sr_inf) * a * _SQRT_2PI * np.exp(0.5 * y * y)
+    weight = (omega / realization.sr_inf) * a * _SQRT_2PI * np.exp(0.5 * y * y)
 
     lam_active = (z - eps_s) <= _ACTIVE_TOL
     nu_active = (caps - eps_s) <= _ACTIVE_TOL
@@ -264,14 +262,14 @@ def z_sweep(caps, points):
     return grids, z_cand, np.clip(idx, 0, None), np.all(idx >= 0, axis=0)
 
 
-def grid_search_errors(realization, p, profile, omega, sr_inf, points_per_user=10_000):
+def grid_search_errors(realization, p, profile, omega, points_per_user=10_000):
     """Brute-force oracle: minimize the error subproblem over per-user log
     grids on (EPS_FLOOR, cap_i], exactly over their product via z_sweep.
 
     Returns (eps in original order, objective value).
     """
     a = dispersion_coeff(realization.gamma * np.asarray(p), realization.block_length)
-    c = (omega / sr_inf) * a
+    c = (omega / realization.sr_inf) * a
     d = (1.0 - omega) / profile.eps_max_overall
 
     grids, z_cand, idx, feasible = z_sweep(profile.caps_original(), points_per_user)
@@ -282,4 +280,4 @@ def grid_search_errors(realization, p, profile, omega, sr_inf, points_per_user=1
     total[~feasible] = np.inf
     best = int(np.argmin(total))
     eps = np.array([g[idx[i, best]] for i, g in enumerate(grids)])
-    return eps, subproblem_objective(realization, p, profile, omega, sr_inf, eps)
+    return eps, subproblem_objective(realization, p, profile, omega, eps)

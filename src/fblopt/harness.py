@@ -22,7 +22,7 @@ from itertools import product
 
 import numpy as np
 
-from .channel import UserLink, sample_realization
+from .channel import NetworkRealization, UserLink, sample_realization
 from .error_assignment import SortedQosProfile, floor_errors, optimal_errors
 from .joint import OracleGrid, exhaustive_oracle, make_report, solve_joint
 from .power import equal_power, solve_power
@@ -122,20 +122,20 @@ def scheme_dispatch(scheme, realization, profile, omega):
     proposed             joint alternating solver
     wf_minmax            water-filling power, all errors at the strictest cap
     proposedpower_minmax augmented-Lagrangian power, errors at strictest cap
+                         (water-filling at omega 0, where rate has no weight)
     equalpower_opteps    equal power split, closed-form error assignment
     """
     if scheme == "proposed":
         return solve_joint(realization, profile, omega)
 
     n = realization.n_users
-    sr_inf = realization.sr_inf
     minmax_eps = np.full(n, profile.eps_max_sorted[0])
     flags = []
-    if scheme == "wf_minmax":
+    if scheme == "wf_minmax" or (scheme == "proposedpower_minmax" and omega == 0.0):
         p = realization.p_wf
         eps = minmax_eps
     elif scheme == "proposedpower_minmax":
-        result = solve_power(realization, minmax_eps, omega, sr_inf)
+        result = solve_power(realization, minmax_eps, omega)
         p = result.p
         eps = minmax_eps
         if not result.converged:
@@ -145,7 +145,7 @@ def scheme_dispatch(scheme, realization, profile, omega):
         if omega == 0.0:
             eps = floor_errors(profile)
         else:
-            eps = optimal_errors(realization, p, profile, omega, sr_inf).eps
+            eps = optimal_errors(realization, p, profile, omega).eps
     else:
         raise ValueError(f"unknown scheme: {scheme!r}")
     return make_report(realization, profile, p, eps, omega, iterations=1, flags=flags)
@@ -159,14 +159,14 @@ def _columns(config):
 
 def _run_trial(config, profile, trial):
     """(trial, ok, sum_rate, max_eps, throughput) of each _columns entry in
-    one trial; module-level so it pickles for workers. The fading is drawn
+    one trial; module-level so it pickles for workers. The gains are drawn
     once, from (master_seed, trial) alone (budget and length do not enter
-    it), and each cell sets its own budget and length on that draw, so
-    comparisons across cells are paired."""
+    it), and each cell is built from that draw with its own budget and
+    length, so comparisons across cells are paired."""
     seed = np.random.SeedSequence([config.master_seed, trial])
-    draw = sample_realization(config.links, 1.0, 2, config.noise_power, seed, fading=config.fading)
+    gamma = sample_realization(config.links, config.noise_power, seed, fading=config.fading)
     realizations = {
-        (length, p_max): replace(draw, p_max=config.p_max_linear(p_max), block_length=int(length))
+        (length, p_max): NetworkRealization(gamma, config.p_max_linear(p_max), int(length))
         for length, p_max in product(config.l_grid, config.p_max_grid)
     }
     results = []

@@ -48,17 +48,17 @@ class OracleGrid:
             raise ValueError(f"oracle grid points must be >= 1: {self.p_points}, {self.eps_points}")
 
 
-def u2(eps, eps_max_overall) -> float:
-    """Normalized reliability objective (cap_N - max eps) / cap_N."""
-    return (eps_max_overall - float(np.max(eps))) / eps_max_overall
+def u2(max_eps, eps_max_overall) -> float:
+    """Normalized reliability objective (cap_N - max_eps) / cap_N."""
+    return (eps_max_overall - max_eps) / eps_max_overall
 
 
-def weighted_objective(omega, rate_sum, sr_inf, eps, eps_max_overall) -> float:
+def weighted_objective(omega, rate_sum, sr_inf, max_eps, eps_max_overall) -> float:
     """omega * U1 + (1 - omega) * U2, where U1 = rate_sum / sr_inf is the
     normalized rate objective: the sum of each user's rate_term, which
     deliberately leaves out the log(L)/L offset (constant in the decision
     variables; reported rates include it)."""
-    return omega * (rate_sum / sr_inf) + (1.0 - omega) * u2(eps, eps_max_overall)
+    return omega * (rate_sum / sr_inf) + (1.0 - omega) * u2(max_eps, eps_max_overall)
 
 
 def sum_throughput(rates, eps) -> float:
@@ -89,14 +89,15 @@ def make_report(
     terms = rate_term(realization.gamma * p, realization.block_length, qinv)
     rates = terms + length_offset(realization.block_length)
     rate_sum = float(np.sum(terms))
+    max_eps = float(np.max(eps))
     sr_inf = realization.sr_inf
     return SolveReport(
         allocation=Allocation(p=p, eps=eps),
-        objective=weighted_objective(omega, rate_sum, sr_inf, eps, profile.eps_max_overall),
+        objective=weighted_objective(omega, rate_sum, sr_inf, max_eps, profile.eps_max_overall),
         u1=rate_sum / sr_inf,
-        u2=u2(eps, profile.eps_max_overall),
+        u2=u2(max_eps, profile.eps_max_overall),
         sum_rate=float(np.sum(rates)),
-        max_eps=float(np.max(eps)),
+        max_eps=max_eps,
         throughput=sum_throughput(rates, eps),
         iterations=iterations,
         trace=trace or [],
@@ -104,7 +105,7 @@ def make_report(
     )
 
 
-def _alternate(realization, profile, omega, sr_inf, p0):
+def _alternate(realization, profile, omega, p0):
     """One alternation run from a given initial power vector. Returns
     (best objective, best p, best eps, trace, flags, iterations)."""
     p = np.asarray(p0, dtype=float)
@@ -118,12 +119,14 @@ def _alternate(realization, profile, omega, sr_inf, p0):
 
     for t in range(1, MAX_ALTERNATIONS + 1):
         iterations = t
-        assign = optimal_errors(realization, p, profile, omega, sr_inf)
-        power = solve_power(realization, assign.eps, omega, sr_inf, p_init=p)
+        assign = optimal_errors(realization, p, profile, omega)
+        power = solve_power(realization, assign.eps, omega, p_init=p)
         if not power.converged and "power_stage_cap" not in flags:
             flags.append("power_stage_cap")
         p = power.p
-        obj = weighted_objective(omega, power.rate_sum, sr_inf, assign.eps, profile.eps_max_overall)
+        obj = weighted_objective(
+            omega, power.rate_sum, realization.sr_inf, assign.z, profile.eps_max_overall
+        )
         d_eps = (
             float(np.max(np.abs(assign.eps - eps_prev)))
             if eps_prev is not None
@@ -166,8 +169,6 @@ def solve_joint(realization, profile, omega) -> SolveReport:
         raise ValueError("omega must lie in [0, 1]")
     if profile.n_users != realization.n_users:
         raise ValueError("profile and realization disagree on user count")
-    sr_inf = realization.sr_inf
-    n = realization.n_users
 
     if omega == 0.0:
         return make_report(
@@ -175,8 +176,8 @@ def solve_joint(realization, profile, omega) -> SolveReport:
             iterations=1, flags=["omega_zero"],
         )
 
-    wf_run = _alternate(realization, profile, omega, sr_inf, realization.p_wf)
-    silent_run = _alternate(realization, profile, omega, sr_inf, np.zeros(n))
+    wf_run = _alternate(realization, profile, omega, realization.p_wf)
+    silent_run = _alternate(realization, profile, omega, np.zeros(realization.n_users))
     if silent_run[0] > wf_run[0]:
         obj, p_best, eps_best, trace, flags, iterations = silent_run
         flags = flags + ["silent_start"]
@@ -205,7 +206,6 @@ def exhaustive_oracle(realization, profile, omega, grid=None):
         raise ValueError("exhaustive_oracle is guarded to 3 users or fewer")
     if profile.n_users != n:
         raise ValueError("profile and realization disagree on user count")
-    sr_inf = realization.sr_inf
 
     grids, z_cand, idx, feasible = z_sweep(profile.caps_original(), grid.eps_points)
     nz = z_cand.size
@@ -225,7 +225,7 @@ def exhaustive_oracle(realization, profile, omega, grid=None):
         s = block * realization.gamma
         a = dispersion_coeff(s, realization.block_length)
         logsum = np.sum(np.log1p(s), axis=1)
-        vals = (omega / sr_inf) * (logsum[:, None] - a @ qbest) + z_term[None, :]
+        vals = (omega / realization.sr_inf) * (logsum[:, None] - a @ qbest) + z_term[None, :]
         flat = int(np.argmax(vals))
         row, col = divmod(flat, nz)
         if vals[row, col] > best_val:

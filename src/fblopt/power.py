@@ -108,12 +108,12 @@ class _PowerObjective:
     evaluation, and neither does the next stage's start. Callers must not
     write into p between the calls."""
 
-    def __init__(self, realization, eps, omega, sr_inf):
+    def __init__(self, realization, eps, omega):
         self.gamma = realization.gamma
         self.L = realization.block_length
         self.p_max = realization.p_max
         self.qinv = q_inverse(np.maximum(np.asarray(eps, dtype=float), EPS_FLOOR))
-        self.scale = omega / sr_inf
+        self.scale = omega / realization.sr_inf
         self._qinv_gamma = self.qinv * self.gamma
         self._at = None  # (p, s, disp, sum p) of the last value() call
 
@@ -238,7 +238,7 @@ def _alm_run(obj, realization, p_init) -> PowerSolveResult:
     )
 
 
-def solve_power(realization, eps, omega, sr_inf, p_init=None) -> PowerSolveResult:
+def solve_power(realization, eps, omega, p_init=None) -> PowerSolveResult:
     """Augmented-Lagrangian outer loop for the fixed-error power subproblem.
 
     Stages alternate an inner maximization with the multiplier update until
@@ -267,23 +267,18 @@ def solve_power(realization, eps, omega, sr_inf, p_init=None) -> PowerSolveResul
     start) is run once per realization; the result is kept in
     realization.alm_runs under exactly those values, and a later call with
     the same key takes it from there. The kept result is then shared between
-    calls, so its p is read-only (as is the water-filling allocation
-    returned with omega == 0).
+    calls, so its p is read-only.
 
-    With omega == 0 the objective is identically zero and the water-filling
-    allocation is returned as the deterministic tie-break.
+    omega must lie in (0, 1]: at omega == 0 the objective is identically
+    zero and every feasible p is optimal.
     """
     eps = np.asarray(eps, dtype=float)
     if not np.all((0.0 < eps) & (eps < 0.5)):
         raise ValueError("eps must lie componentwise in (0, 0.5)")
-    if not 0.0 <= omega <= 1.0:
-        raise ValueError("omega must lie in [0, 1]")
+    if not 0.0 < omega <= 1.0:
+        raise ValueError("omega must lie in (0, 1] for the power subproblem")
 
-    obj = _PowerObjective(realization, eps, omega, sr_inf)
-    if omega == 0.0:
-        p = realization.p_wf
-        return PowerSolveResult(p=p, rate_sum=obj.rate_sum(p), trace=[], converged=True)
-
+    obj = _PowerObjective(realization, eps, omega)
     n = realization.n_users
     starts = [realization.p_wf if p_init is None else np.maximum(p_init, 0.0)]
     for i in range(n):
@@ -322,12 +317,12 @@ def simplex_grid(n_users, p_max, points) -> np.ndarray:
     return pts[pts.sum(axis=1) <= p_max * (1.0 + 1e-12)]
 
 
-def power_grid_oracle(realization, eps, omega, sr_inf, points=300):
+def power_grid_oracle(realization, eps, omega, points=300):
     """Best scaled rate objective over a simplex grid; brute-force reference
     for solve_power. Returns (p, objective value)."""
     pts = simplex_grid(realization.n_users, realization.p_max, points)
     qinv = q_inverse(np.maximum(np.asarray(eps, dtype=float), EPS_FLOOR))
     terms = rate_term(pts * realization.gamma, realization.block_length, qinv)
-    vals = (omega / sr_inf) * np.sum(terms, axis=1)
+    vals = (omega / realization.sr_inf) * np.sum(terms, axis=1)
     best = int(np.argmax(vals))
     return pts[best], float(vals[best])

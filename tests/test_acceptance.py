@@ -46,12 +46,11 @@ def random_error_instances(seed, count):
             gamma=gamma,
             p_max=p_max,
             block_length=int(rng.integers(100, 1000)),
-            noise_power=1.0,
         )
         profile = SortedQosProfile.from_caps(np.sort(rng.uniform(1e-5, 1e-2, n)))
         p = rng.dirichlet(np.ones(n)) * p_max * rng.uniform(0.3, 1.0)
         omega = rng.uniform(0.1, 0.99)
-        out.append((r, profile, p, omega, sr_infinity(gamma, p_max)))
+        out.append((r, profile, p, omega))
     return out
 
 
@@ -59,24 +58,24 @@ def random_error_instances(seed, count):
 def theorem_instances():
     instances = random_error_instances(seed=1001, count=200)
     return [
-        (r, prof, p, omega, sr, optimal_errors(r, p, prof, omega, sr))
-        for (r, prof, p, omega, sr) in instances
+        (r, prof, p, omega, optimal_errors(r, p, prof, omega))
+        for (r, prof, p, omega) in instances
     ]
 
 
 def test_criterion_01_error_assignment_oracle_equivalence(theorem_instances):
     worst = -np.inf
-    for r, prof, p, omega, sr, out in theorem_instances:
-        obj = subproblem_objective(r, p, prof, omega, sr, out.eps)
-        _, grid_obj = grid_search_errors(r, p, prof, omega, sr, points_per_user=10_000)
+    for r, prof, p, omega, out in theorem_instances:
+        obj = subproblem_objective(r, p, prof, omega, out.eps)
+        _, grid_obj = grid_search_errors(r, p, prof, omega, points_per_user=10_000)
         worst = max(worst, obj - grid_obj)
     report(1, worst <= 1e-8, f"worst objective excess over 10^4-point grid: {worst:.3e}")
 
 
 def test_criterion_02_kkt_residuals(theorem_instances):
     worst = max(
-        kkt_residual(out, r, p, prof, omega, sr)
-        for r, prof, p, omega, sr, out in theorem_instances
+        kkt_residual(out, r, p, prof, omega)
+        for r, prof, p, omega, out in theorem_instances
     )
     report(2, worst <= 1e-8, f"worst KKT residual: {worst:.3e}")
 
@@ -100,16 +99,15 @@ def test_criterion_04_power_solver_vs_grid():
             gamma=gamma,
             p_max=p_max,
             block_length=int(rng.integers(100, 400)),
-            noise_power=1.0,
         )
         eps = rng.uniform(1e-5, 1e-2, 2)
         omega = rng.uniform(0.1, 0.99)
         sr = sr_infinity(gamma, p_max)
-        res = solve_power(r, eps, omega, sr)
+        res = solve_power(r, eps, omega)
         s = gamma * res.p
         rates = np.log1p(s) - dispersion_coeff(s, r.block_length) * q_inverse(eps)
         val = omega * (float(np.sum(rates)) / sr)
-        _, oracle = power_grid_oracle(r, eps, omega, sr, points=300)
+        _, oracle = power_grid_oracle(r, eps, omega, points=300)
         worst_gap = max(worst_gap, (oracle - val) / max(abs(oracle), 1e-12))
         worst_viol = max(
             worst_viol,
@@ -135,7 +133,6 @@ def test_criterion_05_joint_solver_vs_exhaustive():
             gamma=gamma,
             p_max=p_max,
             block_length=int(rng.integers(100, 400)),
-            noise_power=1.0,
         )
         profile = SortedQosProfile.from_caps(np.sort(rng.uniform(1e-5, 1e-2, n)))
         omega = rng.uniform(0.1, 0.99)
@@ -157,18 +154,16 @@ def test_criterion_06_gradient_check():
             gamma=gamma,
             p_max=p_max,
             block_length=int(rng.integers(100, 800)),
-            noise_power=1.0,
         )
         eps = rng.uniform(1e-5, 1e-2, n)
         omega = rng.uniform(0.1, 1.0)
-        sr = sr_infinity(gamma, p_max)
         mu = rng.uniform(0.5, 50.0)
         zeta = rng.uniform(0.0, 1.0)
         p = rng.uniform(0.05, 2.0, n)
         if abs(zeta - mu * (p_max - p.sum())) < 1e-2:
             continue  # too close to the penalty kink for central differences
         checked += 1
-        obj = _PowerObjective(r, eps, omega, sr)
+        obj = _PowerObjective(r, eps, omega)
         g = obj.grad(p, mu, zeta)
         fd = np.empty(n)
         for i in range(n):
@@ -190,11 +185,8 @@ def test_criterion_07_multiplier_update():
     mu3, zeta3 = update_multipliers(1.0, 0.0, 1.0 - 1.2)
     case3 = abs(zeta3 - 0.2) < 1e-15 and mu3 == 2.0
 
-    r2 = NetworkRealization(
-        gamma=np.array([0.8, 1.3]), p_max=3.0, block_length=200, noise_power=1.0
-    )
-    sr = sr_infinity(r2.gamma, r2.p_max)
-    res = solve_power(r2, np.array([1e-4, 5e-4]), 0.8, sr)
+    r2 = NetworkRealization(gamma=np.array([0.8, 1.3]), p_max=3.0, block_length=200)
+    res = solve_power(r2, np.array([1e-4, 5e-4]), 0.8)
     mus = [rec.mu for rec in res.trace]
     trace_ok = mus == [2.0**l for l in range(len(mus))]
     ok = case1 and case2 and case3 and trace_ok

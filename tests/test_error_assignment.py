@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fblopt.channel
 from fblopt.channel import NetworkRealization
 from fblopt.error_assignment import (
     EDGE_TOL,
@@ -23,7 +24,6 @@ def make_instance(gamma, p_max=4.0, L=200, caps=PAPER_CAPS):
         gamma=np.asarray(gamma, dtype=float),
         p_max=p_max,
         block_length=L,
-        noise_power=1.0,
     )
     return r, SortedQosProfile.from_caps(caps[: len(gamma)])
 
@@ -34,7 +34,7 @@ def random_instance(rng, n=None):
     p_max = rng.uniform(0.5, 10.0)
     L = int(rng.integers(100, 1000))
     caps = np.sort(rng.uniform(1e-5, 1e-2, n))
-    r = NetworkRealization(gamma=gamma, p_max=p_max, block_length=L, noise_power=1.0)
+    r = NetworkRealization(gamma=gamma, p_max=p_max, block_length=L)
     profile = SortedQosProfile.from_caps(caps)
     p = rng.dirichlet(np.ones(n)) * p_max * rng.uniform(0.3, 1.0)
     omega = rng.uniform(0.1, 0.99)
@@ -48,7 +48,7 @@ def many_users_instance(rng):
     gamma = rng.exponential(1.0, 12) + 0.02
     p_max = 10.0 ** (rng.choice([0.0, 12.0]) / 10.0)
     r = NetworkRealization(
-        gamma=gamma, p_max=p_max, block_length=int(rng.choice([100, 1600])), noise_power=1.0
+        gamma=gamma, p_max=p_max, block_length=int(rng.choice([100, 1600]))
     )
     profile = SortedQosProfile.from_caps(rng.permutation(np.geomspace(1e-5, 5e-4, 12)))
     p = rng.dirichlet(np.ones(12)) * p_max
@@ -92,19 +92,21 @@ class TestSortedQosProfile:
 
 class TestBetaK:
     def test_log_argument_one_gives_half(self):
-        # choose sr_inf so the logarithm's argument is exactly 1
+        # set the realization's normalizer so the logarithm's argument is
+        # exactly 1; no power budget gives this value
         r, prof = make_instance([1.0], p_max=4.0, L=100, caps=(1e-3,))
         p = np.array([3.0])
         term = np.sqrt(15.0) / 4.0
         omega = 0.5
         sr = 1e-3 * omega * np.sqrt(2 * np.pi) * term / (np.sqrt(100) * (1 - omega))
-        b, degenerate = beta_k(r, p, prof, omega, sr, 1)
+        r.__dict__["sr_inf"] = sr  # where the cached property keeps its value
+        b, degenerate = beta_k(r, p, prof, omega, 1)
         assert not degenerate
         assert b == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_tail_power_degenerate(self):
         r, prof = make_instance([1.0, 1.0])
-        b, degenerate = beta_k(r, np.zeros(2), prof, 0.5, 1.0, 1)
+        b, degenerate = beta_k(r, np.zeros(2), prof, 0.5, 1)
         assert degenerate and b == 0.0
 
     def test_matches_kkt_bisection(self):
@@ -131,22 +133,22 @@ class TestBetaK:
                     lo = mid
                 else:
                     hi = mid
-            b, degenerate = beta_k(r, p, prof, omega, sr, k)
+            b, degenerate = beta_k(r, p, prof, omega, k)
             assert not degenerate
             assert b == pytest.approx(np.sqrt(lo * hi), rel=1e-9)
 
     def test_absent_when_argument_below_one(self):
         r, prof = make_instance([1.0])
         # omega = 1 zeroes the numerator
-        b, degenerate = beta_k(r, np.array([1.0]), prof, 1.0, 1.0, 1)
+        b, degenerate = beta_k(r, np.array([1.0]), prof, 1.0, 1)
         assert b is None and not degenerate
 
     def test_range_when_present(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
-            r, prof, p, omega, sr = random_instance(rng)
+            r, prof, p, omega, _ = random_instance(rng)
             for k in range(1, r.n_users + 1):
-                b, degenerate = beta_k(r, p, prof, omega, sr, k)
+                b, degenerate = beta_k(r, p, prof, omega, k)
                 if b is not None and not degenerate:
                     assert 0.0 < b <= 0.5
 
@@ -155,7 +157,7 @@ class TestOptimalErrors:
     def test_omega_one_returns_caps(self):
         r, prof = make_instance([0.7, 1.1, 0.4, 0.9])
         p = water_filling(r.gamma, r.p_max)
-        out = optimal_errors(r, p, prof, 1.0, sr_infinity(r.gamma, r.p_max))
+        out = optimal_errors(r, p, prof, 1.0)
         assert out.branch == 5
         assert np.array_equal(out.eps, prof.caps_original())
         assert out.z == 5e-4
@@ -163,13 +165,18 @@ class TestOptimalErrors:
     def test_omega_zero_rejected(self):
         r, prof = make_instance([1.0])
         with pytest.raises(ValueError):
-            optimal_errors(r, np.array([1.0]), prof, 0.0, 1.0)
+            optimal_errors(r, np.array([1.0]), prof, 0.0)
 
     @pytest.mark.parametrize("sr_inf", [0.0, -1.0, np.nan])
-    def test_bad_sr_inf_rejected(self, sr_inf):
+    def test_bad_sr_inf_rejected(self, sr_inf, monkeypatch):
+        # the realization checks its normalizer where it computes it, so the
+        # error subproblem never scales by a value that is not positive
+        monkeypatch.setattr(fblopt.channel, "sr_infinity", lambda *args: sr_inf)
         r, prof = make_instance([1.0])
-        with pytest.raises(ValueError):
-            optimal_errors(r, np.array([1.0]), prof, 0.9, sr_inf)
+        with pytest.raises(ValueError, match="sr_inf must be positive"):
+            r.sr_inf
+        with pytest.raises(ValueError, match="sr_inf must be positive"):
+            optimal_errors(r, np.array([1.0]), prof, 0.9)
 
     def test_paper_profile_shape(self):
         rng = np.random.default_rng(11)
@@ -178,8 +185,7 @@ class TestOptimalErrors:
             r, prof = make_instance(gamma)
             p = rng.dirichlet(np.ones(4)) * r.p_max
             omega = rng.uniform(0.05, 0.95)
-            sr = sr_infinity(gamma, r.p_max)
-            out = optimal_errors(r, p, prof, omega, sr)
+            out = optimal_errors(r, p, prof, omega)
             eps_sorted = prof.to_sorted(out.eps)
             caps = np.array(prof.eps_max_sorted)
             k = out.branch
@@ -196,10 +202,9 @@ class TestOptimalErrors:
         gamma = np.array([1.5, 1.5])
         r, prof = make_instance(gamma, p_max=4.0, L=200, caps=(1e-4, 1e-4))
         p = np.array([2.0, 2.0])  # gamma*p = [3, 3]
-        sr = sr_infinity(gamma, r.p_max)
-        out = optimal_errors(r, p, prof, 0.5, sr)
-        obj = subproblem_objective(r, p, prof, 0.5, sr, out.eps)
-        _, grid_obj = grid_search_errors(r, p, prof, 0.5, sr, points_per_user=10_000)
+        out = optimal_errors(r, p, prof, 0.5)
+        obj = subproblem_objective(r, p, prof, 0.5, out.eps)
+        _, grid_obj = grid_search_errors(r, p, prof, 0.5, points_per_user=10_000)
         assert obj <= grid_obj + 1e-8
 
     def test_cap_saturated_level_regression(self):
@@ -208,30 +213,31 @@ class TestOptimalErrors:
         gamma = np.array([0.70752926, 1.02520335, 0.56854866, 0.89510986])
         r, prof = make_instance(gamma, p_max=4.0, L=200)
         p = water_filling(gamma, 4.0)
-        sr = sr_infinity(gamma, 4.0)
-        out = optimal_errors(r, p, prof, 0.5, sr)
+        out = optimal_errors(r, p, prof, 0.5)
         assert out.z == pytest.approx(1e-5, abs=1e-18)
-        obj = subproblem_objective(r, p, prof, 0.5, sr, out.eps)
-        _, grid_obj = grid_search_errors(r, p, prof, 0.5, sr, points_per_user=4000)
+        obj = subproblem_objective(r, p, prof, 0.5, out.eps)
+        _, grid_obj = grid_search_errors(r, p, prof, 0.5, points_per_user=4000)
         assert obj <= grid_obj + 1e-8
 
     def test_oracle_equivalence_random(self):
         rng = np.random.default_rng(17)
         instances = [random_instance(rng) for _ in range(40)]
-        for r, profile, p, omega, sr in instances + [many_users_instance(rng) for _ in range(8)]:
-            out = optimal_errors(r, p, profile, omega, sr)
-            obj = subproblem_objective(r, p, profile, omega, sr, out.eps)
-            _, grid_obj = grid_search_errors(r, p, profile, omega, sr, points_per_user=2000)
+        for r, profile, p, omega, _ in instances + [many_users_instance(rng) for _ in range(8)]:
+            out = optimal_errors(r, p, profile, omega)
+            # the joint solver scores each iterate with z as the max level
+            assert out.z == float(np.max(out.eps))
+            obj = subproblem_objective(r, p, profile, omega, out.eps)
+            _, grid_obj = grid_search_errors(r, p, profile, omega, points_per_user=2000)
             assert obj <= grid_obj + 1e-8
 
     def test_branch_exclusivity(self):
         rng = np.random.default_rng(23)
         for _ in range(60):
-            r, profile, p, omega, sr = random_instance(rng)
+            r, profile, p, omega, _ = random_instance(rng)
             caps = np.array(profile.eps_max_sorted)
             hits = 0
             for k in range(1, r.n_users + 1):
-                b, degenerate = beta_k(r, p, profile, omega, sr, k)
+                b, degenerate = beta_k(r, p, profile, omega, k)
                 if b is None or degenerate:
                     continue
                 lo = 0.0 if k == 1 else caps[k - 2]
@@ -242,7 +248,7 @@ class TestOptimalErrors:
     def test_objective_convex_along_random_directions(self):
         rng = np.random.default_rng(31)
         for _ in range(25):
-            r, profile, p, omega, sr = random_instance(rng)
+            r, profile, p, omega, _ = random_instance(rng)
             caps = profile.caps_original()
             base = caps * rng.uniform(0.3, 0.8, r.n_users)
             d = rng.normal(size=r.n_users)
@@ -250,7 +256,7 @@ class TestOptimalErrors:
             scale = 0.1 * base.min()
             ts = np.linspace(-1.0, 1.0, 9)
             vals = [
-                subproblem_objective(r, p, profile, omega, sr, base + t * scale * d)
+                subproblem_objective(r, p, profile, omega, base + t * scale * d)
                 for t in ts
             ]
             second = np.diff(vals, 2)
@@ -261,26 +267,24 @@ class TestKktResidual:
     def test_closed_form_residual_small(self):
         rng = np.random.default_rng(41)
         instances = [random_instance(rng) for _ in range(40)]
-        for r, profile, p, omega, sr in instances + [many_users_instance(rng) for _ in range(8)]:
-            out = optimal_errors(r, p, profile, omega, sr)
-            assert kkt_residual(out, r, p, profile, omega, sr) <= 1e-8
+        for r, profile, p, omega, _ in instances + [many_users_instance(rng) for _ in range(8)]:
+            out = optimal_errors(r, p, profile, omega)
+            assert kkt_residual(out, r, p, profile, omega) <= 1e-8
 
     def test_perturbed_assignment_flagged(self):
         r, prof = make_instance([0.8, 1.2, 0.6, 1.0])
         p = water_filling(r.gamma, r.p_max)
-        sr = sr_infinity(r.gamma, r.p_max)
-        out = optimal_errors(r, p, prof, 0.6, sr)
+        out = optimal_errors(r, p, prof, 0.6)
         eps = out.eps.copy()
         eps[1] *= 1.1
         bad = ErrorAssignment(eps=eps, z=float(eps.max()), branch=out.branch)
-        assert kkt_residual(bad, r, p, prof, 0.6, sr) > 1e-3
+        assert kkt_residual(bad, r, p, prof, 0.6) > 1e-3
 
     def test_omega_one_caps_residual(self):
         r, prof = make_instance([0.8, 1.2])
         p = water_filling(r.gamma, r.p_max)
-        sr = sr_infinity(r.gamma, r.p_max)
-        out = optimal_errors(r, p, prof, 1.0, sr)
-        assert kkt_residual(out, r, p, prof, 1.0, sr) <= 1e-8
+        out = optimal_errors(r, p, prof, 1.0)
+        assert kkt_residual(out, r, p, prof, 1.0) <= 1e-8
 
 
 class TestGridOracle:
@@ -288,15 +292,13 @@ class TestGridOracle:
         rng = np.random.default_rng(53)
         for _ in range(10):
             r, profile, p, omega, sr = random_instance(rng, n=2)
-            eps_fast, obj_fast = grid_search_errors(
-                r, p, profile, omega, sr, points_per_user=60
-            )
+            eps_fast, obj_fast = grid_search_errors(r, p, profile, omega, points_per_user=60)
             eps_naive, obj_naive = naive_grid_min(r, p, profile, omega, sr, points=60)
             assert obj_fast == pytest.approx(obj_naive, rel=1e-12)
             assert np.allclose(eps_fast, eps_naive, rtol=1e-12)
 
     def test_grid_points_respect_caps(self):
-        r, profile, p, omega, sr = random_instance(np.random.default_rng(3), n=3)
-        eps, _ = grid_search_errors(r, p, profile, omega, sr, points_per_user=500)
+        r, profile, p, omega, _ = random_instance(np.random.default_rng(3), n=3)
+        eps, _ = grid_search_errors(r, p, profile, omega, points_per_user=500)
         assert np.all(eps <= profile.caps_original())
         assert np.all(eps > EPS_FLOOR * (1 - 1e-12))

@@ -1,13 +1,16 @@
 import hashlib
+import json
+import math
 import os
 import re
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fblopt.channel import UserLink, sample_realization
+from fblopt.channel import NetworkRealization, UserLink, sample_realization
 from fblopt.error_assignment import SortedQosProfile, optimal_errors
 import fblopt.channel
 import fblopt.harness
@@ -28,7 +31,7 @@ from fblopt.harness import (
     write_manifest,
 )
 from fblopt.joint import OracleGrid, solve_joint
-from fblopt.power import equal_power, sr_infinity, water_filling
+from fblopt.power import equal_power, water_filling
 
 PAPER_CAPS = (1e-5, 5e-5, 1e-4, 5e-4)
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,7 +52,7 @@ class TestSchemeDispatch:
     def setup_method(self):
         self.links = [UserLink(1.0, 1.0, 3.0, c) for c in PAPER_CAPS]
         self.profile = SortedQosProfile.from_caps(PAPER_CAPS)
-        self.r = sample_realization(self.links, 4.0, 200, 1.0, seed=5)
+        self.r = NetworkRealization(sample_realization(self.links, 1.0, seed=5), 4.0, 200)
 
     def test_wf_minmax_uses_strictest_cap(self):
         rep = scheme_dispatch("wf_minmax", self.r, self.profile, 0.9)
@@ -64,9 +67,17 @@ class TestSchemeDispatch:
     def test_equal_power_split(self):
         rep = scheme_dispatch("equalpower_opteps", self.r, self.profile, 0.9)
         assert np.allclose(rep.allocation.p, equal_power(4, 4.0))
-        sr = sr_infinity(self.r.gamma, 4.0)
-        expected = optimal_errors(self.r, rep.allocation.p, self.profile, 0.9, sr).eps
+        expected = optimal_errors(self.r, rep.allocation.p, self.profile, 0.9).eps
         assert np.array_equal(rep.allocation.eps, expected)
+
+    def test_proposedpower_minmax_omega_zero_is_water_filling(self, monkeypatch):
+        # with no weight on the rate every p is optimal; no power solve runs
+        calls = []
+        real = fblopt.power.q_inverse
+        monkeypatch.setattr(fblopt.power, "q_inverse", lambda e: calls.append(1) or real(e))
+        rep = scheme_dispatch("proposedpower_minmax", self.r, self.profile, 0.0)
+        assert rep.allocation.p is self.r.p_wf and calls == []
+        assert np.all(rep.allocation.eps == 1e-5) and rep.flags == []
 
     def test_proposed_is_joint_solver(self):
         rep = scheme_dispatch("proposed", self.r, self.profile, 0.9)
@@ -96,7 +107,7 @@ class TestRunScenario:
         )
         rows = run_scenario(cfg)
         assert len(rows) == 1
-        r = sample_realization(cfg.links, 10.0, 200, 1.0, fading=False)
+        r = NetworkRealization(sample_realization(cfg.links, 1.0, fading=False), 10.0, 200)
         rep = solve_joint(r, SortedQosProfile.from_caps([5e-4]), 0.9)
         assert rows[0].mean_sum_rate == rep.sum_rate
         assert rows[0].mean_throughput == rep.throughput
@@ -200,7 +211,7 @@ class TestRunScenario:
         for trial, calls in seen.items():
             assert len(calls) == 16
             rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, trial]))
-            expected = real_sample(cfg.links, 1.0, 2, 1.0, rng=rng).gamma
+            expected = real_sample(cfg.links, 1.0, rng)
             assert all(np.array_equal(gamma, expected) for gamma, _, _ in calls)
             cells = {(length, p_max) for _, length, p_max in calls}
             assert cells == {(l, 10.0 ** (p / 10.0)) for l in (100, 200) for p in (0.0, 6.0)}
@@ -250,7 +261,7 @@ class TestRunScenario:
         assert sorted(calls) == sorted(cfg.p_max_linear(p) for p in (0.0, 6.0) for _ in range(2))
 
     def test_cached_water_filling_is_read_only(self):
-        r = sample_realization(default_config().links, 4.0, 200, 1.0, seed=5)
+        r = NetworkRealization(sample_realization(default_config().links, 1.0, seed=5), 4.0, 200)
         assert np.array_equal(r.p_wf, water_filling(r.gamma, 4.0))
         with pytest.raises(ValueError):
             r.p_wf[0] = 0.0
@@ -486,6 +497,11 @@ eps_max = 1e-5 5e-4
         path.write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
         assert load_config_file(path) == default_config(l_grid=(100, 200))
 
+    def test_readme_library_example_runs(self, capsys):
+        readme = (ROOT / "README.md").read_text()
+        exec(re.search(r"```python\n(.*?)```", readme, re.S).group(1), {})
+        assert capsys.readouterr().out.strip()
+
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
             load_config_file("/nonexistent/scenario.ini")
@@ -602,6 +618,31 @@ class TestCli:
         assert all(seconds > 0.0 for _, seconds in records)
         assert scheme_dispatch.__module__ == "fblopt.harness"
         assert fblopt.harness.scheme_dispatch is scheme_dispatch  # restored on exit
+
+    def test_benchmark_trace_is_complete_strict_json(self, tmp_path, monkeypatch):
+        # the benchmark's traced run drops every metric whose hook target is
+        # gone or whose result it can no longer read, and json.dumps writes a
+        # non-finite value as NaN; either leaves run.py a last line it cannot
+        # read as a result
+        import dataclasses
+        import importlib.util
+
+        monkeypatch.setattr(sys, "path", list(sys.path))  # measure.py prepends its folder
+        for name in ("hooks", "workloads"):
+            monkeypatch.delitem(sys.modules, name, raising=False)
+        spec = importlib.util.spec_from_file_location("bench_measure", ROOT / "benchmarks" / "measure.py")
+        measure = importlib.util.module_from_spec(spec)
+        try:
+            spec.loader.exec_module(measure)
+            wl = dataclasses.replace(measure.WORKLOADS["default_cell"], trace_trials=5)
+            result = measure.trace(wl, 9, tmp_path)
+        finally:
+            for name in ("hooks", "workloads"):
+                sys.modules.pop(name, None)
+        assert result["absent"] == [] and not result["aborted"]
+        assert set(result["metrics"]) == set(measure.PER_LAYER)
+        assert all(math.isfinite(v) for v in result["metrics"].values())
+        json.dumps(result, allow_nan=False)
 
 
 GOLDEN_CSV = """\

@@ -32,7 +32,7 @@ PAPER_CAPS = (1e-5, 5e-5, 1e-4, 5e-4)
 
 def make_instance(gamma, p_max=4.0, L=200, caps=PAPER_CAPS):
     gamma = np.asarray(gamma, dtype=float)
-    r = NetworkRealization(gamma=gamma, p_max=p_max, block_length=L, noise_power=1.0)
+    r = NetworkRealization(gamma=gamma, p_max=p_max, block_length=L)
     return r, SortedQosProfile.from_caps(caps[: gamma.size])
 
 
@@ -78,9 +78,9 @@ class TestObjectives:
         assert make_report(r, prof, p, eps, 0.9).u1 == pytest.approx(manual, rel=1e-12)
 
     def test_u2_examples(self):
-        assert u2(np.array([1e-5, 5e-4]), 5e-4) == 0.0
-        assert u2(np.array([1e-12, 1e-12]), 5e-4) == pytest.approx(1.0, rel=1e-8)
-        assert u2(np.array([1e-4, 5e-5]), 5e-4) == pytest.approx(0.8, rel=1e-12)
+        assert u2(5e-4, 5e-4) == 0.0
+        assert u2(1e-12, 5e-4) == pytest.approx(1.0, rel=1e-8)
+        assert u2(1e-4, 5e-4) == pytest.approx(0.8, rel=1e-12)
 
 
 class TestThroughput:
@@ -132,13 +132,14 @@ class TestMakeReport:
             terms = rate_term(r.gamma * p, r.block_length, real(np.maximum(eps, EPS_FLOOR)))
             rates = terms + length_offset(r.block_length)
             total = float(np.sum(terms))
-            assert rep.u1 == total / r.sr_inf and rep.u2 == u2(eps, prof.eps_max_overall)
+            max_eps = float(np.max(eps))
+            assert rep.u1 == total / r.sr_inf and rep.u2 == u2(max_eps, prof.eps_max_overall)
             assert rep.objective == weighted_objective(
-                omega, total, r.sr_inf, eps, prof.eps_max_overall
+                omega, total, r.sr_inf, max_eps, prof.eps_max_overall
             )
             assert rep.sum_rate == float(np.sum(rates))
             assert rep.throughput == sum_throughput(rates, eps)
-            assert rep.max_eps == float(np.max(eps))
+            assert rep.max_eps == max_eps
             assert np.array_equal(rep.allocation.p, p) and np.array_equal(rep.allocation.eps, eps)
             assert (rep.iterations, rep.trace, rep.flags) == (3, [], ["x"])
 
@@ -200,13 +201,13 @@ class TestSolveJoint:
         keys, requested = [], []
         warm = [False]  # the next _alm_run is a solve's warm start
 
-        def solve(realization, eps, omega, sr_inf, p_init):
+        def solve(realization, eps, omega, p_init):
             warm[0] = True
             vertices = np.eye(n) * realization.p_max
             requested.append(
                 n - any(np.array_equal(v, p_init) for v in vertices) + bool(np.any(p_init != 0.0))
             )
-            return real_solve(realization, eps, omega, sr_inf, p_init)
+            return real_solve(realization, eps, omega, p_init)
 
         def run(obj, realization, p_init):
             if not warm[0]:
@@ -286,7 +287,7 @@ class TestSolveJoint:
     def test_omega_sweep_monotone(self):
         links = [UserLink(1.0, 1.0, 3.0, c) for c in PAPER_CAPS]
         prof = SortedQosProfile.from_caps(PAPER_CAPS)
-        r = sample_realization(links, 10 ** 0.6, 200, 1.0, seed=21)
+        r = NetworkRealization(sample_realization(links, 1.0, seed=21), 10 ** 0.6, 200)
         sweep = [solve_joint(r, prof, w) for w in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99)]
         rates = [rep.sum_rate for rep in sweep]
         errs = [rep.max_eps for rep in sweep]
@@ -329,7 +330,7 @@ class TestExhaustiveOracle:
                     for e1 in eps_grids[1]:
                         eps = np.array([e0, e1])
                         cand = weighted_objective(
-                            omega, rate_sum(r, p, eps), sr, eps, prof.eps_max_overall
+                            omega, rate_sum(r, p, eps), sr, eps.max(), prof.eps_max_overall
                         )
                         best = max(best, cand)
             assert val == pytest.approx(best, rel=1e-12)
@@ -339,6 +340,6 @@ class TestExhaustiveOracle:
         rep = exhaustive_oracle(r, prof, omega, OracleGrid(40, 40))
         alloc, sr = rep.allocation, sr_infinity(r.gamma, r.p_max)
         recomputed = weighted_objective(
-            omega, rate_sum(r, alloc.p, alloc.eps), sr, alloc.eps, prof.eps_max_overall
+            omega, rate_sum(r, alloc.p, alloc.eps), sr, alloc.eps.max(), prof.eps_max_overall
         )
         assert recomputed == pytest.approx(rep.objective, rel=1e-12)

@@ -25,9 +25,7 @@ from fblopt.power import (
 
 
 def make_realization(gamma, p_max=4.0, L=200):
-    return NetworkRealization(
-        gamma=np.asarray(gamma, dtype=float), p_max=p_max, block_length=L, noise_power=1.0
-    )
+    return NetworkRealization(gamma=np.asarray(gamma, dtype=float), p_max=p_max, block_length=L)
 
 
 def rate_value(realization, p, eps, omega, sr):
@@ -104,7 +102,7 @@ class TestAugmentedLagrangian:
         self.r = make_realization([1.0, 2.0], p_max=2.0)
         self.eps = np.array([1e-4, 1e-4])
         self.sr = sr_infinity(self.r.gamma, self.r.p_max)
-        self.obj = _PowerObjective(self.r, self.eps, 0.7, self.sr)
+        self.obj = _PowerObjective(self.r, self.eps, 0.7)
 
     def test_no_penalty_when_slack_and_zero_multiplier(self):
         p = np.array([0.5, 0.5])
@@ -130,14 +128,13 @@ class TestAugmentedLagrangian:
             r = make_realization(gamma, p_max=rng.uniform(1.0, 6.0))
             eps = rng.uniform(1e-5, 1e-2, n)
             omega = rng.uniform(0.1, 1.0)
-            sr = sr_infinity(gamma, r.p_max)
             mu = rng.uniform(0.5, 50.0)
             zeta = rng.uniform(0.0, 1.0)
             p = rng.uniform(0.05, 2.0, n)
             # keep clear of the penalty kink so central differences are valid
             if abs(zeta - mu * (r.p_max - p.sum())) < 1e-2:
                 p = p + 0.1
-            obj = _PowerObjective(r, eps, omega, sr)
+            obj = _PowerObjective(r, eps, omega)
             g = obj.grad(p, mu, zeta)
             fd = np.empty(n)
             for i in range(n):
@@ -177,20 +174,20 @@ class TestSharedEvaluation:
             mu, zeta = rng.uniform(0.5, 1e4), rng.uniform(0.0, 1.0)
             p = rng.uniform(0.0, 2.0 * r.p_max / n, n)
             p[rng.random(n) < 0.3] = 0.0
-            obj = _PowerObjective(r, eps, omega, sr)
+            obj = _PowerObjective(r, eps, omega)
             f = obj.value(p, mu, zeta)
             g = obj.grad(p, mu, zeta)
-            assert f == _PowerObjective(r, eps, omega, sr).value(p, mu, zeta)
-            assert np.array_equal(g, _PowerObjective(r, eps, omega, sr).grad(p, mu, zeta))
+            assert f == _PowerObjective(r, eps, omega).value(p, mu, zeta)
+            assert np.array_equal(g, _PowerObjective(r, eps, omega).grad(p, mu, zeta))
             assert np.array_equal(g, self.reference_grad(r, eps, omega, sr, mu, zeta, p))
 
     def test_grad_on_another_array_is_not_reused(self):
         r = make_realization([0.8, 1.3], p_max=3.0)
-        eps, sr = np.array([1e-4, 5e-4]), sr_infinity(r.gamma, 3.0)
-        obj = _PowerObjective(r, eps, 0.8, sr)
+        eps = np.array([1e-4, 5e-4])
+        obj = _PowerObjective(r, eps, 0.8)
         a, b = np.array([1.0, 0.5]), np.array([0.2, 2.0])
         obj.value(a, 2.0, 0.15)
-        assert np.array_equal(obj.grad(b, 2.0, 0.15), _PowerObjective(r, eps, 0.8, sr).grad(b, 2.0, 0.15))
+        assert np.array_equal(obj.grad(b, 2.0, 0.15), _PowerObjective(r, eps, 0.8).grad(b, 2.0, 0.15))
 
     @staticmethod
     def count_dispersion(monkeypatch):
@@ -203,7 +200,7 @@ class TestSharedEvaluation:
         # the next stage starts where the last one ended, with only mu and
         # zeta changed; that point's SNR, dispersion and sum are already held
         r = make_realization([0.9, 1.7], p_max=3.0)
-        obj = _PowerObjective(r, np.array([1e-4, 5e-4]), 0.7, sr_infinity(r.gamma, 3.0))
+        obj = _PowerObjective(r, np.array([1e-4, 5e-4]), 0.7)
         p, converged, _ = _spg(obj, 8.0, 0.15, np.array([1.5, 1.5]))
         assert converged
         calls = self.count_dispersion(monkeypatch)
@@ -212,7 +209,7 @@ class TestSharedEvaluation:
 
     def test_alm_stage_starts_cost_no_evaluation(self, monkeypatch):
         r = make_realization([0.8, 1.3, 0.4, 2.2], p_max=3.0)
-        obj = _PowerObjective(r, np.array([1e-4, 5e-4, 1e-3, 2e-5]), 0.8, sr_infinity(r.gamma, 3.0))
+        obj = _PowerObjective(r, np.array([1e-4, 5e-4, 1e-3, 2e-5]), 0.8)
         values = []
         value = obj.value
         obj.value = lambda p, mu, zeta: values.append(1) or value(p, mu, zeta)
@@ -240,7 +237,8 @@ class TestStartReuse:
     @pytest.mark.parametrize("n", [4, 12])
     def test_run_ignores_users_outside_start_support(self, n):
         # the support invariant behind the reuse rule: a run from a vertex or
-        # from zero is bitwise the same whatever the other users' gains and eps
+        # from zero is bitwise the same whatever the other users' gains and eps,
+        # at the same omega / sr_inf (r2 is given r1's normalizer)
         rng = np.random.default_rng(7 * n)
         for _ in range(3):
             gamma = rng.exponential(1.0, n) + 0.05
@@ -255,8 +253,10 @@ class TestStartReuse:
                 eps2[off] = rng.uniform(1e-6, 1e-2, off.sum())
                 r1 = make_realization(gamma, p_max, L)
                 r2 = make_realization(gamma2, p_max, L)
-                obj1 = _PowerObjective(r1, eps, omega, sr)
-                obj2 = _PowerObjective(r2, eps2, omega, sr)
+                r2.__dict__["sr_inf"] = r1.sr_inf  # where the cached property keeps it
+                assert r1.sr_inf == sr
+                obj1 = _PowerObjective(r1, eps, omega)
+                obj2 = _PowerObjective(r2, eps2, omega)
                 assert_same_run(_alm_run(obj1, r1, p0), _alm_run(obj2, r2, p0))
 
     @pytest.mark.parametrize("n", [1, 4, 12])
@@ -274,14 +274,13 @@ class TestStartReuse:
                 rng.exponential(1.0, n) + 0.05, rng.uniform(0.5, 16.0), int(rng.integers(100, 2000))
             )
             eps, omega = rng.uniform(1e-6, 1e-2, n), rng.uniform(0.1, 1.0)
-            sr = sr_infinity(r.gamma, r.p_max)
-            res = solve_power(r, eps, omega, sr)
+            res = solve_power(r, eps, omega)
             assert res.rate_sum == expected(r, res.p, eps)
             fresh = dict(r.alm_runs)
             assert all(run.rate_sum == expected(r, run.p, eps) for run in fresh.values())
             # eps changed off user 0: runs started on user 0 or on nobody are reused
             eps2 = np.where(np.arange(n) == 0, eps, 2 * eps)
-            res2 = solve_power(r, eps2, omega, sr)
+            res2 = solve_power(r, eps2, omega)
             assert res2.rate_sum == expected(r, res2.p, eps2)
             qinv2 = q_inverse(np.maximum(eps2, EPS_FLOOR))
             reused = [
@@ -300,24 +299,24 @@ class TestStartReuse:
 
         monkeypatch.setattr(fblopt.power, "_alm_run", counted)
         r = make_realization([0.8, 1.3, 0.4, 2.2], p_max=3.0)
-        eps, sr = np.array([1e-4, 5e-4, 1e-3, 2e-5]), sr_infinity(r.gamma, r.p_max)
-        first = solve_power(r, eps, 0.8, sr)
+        eps = np.array([1e-4, 5e-4, 1e-3, 2e-5])
+        first = solve_power(r, eps, 0.8)
         assert len(calls) == 6 and len(r.alm_runs) == 5
         assert not any(run.p.flags.writeable for run in r.alm_runs.values())
         # eps changed off user 0: vertex 0 and zero (empty support) are kept,
         # the warm start and the other vertices run
         eps2 = np.where(np.arange(4) == 0, eps, 2 * eps)
-        solve_power(r, eps2, 0.8, sr)
+        solve_power(r, eps2, 0.8)
         assert len(calls) == 6 + 1 + 3 and len(r.alm_runs) == 8
-        again = solve_power(r, eps, 0.8, sr)
+        again = solve_power(r, eps, 0.8)
         assert len(calls) == 11
         assert_same_run(first, again)
         # another omega is another key; a replaced realization starts empty
-        solve_power(r, eps, 0.7, sr)
+        solve_power(r, eps, 0.7)
         assert len(calls) == 17
         fresh = replace(r)
         assert fresh.alm_runs == {}
-        assert_same_run(first, solve_power(fresh, eps, 0.8, sr))
+        assert_same_run(first, solve_power(fresh, eps, 0.8))
         assert len(calls) == 23
 
 
@@ -325,9 +324,8 @@ class TestInnerMaximize:
     def test_single_user_matches_line_search(self):
         r = make_realization([1.5], p_max=3.0)
         eps = np.array([1e-3])
-        sr = sr_infinity(r.gamma, r.p_max)
         mu, zeta = 64.0, 0.0
-        obj = _PowerObjective(r, eps, 0.9, sr)
+        obj = _PowerObjective(r, eps, 0.9)
         p, converged, _ = _spg(obj, mu, zeta, np.array([1.0]))
         grid = np.linspace(0.0, 2 * r.p_max, 100_000)[:, None]
         vals = [obj.value(g, mu, zeta) for g in grid]
@@ -340,17 +338,15 @@ class TestInnerMaximize:
     def test_symmetric_users_stay_symmetric(self):
         r = make_realization([1.2, 1.2], p_max=2.0)
         eps = np.array([1e-4, 1e-4])
-        sr = sr_infinity(r.gamma, r.p_max)
-        p, _, _ = _spg(_PowerObjective(r, eps, 0.8, sr), 4.0, 0.15, np.array([1.0, 1.0]))
+        p, _, _ = _spg(_PowerObjective(r, eps, 0.8), 4.0, 0.15, np.array([1.0, 1.0]))
         assert abs(p[0] - p[1]) <= 1e-6
 
     def test_gradient_small_at_solution(self):
         r = make_realization([0.9, 1.7], p_max=3.0)
         eps = np.array([1e-4, 5e-4])
-        sr = sr_infinity(r.gamma, r.p_max)
-        p, converged, _ = _spg(_PowerObjective(r, eps, 0.7, sr), 8.0, 0.15, np.array([1.5, 1.5]))
+        p, converged, _ = _spg(_PowerObjective(r, eps, 0.7), 8.0, 0.15, np.array([1.5, 1.5]))
         assert converged
-        g = _PowerObjective(r, eps, 0.7, sr).grad(p, 8.0, 0.15)
+        g = _PowerObjective(r, eps, 0.7).grad(p, 8.0, 0.15)
         proj = np.where(p > 0, g, np.maximum(g, 0.0))
         assert np.linalg.norm(proj) <= 1e-6
 
@@ -375,7 +371,7 @@ class TestUpdateMultipliers:
         monkeypatch.setattr(fblopt.power, "MU_CAP", 4.0)
         r = make_realization([0.8, 1.3], p_max=3.0)
         eps = np.array([1e-4, 5e-4])
-        res = solve_power(r, eps, 0.8, sr_infinity(r.gamma, r.p_max))
+        res = solve_power(r, eps, 0.8)
         mus = [rec.mu for rec in res.trace]
         assert len(mus) > 3 and max(mus) == 4.0
 
@@ -387,8 +383,7 @@ class TestSolvePower:
     def test_mu_trace_doubles_exactly(self):
         r = make_realization([0.8, 1.3], p_max=3.0)
         eps = np.array([1e-4, 5e-4])
-        sr = sr_infinity(r.gamma, r.p_max)
-        res = solve_power(r, eps, 0.8, sr)
+        res = solve_power(r, eps, 0.8)
         mus = [rec.mu for rec in res.trace]
         assert mus == [1.0 * 2**l for l in range(len(mus))]
 
@@ -399,8 +394,7 @@ class TestSolvePower:
             gamma = rng.exponential(1.0, n) + 0.05
             r = make_realization(gamma, p_max=rng.uniform(0.5, 8.0))
             eps = rng.uniform(1e-5, 1e-2, n)
-            sr = sr_infinity(gamma, r.p_max)
-            res = solve_power(r, eps, rng.uniform(0.1, 1.0), sr)
+            res = solve_power(r, eps, rng.uniform(0.1, 1.0))
             assert res.converged
             assert np.all(res.p >= 0.0)
             assert np.sum(res.p) <= r.p_max * (1 + 1e-6)
@@ -413,39 +407,37 @@ class TestSolvePower:
             eps = rng.uniform(1e-5, 1e-2, 2)
             omega = rng.uniform(0.1, 0.99)
             sr = sr_infinity(gamma, r.p_max)
-            res = solve_power(r, eps, omega, sr)
+            res = solve_power(r, eps, omega)
             val = rate_value(r, res.p, eps, omega, sr)
-            _, oracle = power_grid_oracle(r, eps, omega, sr, points=300)
+            _, oracle = power_grid_oracle(r, eps, omega, points=300)
             assert val >= oracle - 1e-3 * max(abs(oracle), 1e-12)
 
     def test_every_start_infeasible_flagged(self, over_budget_alm):
         r = make_realization([0.8, 1.3], p_max=3.0)
         with pytest.raises(ArithmeticError, match="within the budget"):
-            solve_power(r, np.array([1e-4, 5e-4]), 0.8, sr_infinity(r.gamma, r.p_max))
+            solve_power(r, np.array([1e-4, 5e-4]), 0.8)
 
     def test_warm_start_projected_onto_nonnegative(self):
         r = make_realization([0.8, 1.3], p_max=3.0)
-        eps, sr = np.array([1e-4, 5e-4]), sr_infinity(r.gamma, r.p_max)
-        res = solve_power(r, eps, 0.8, sr, p_init=np.array([-1.0, 2.0]))
-        assert_same_run(res, solve_power(r, eps, 0.8, sr, p_init=np.array([0.0, 2.0])))
+        eps = np.array([1e-4, 5e-4])
+        res = solve_power(r, eps, 0.8, p_init=np.array([-1.0, 2.0]))
+        assert_same_run(res, solve_power(r, eps, 0.8, p_init=np.array([0.0, 2.0])))
 
-    def test_omega_zero_returns_water_filling(self):
+    def test_omega_zero_rejected(self):
+        # every p is optimal at omega == 0; the caller picks one instead
+        # (scheme_dispatch takes water-filling)
         r = make_realization([0.5, 2.0], p_max=3.0)
-        eps = np.array([1e-4, 1e-4])
-        res = solve_power(r, eps, 0.0, 1.0)
-        assert np.array_equal(res.p, water_filling(r.gamma, r.p_max))
-        assert res.converged
-        s = r.gamma * res.p
-        assert res.rate_sum == float(np.sum(rate_term(s, r.block_length, q_inverse(eps))))
+        with pytest.raises(ValueError, match="omega"):
+            solve_power(r, np.array([1e-4, 1e-4]), 0.0)
 
     def test_rejects_bad_eps(self):
         r = make_realization([1.0], p_max=1.0)
         with pytest.raises(ValueError):
-            solve_power(r, np.array([0.6]), 0.5, 1.0)
+            solve_power(r, np.array([0.6]), 0.5)
         with pytest.raises(ValueError):
-            solve_power(r, np.array([0.0]), 0.5, 1.0)
+            solve_power(r, np.array([0.0]), 0.5)
         with pytest.raises(ValueError):
-            solve_power(r, np.array([np.nan]), 0.5, 1.0)
+            solve_power(r, np.array([np.nan]), 0.5)
 
 
 class TestGridHelpers:
