@@ -628,8 +628,6 @@ class TestCli:
         import importlib.util
 
         monkeypatch.setattr(sys, "path", list(sys.path))  # measure.py prepends its folder
-        for name in ("hooks", "workloads"):
-            monkeypatch.delitem(sys.modules, name, raising=False)
         spec = importlib.util.spec_from_file_location("bench_measure", ROOT / "benchmarks" / "measure.py")
         measure = importlib.util.module_from_spec(spec)
         try:
@@ -637,7 +635,7 @@ class TestCli:
             wl = dataclasses.replace(measure.WORKLOADS["default_cell"], trace_trials=5)
             result = measure.trace(wl, 9, tmp_path)
         finally:
-            for name in ("hooks", "workloads"):
+            for name in ("hooks", "workloads"):  # imported by measure.py from its folder
                 sys.modules.pop(name, None)
         assert result["absent"] == [] and not result["aborted"]
         assert set(result["metrics"]) == set(measure.PER_LAYER)
