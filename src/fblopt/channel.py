@@ -77,12 +77,6 @@ class NetworkRealization:
             raise ValueError("sr_inf must be positive")
         return sr_inf
 
-    @cached_property
-    def alm_runs(self) -> dict:
-        """Results of power.solve_power's generated starts, kept under its
-        reuse rule."""
-        return {}
-
 
 def mean_gain(link: UserLink) -> float:
     """Average channel power gain kappa * d^(-pathloss_exp)."""

@@ -190,11 +190,11 @@ def run_scenario(config: ScenarioConfig):
     """Run every (scheme, omega, L, p_max) cell of the scenario, one trial
     per work item, in one pass over a process pool when n_jobs > 1.
 
-    Failed trials (numerical errors, such as a power solve that no start
-    brought within budget, or joint-solver non-convergence) are excluded
-    from the means and logged; after all trials, the first cell where more
-    than 1% failed aborts the run. Returns ResultRow objects sorted by
-    (scheme, omega, L, p_max).
+    Failed trials (numerical errors, such as a budget whose water-filling
+    normalizer is not positive, or joint-solver non-convergence) are
+    excluded from the means and logged; after all trials, the first cell
+    where more than 1% failed aborts the run. Returns ResultRow objects
+    sorted by (scheme, omega, L, p_max).
     """
     profile = SortedQosProfile.from_caps([l.eps_max for l in config.links])
     run = partial(_run_trial, config, profile)

@@ -152,15 +152,19 @@ def _alternate(realization, profile, omega, p0):
 
 def solve_joint(realization, profile, omega) -> SolveReport:
     """Alternate the closed-form error assignment and the augmented-
-    Lagrangian power solve until the error vector stalls (inf-norm <=
-    EPS_TOL) or the alternation cap is reached.
+    Lagrangian power solve from water-filling until the error vector stalls
+    (inf-norm <= EPS_TOL) or the alternation cap is reached, keeping the
+    best iterate, not necessarily the last.
 
-    The alternation runs twice, once from water-filling and once from zero
-    power: block updates cannot cross between the transmit basin and the
-    silent one (where foregoing rate buys the full reliability reward), and
-    on weak channels the silent point can win jointly even though each block
-    prefers to transmit given the other. The best iterate across both runs
-    is returned, not necessarily the last of either.
+    Block updates cannot cross into the silent basin (where foregoing rate
+    buys the full reliability reward), and on weak channels the silent
+    point can win jointly even though each block prefers to transmit given
+    the other. So zero power and each vertex p_max * e_i are also scored
+    with their optimal errors (the floor errors at zero power). The best
+    over eps of the quasi-convex rate terms (see solve_power) is still
+    quasi-convex in p, so these cover every allocation with at most one
+    transmitting user. The first that beats the alternation strictly is
+    returned, flagged "silent_start".
 
     omega == 0 is the pure reliability regime: every error probability is
     pinned at the floor and water-filling breaks the power tie.
@@ -176,17 +180,17 @@ def solve_joint(realization, profile, omega) -> SolveReport:
             iterations=1, flags=["omega_zero"],
         )
 
-    wf_run = _alternate(realization, profile, omega, realization.p_wf)
-    silent_run = _alternate(realization, profile, omega, np.zeros(realization.n_users))
-    if silent_run[0] > wf_run[0]:
-        obj, p_best, eps_best, trace, flags, iterations = silent_run
-        flags = flags + ["silent_start"]
-    else:
-        obj, p_best, eps_best, trace, flags, iterations = wf_run
-    return make_report(
-        realization, profile, p_best, eps_best, omega,
-        iterations=iterations, trace=trace, flags=flags,
+    _, p, eps, trace, flags, iterations = _alternate(realization, profile, omega, realization.p_wf)
+    best = make_report(
+        realization, profile, p, eps, omega, iterations=iterations, trace=trace, flags=flags
     )
+    n = realization.n_users
+    for p in [np.zeros(n), *np.eye(n) * realization.p_max]:
+        eps = optimal_errors(realization, p, profile, omega).eps
+        corner = make_report(realization, profile, p, eps, omega, flags=["silent_start"])
+        if corner.objective > best.objective:
+            best = corner
+    return best
 
 
 def exhaustive_oracle(realization, profile, omega, grid=None):

@@ -246,28 +246,20 @@ def solve_power(realization, eps, omega, p_init=None) -> PowerSolveResult:
     violation below FEAS_TOL, or the stage cap is reached. A tiny residual
     violation (<= PROJECT_TOL) is removed by scaling onto the budget.
 
-    The dispersion penalty's square-root kink makes switching a user off a
-    separate basin that projected ascent cannot enter, so the method restarts
-    from each single-user vertex and from all-zero power in addition to the
-    water-filling (or warm) start, and keeps the best feasible rate
-    objective. For two users this covers every support pattern, including
-    transmitting nothing when every rate would come out negative. The warm
-    start is projected onto p >= 0 first. The all-zero start stays at zero
-    (see below), so some start always ends within budget; if none does,
-    ArithmeticError is raised.
+    One run starts from water-filling, or from the warm start projected onto
+    p >= 0. A user at zero power in that start has gradient about
+    -_BIG_SLOPE (Qinv(eps) > 0 on the whole domain of eps), so every trial
+    step leaves it at exactly zero for the whole run: the run can switch
+    users off but never on.
 
-    Support invariant: a user at zero power in a run's start has gradient
-    about -_BIG_SLOPE (Qinv(eps) > 0 on the whole domain of eps), so every
-    trial step leaves it at exactly zero for the whole run, and exact zeros
-    change no sum, dot product or maximum. A run, and the rate objective of
-    its result, therefore depend only on its start vector, on Qinv(eps) over
-    the start's support and on omega / sr_inf (the realization fixed); so
-    does its rate_sum, since users at zero power add exactly 0.0 to it.
-    Reuse rule: each generated start (a vertex or zero; never the warm
-    start) is run once per realization; the result is kept in
-    realization.alm_runs under exactly those values, and a later call with
-    the same key takes it from there. The kept result is then shared between
-    calls, so its p is read-only.
+    The allocations with at most one transmitting user are scored in closed
+    form instead: with s = gamma * p, a user's rate term
+    f(p) = log(1+s) - Qinv(eps) * sqrt(s(s+2)/L) / (1+s) has a slope with
+    the sign of 1 - Qinv(eps) / (sqrt(L) (1+s) sqrt(s(s+2))), which
+    increases in s, so a user alone on the budget does best at 0 or at
+    p_max. Of the run (if it ended within budget), each vertex p_max * e_i
+    and all-zero power (best when every rate would come out negative), the
+    first with the best rate objective is returned.
 
     omega must lie in (0, 1]: at omega == 0 the objective is identically
     zero and every feasible p is optimal.
@@ -280,28 +272,13 @@ def solve_power(realization, eps, omega, p_init=None) -> PowerSolveResult:
 
     obj = _PowerObjective(realization, eps, omega)
     n = realization.n_users
-    starts = [realization.p_wf if p_init is None else np.maximum(p_init, 0.0)]
-    for i in range(n):
-        vertex = np.zeros(n)
-        vertex[i] = realization.p_max
-        if (vertex != starts[0]).any():
-            starts.append(vertex)
-    if starts[0].any():
-        starts.append(np.zeros(n))
-
-    runs = [_alm_run(obj, realization, starts[0])]
-    memo = realization.alm_runs
-    for p0 in starts[1:]:
-        key = (p0.tobytes(), obj.qinv[p0 != 0.0].tobytes(), obj.scale)
-        if key not in memo:
-            run = _alm_run(obj, realization, p0)
-            run.p.flags.writeable = False  # shared by every call that reuses it
-            memo[key] = run
-        runs.append(memo[key])
-    feasible = [run for run in runs if run.violation <= PROJECT_TOL]
-    if not feasible:
-        raise ArithmeticError("no power-solve start ended within the budget")
-    return max(feasible, key=lambda run: obj.scale * run.rate_sum)
+    start = realization.p_wf if p_init is None else np.maximum(p_init, 0.0)
+    run = _alm_run(obj, realization, start)
+    candidates = [run] if run.violation <= PROJECT_TOL else []
+    for vertex in np.eye(n) * realization.p_max:
+        candidates.append(PowerSolveResult(p=vertex, rate_sum=obj.rate_sum(vertex), converged=True))
+    candidates.append(PowerSolveResult(p=np.zeros(n), rate_sum=0.0, converged=True))
+    return max(candidates, key=lambda c: obj.scale * c.rate_sum)
 
 
 def simplex_grid(n_users, p_max, points) -> np.ndarray:

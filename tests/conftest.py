@@ -8,9 +8,8 @@ import fblopt.power
 def over_budget_alm(monkeypatch):
     """Make every augmented-Lagrangian run end 10% over the power budget.
 
-    No configuration reaches this through solve_power's own starts: the
-    all-zero start stays pinned at zero power by the dispersion kink and so
-    always ends feasible.
+    solve_power must then return one of its closed-form candidates (a
+    vertex or zero power), which are within the budget by construction.
     """
     real = fblopt.power._alm_run
 

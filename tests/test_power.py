@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -236,9 +234,10 @@ def assert_same_run(a, b):
 class TestStartReuse:
     @pytest.mark.parametrize("n", [4, 12])
     def test_run_ignores_users_outside_start_support(self, n):
-        # the support invariant behind the reuse rule: a run from a vertex or
-        # from zero is bitwise the same whatever the other users' gains and eps,
-        # at the same omega / sr_inf (r2 is given r1's normalizer)
+        # a user at zero power in a run's start stays at exactly zero, which
+        # is why the warm run cannot switch users on: a run from a vertex or
+        # from zero is bitwise the same whatever the other users' gains and
+        # eps, at the same omega / sr_inf (r2 is given r1's normalizer)
         rng = np.random.default_rng(7 * n)
         for _ in range(3):
             gamma = rng.exponential(1.0, n) + 0.05
@@ -263,61 +262,22 @@ class TestStartReuse:
     def test_rate_sum_is_rate_term_sum(self, n):
         # the joint solver scores each iterate with the returned rate_sum, so
         # it must be the plain rate_term sum at the result's p and the eps of
-        # the call, also for a run kept from an earlier call
+        # the call, for the run and for the closed-form candidates alike
         def expected(r, p, eps):
             qinv = q_inverse(np.maximum(eps, EPS_FLOOR))
             return float(np.sum(rate_term(r.gamma * p, r.block_length, qinv)))
 
         rng = np.random.default_rng(60 + n)
-        for _ in range(3):
+        for _ in range(6):
             r = make_realization(
-                rng.exponential(1.0, n) + 0.05, rng.uniform(0.5, 16.0), int(rng.integers(100, 2000))
+                rng.exponential(1.0, n) + 0.05, 10 ** rng.uniform(-1.0, 1.2), int(rng.integers(100, 2000))
             )
             eps, omega = rng.uniform(1e-6, 1e-2, n), rng.uniform(0.1, 1.0)
             res = solve_power(r, eps, omega)
             assert res.rate_sum == expected(r, res.p, eps)
-            fresh = dict(r.alm_runs)
-            assert all(run.rate_sum == expected(r, run.p, eps) for run in fresh.values())
-            # eps changed off user 0: runs started on user 0 or on nobody are reused
             eps2 = np.where(np.arange(n) == 0, eps, 2 * eps)
-            res2 = solve_power(r, eps2, omega)
+            res2 = solve_power(r, eps2, omega, p_init=res.p)
             assert res2.rate_sum == expected(r, res2.p, eps2)
-            qinv2 = q_inverse(np.maximum(eps2, EPS_FLOOR))
-            reused = [
-                run for key, run in fresh.items()
-                if key[1] == qinv2[np.frombuffer(key[0]) != 0.0].tobytes()
-            ]
-            assert reused and all(run.rate_sum == expected(r, run.p, eps2) for run in reused)
-
-    def test_generated_starts_run_once_per_realization(self, monkeypatch):
-        real = fblopt.power._alm_run
-        calls = []
-
-        def counted(obj, realization, p_init):
-            calls.append(np.array(p_init))
-            return real(obj, realization, p_init)
-
-        monkeypatch.setattr(fblopt.power, "_alm_run", counted)
-        r = make_realization([0.8, 1.3, 0.4, 2.2], p_max=3.0)
-        eps = np.array([1e-4, 5e-4, 1e-3, 2e-5])
-        first = solve_power(r, eps, 0.8)
-        assert len(calls) == 6 and len(r.alm_runs) == 5
-        assert not any(run.p.flags.writeable for run in r.alm_runs.values())
-        # eps changed off user 0: vertex 0 and zero (empty support) are kept,
-        # the warm start and the other vertices run
-        eps2 = np.where(np.arange(4) == 0, eps, 2 * eps)
-        solve_power(r, eps2, 0.8)
-        assert len(calls) == 6 + 1 + 3 and len(r.alm_runs) == 8
-        again = solve_power(r, eps, 0.8)
-        assert len(calls) == 11
-        assert_same_run(first, again)
-        # another omega is another key; a replaced realization starts empty
-        solve_power(r, eps, 0.7)
-        assert len(calls) == 17
-        fresh = replace(r)
-        assert fresh.alm_runs == {}
-        assert_same_run(first, solve_power(fresh, eps, 0.8))
-        assert len(calls) == 23
 
 
 class TestInnerMaximize:
@@ -412,10 +372,43 @@ class TestSolvePower:
             _, oracle = power_grid_oracle(r, eps, omega, points=300)
             assert val >= oracle - 1e-3 * max(abs(oracle), 1e-12)
 
-    def test_every_start_infeasible_flagged(self, over_budget_alm):
+    def test_small_budget_single_user_takes_budget(self):
+        # the run from the vertex overshoots and is projected onto zero,
+        # where the dispersion kink pins it; the budget itself scores 0.602
+        r = make_realization([1.0], p_max=0.2, L=800)
+        res = solve_power(r, np.array([1e-3]), 0.9)
+        assert np.array_equal(res.p, [0.2])
+        assert rate_value(r, res.p, [1e-3], 0.9, r.sr_inf) == pytest.approx(0.602, abs=1e-3)
+
+    def test_small_budget_stronger_user_takes_budget(self):
+        r = make_realization([0.16336597, 0.92303755], p_max=0.14444073, L=3000)
+        eps = np.array([0.02264375, 0.0250844])
+        res = solve_power(r, eps, 0.9)
+        assert np.array_equal(res.p, [0.0, r.p_max])
+        _, oracle = power_grid_oracle(r, eps, 0.9, points=300)
+        assert oracle == pytest.approx(0.779, abs=1e-3)
+        assert rate_value(r, res.p, eps, 0.9, r.sr_inf) >= oracle - 1e-12
+
+    def test_small_budget_single_user_grid_oracle(self):
+        # criterion 4's tolerance at budgets below criterion 4's range
+        rng = np.random.default_rng(31)
+        for _ in range(100):
+            gamma = rng.exponential(1.0, 1) + 0.05
+            r = make_realization(gamma, p_max=10 ** rng.uniform(-1.0, 0.0), L=int(rng.integers(100, 3000)))
+            eps = rng.uniform(1e-5, 1e-2, 1)
+            omega = rng.uniform(0.1, 0.99)
+            res = solve_power(r, eps, omega)
+            val = rate_value(r, res.p, eps, omega, sr_infinity(gamma, r.p_max))
+            _, oracle = power_grid_oracle(r, eps, omega, points=300)
+            assert val >= oracle - 1e-3 * max(abs(oracle), 1e-12)
+
+    def test_over_budget_run_never_returned(self, over_budget_alm):
         r = make_realization([0.8, 1.3], p_max=3.0)
-        with pytest.raises(ArithmeticError, match="within the budget"):
-            solve_power(r, np.array([1e-4, 5e-4]), 0.8)
+        res = solve_power(r, np.array([1e-4, 5e-4]), 0.8)
+        # a closed-form candidate: a vertex or zero power, within budget
+        assert res.trace == [] and res.violation == 0.0
+        assert np.all(res.p >= 0.0) and np.sum(res.p) <= r.p_max
+        assert np.count_nonzero(res.p) <= 1
 
     def test_warm_start_projected_onto_nonnegative(self):
         r = make_realization([0.8, 1.3], p_max=3.0)
