@@ -163,8 +163,8 @@ def solve_joint(realization, profile, omega) -> SolveReport:
     with their optimal errors (the floor errors at zero power). The best
     over eps of the quasi-convex rate terms (see solve_power) is still
     quasi-convex in p, so these cover every allocation with at most one
-    transmitting user. The first that beats the alternation strictly is
-    returned, flagged "silent_start".
+    transmitting user. The best of them (the first on ties) is returned,
+    flagged "silent_start", if it beats the alternation strictly.
 
     omega == 0 is the pure reliability regime: every error probability is
     pinned at the floor and water-filling breaks the power tie.
