@@ -61,11 +61,11 @@ class TestNetworkRealization:
             assert replace(r, p_max=p_max).sr_inf == sr_infinity(r.gamma, p_max)
 
     def test_budget_lost_to_rounding_rejected(self):
-        # 1e-17 vanishes next to the water level 1/gamma = 1, so water-filling
-        # gives no power and the normalizer is 0; the rate objective cannot
-        # be scaled by it, and reading it raises instead of dividing by zero
-        r = NetworkRealization(gamma=np.array([1.0]), p_max=1e-17, block_length=100)
-        assert np.array_equal(r.p_wf, [0.0])
+        # water-filling keeps the whole budget, but 0.25 * 5e-324 rounds to
+        # an SNR of 0, so the normalizer is 0; the rate objective cannot be
+        # scaled by it, and reading it raises instead of dividing by zero
+        r = NetworkRealization(gamma=np.array([0.25]), p_max=5e-324, block_length=100)
+        assert np.array_equal(r.p_wf, [5e-324]) and r.gamma[0] * r.p_wf[0] == 0.0
         with pytest.raises(ValueError, match="sr_inf must be positive"):
             r.sr_inf
 

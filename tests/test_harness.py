@@ -648,8 +648,8 @@ class TestCli:
 GOLDEN_CSV = """\
 scheme,omega,L,p_max,mean_sum_rate,mean_max_eps,mean_throughput,std_throughput,n_trials,seed
 equalpower_opteps,0.9,200,6,1.4399605,5.38895138e-05,1.44348768,0.685546012,25,20240
-proposed,0.9,200,6,2.02829698,4.56855394e-05,2.02821614,0.610054523,25,20240
-proposedpower_minmax,0.9,200,6,1.98787792,1e-05,1.98785804,0.607427193,25,20240
+proposed,0.9,200,6,2.02829698,4.56855307e-05,2.02821613,0.610054499,25,20240
+proposedpower_minmax,0.9,200,6,1.98787792,1e-05,1.98785805,0.607427193,25,20240
 wf_minmax,0.9,200,6,1.90823039,1e-05,1.91020933,0.599137759,25,20240
 """
 
@@ -657,13 +657,13 @@ wf_minmax,0.9,200,6,1.90823039,1e-05,1.91020933,0.599137759,25,20240
 GOLDEN_MANY_USERS_CSV = """\
 scheme,omega,L,p_max,mean_sum_rate,mean_max_eps,mean_throughput,std_throughput,n_trials,seed
 proposed,0.9,100,0,1.37459994,6.46391568e-05,1.37452081,0.0264106229,2,20240
-proposed,0.9,100,12,7.95459129,4.61410352e-05,7.95427511,0.168150865,2,20240
-proposed,0.9,1600,0,1.32593777,3.54124593e-05,1.32589108,0.0109891854,2,20240
-proposed,0.9,1600,12,9.45424801,1.68109759e-05,9.4540915,0.565871749,2,20240
+proposed,0.9,100,12,7.95459138,4.61410752e-05,7.95427521,0.168150955,2,20240
+proposed,0.9,1600,0,1.32593777,3.54124592e-05,1.32589108,0.0109891854,2,20240
+proposed,0.9,1600,12,9.45424801,1.6810975e-05,9.4540915,0.565871747,2,20240
 proposedpower_minmax,0.9,100,0,1.33305665,1e-05,1.33304332,0.0235154319,2,20240
-proposedpower_minmax,0.9,100,12,7.75654463,1e-05,7.75646706,0.140589816,2,20240
+proposedpower_minmax,0.9,100,12,7.75654463,1e-05,7.75646707,0.140589809,2,20240
 proposedpower_minmax,0.9,1600,0,1.30912389,1e-05,1.3091108,0.00719488269,2,20240
-proposedpower_minmax,0.9,1600,12,9.43403895,1e-05,9.43394461,0.566238381,2,20240
+proposedpower_minmax,0.9,1600,12,9.43403895,1e-05,9.43394461,0.56623838,2,20240
 """
 
 
@@ -676,8 +676,8 @@ exhaustive,0,200,6,0.0794747605,1.8478498e-12,0.0794747605,0,10,20240
 exhaustive,0.5,200,6,1.78398931,8.29689681e-07,1.78398788,0.478812726,10,20240
 exhaustive,0.9,200,6,1.83002673,8.04937516e-06,1.83001246,0.490542409,10,20240
 proposed,0,200,6,1.42860201,1e-12,1.4344565,0.433300816,10,20240
-proposed,0.5,200,6,1.7825941,9.02543453e-07,1.78259249,0.477838311,10,20240
-proposed,0.9,200,6,1.82185287,8.48503193e-06,1.82183757,0.491886105,10,20240
+proposed,0.5,200,6,1.7825941,9.02543495e-07,1.7825925,0.47783831,10,20240
+proposed,0.9,200,6,1.82185288,8.48503573e-06,1.82183758,0.491886102,10,20240
 proposedpower_minmax,0,200,6,1.77704841,1e-05,1.77703064,0.484356384,10,20240
 proposedpower_minmax,0.5,200,6,1.8249407,1e-05,1.82492245,0.493028821,10,20240
 proposedpower_minmax,0.9,200,6,1.8249407,1e-05,1.82492245,0.493028821,10,20240

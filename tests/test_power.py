@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,6 +74,24 @@ class TestWaterFilling:
             assert np.all(1.0 / gamma[~active] >= levels.max() - 1e-9)
 
 
+    def test_budget_below_last_bit_of_inverse_gain_kept(self):
+        # p_max + 1/gamma rounds back to 1/gamma here
+        assert np.array_equal(water_filling(np.array([1.0]), 1e-17), [1e-17])
+
+    def test_tiny_budget_not_overshot(self):
+        assert np.sum(water_filling(np.array([1.0]), 1e-15)) <= 1e-15
+
+    def test_budget_held_at_every_scale(self):
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            n = int(rng.integers(1, 13))
+            gamma = rng.exponential(1.0, n) + 0.05
+            p_max = 10 ** rng.uniform(-300.0, 3.0)
+            p = water_filling(gamma, p_max)
+            assert np.all(p >= 0.0) and np.count_nonzero(p) >= 1
+            assert abs(np.sum(p) - p_max) <= 1e-14 * p_max
+
+
 class TestSrInfinity:
     def test_single_user(self):
         assert sr_infinity(np.array([1.0]), 3.0) == pytest.approx(np.log(4.0), rel=1e-12)
@@ -142,6 +162,71 @@ class TestAugmentedLagrangian:
                 lo[i] -= h
                 fd[i] = (obj.value(hi, mu, zeta) - obj.value(lo, mu, zeta)) / (2 * h)
             assert np.max(np.abs(g - fd)) <= 1e-5
+
+
+class TestNewtonStep:
+    def test_curvature_matches_finite_differences(self):
+        # h, the diagonal of the scaled rate sum's Hessian, against central
+        # differences of grad (penalty inactive: zeta = 0, sum p < P_max)
+        rng = np.random.default_rng(4005)
+        worst, checked = 0.0, 0
+        while checked < 50:
+            n = int(rng.integers(1, 5))
+            gamma = rng.exponential(1.0, n) + 0.1
+            r = make_realization(gamma, p_max=10.0, L=int(rng.integers(100, 2000)))
+            p = rng.uniform(0.05, 2.0, n)
+            obj = _PowerObjective(r, rng.uniform(1e-5, 1e-2, n), rng.uniform(0.1, 1.0))
+            c = obj.inverse_curvature(p)
+            if c is None:
+                continue  # some user below its inflection point
+            checked += 1
+            for i in range(n):
+                step = 1e-6 * p[i]
+                hi, lo = p.copy(), p.copy()
+                hi[i] += step
+                lo[i] -= step
+                fd = (obj.grad(hi, 1.0, 0.0)[i] - obj.grad(lo, 1.0, 0.0)[i]) / (2 * step)
+                worst = max(worst, abs(1.0 / c[i] - fd) / abs(fd))
+        assert worst <= 1e-6
+
+    def test_convex_user_has_no_newton_step(self):
+        # at s = gamma * p = 0.01 the rate term is convex (below the
+        # inflection point), so the Hessian is not negative definite
+        r = make_realization([1.0, 2.0], p_max=3.0)
+        obj = _PowerObjective(r, np.array([1e-4, 1e-4]), 0.8)
+        p = np.array([0.01, 1.0])
+        assert obj.inverse_curvature(p) is None
+        assert obj.newton_direction(p, obj.grad(p, 1.0, 0.15), 1.0, 0.15) is None
+
+    @pytest.mark.parametrize("zeta", [0.0, 0.5])
+    def test_direction_solves_free_hessian(self, zeta):
+        # d = -H^-1 g on the transmitting users, H = diag(h) - mu 11^T while
+        # the penalty is active (zeta = 0.5 here) and diag(h) otherwise; a
+        # user at zero power gets no step
+        r = make_realization([0.9, 1.7, 0.6, 2.4, 1.1], p_max=3.0)
+        obj = _PowerObjective(r, np.array([1e-4, 5e-4, 1e-3, 2e-5, 1e-3]), 0.7)
+        p, mu = np.array([0.8, 0.7, 0.0, 0.9, 0.6]), 4.0
+        g = obj.grad(p, mu, zeta)
+        c = obj.inverse_curvature(p)
+        free = p > 0.0
+        assert c[2] == 0.0 and np.all(c[free] < 0.0)
+        hess = np.diag(1.0 / c[free]) - (mu if zeta > 0.0 else 0.0)
+        d = obj.newton_direction(p, g, mu, zeta)
+        assert d[2] == 0.0
+        assert np.allclose(d[free], np.linalg.solve(hess, -g[free]), rtol=1e-10, atol=0.0)
+
+    def test_subnormal_start_raises_no_warning(self):
+        # s = gamma * 5e-324 leaves a dispersion of exactly zero: the user is
+        # outside the Newton step, and the gradient step sends it to zero
+        r = make_realization([0.8, 1.3], p_max=3.0)
+        obj = _PowerObjective(r, np.array([1e-4, 5e-4]), 0.8)
+        p0 = np.array([5e-324, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert obj.inverse_curvature(p0)[0] == 0.0
+            run = _alm_run(obj, r, p0)
+        assert run.converged and run.p[0] == 0.0
+        assert run.p[1] == pytest.approx(r.p_max, rel=1e-6)
 
 
 class TestSharedEvaluation:
@@ -396,6 +481,33 @@ class TestSolvePower:
             gamma = rng.exponential(1.0, 1) + 0.05
             r = make_realization(gamma, p_max=10 ** rng.uniform(-1.0, 0.0), L=int(rng.integers(100, 3000)))
             eps = rng.uniform(1e-5, 1e-2, 1)
+            omega = rng.uniform(0.1, 0.99)
+            res = solve_power(r, eps, omega)
+            val = rate_value(r, res.p, eps, omega, sr_infinity(gamma, r.p_max))
+            _, oracle = power_grid_oracle(r, eps, omega, points=300)
+            assert val >= oracle - 1e-3 * max(abs(oracle), 1e-12)
+
+    def test_small_budget_warm_run_keeps_both_users(self):
+        # stage 0 ends over the budget at about [0.585, 0.622]; the gradient
+        # step of stage 1 used to land on exactly zero, where every user is
+        # pinned, and the best vertex scored 0.6079
+        r = make_realization([2.90664647, 3.22959921], p_max=0.29134788, L=1269)
+        eps, omega = np.array([0.00574719, 0.00998795]), 0.74084945
+        res = solve_power(r, eps, omega)
+        _, oracle = power_grid_oracle(r, eps, omega, points=300)
+        assert oracle == pytest.approx(0.64286, abs=1e-5)
+        assert np.count_nonzero(res.p) == 2
+        assert rate_value(r, res.p, eps, omega, r.sr_inf) >= oracle - 1e-3 * abs(oracle)
+
+    @pytest.mark.parametrize("seed", [41, 42, 43])
+    def test_small_budget_two_user_grid_oracle(self, seed):
+        # test_small_budget_single_user_grid_oracle with two users: the warm
+        # run must not collapse onto zero power at budgets below 1
+        rng = np.random.default_rng(seed)
+        for _ in range(100):
+            gamma = rng.exponential(1.0, 2) + 0.05
+            r = make_realization(gamma, p_max=10 ** rng.uniform(-1.0, 0.0), L=int(rng.integers(100, 3000)))
+            eps = rng.uniform(1e-5, 1e-2, 2)
             omega = rng.uniform(0.1, 0.99)
             res = solve_power(r, eps, omega)
             val = rate_value(r, res.p, eps, omega, sr_infinity(gamma, r.p_max))
