@@ -21,6 +21,7 @@ from functools import partial
 from itertools import product
 
 import numpy as np
+import numpy.random  # numpy loads it lazily: load it before a pool forks, not in each worker
 
 from .channel import NetworkRealization, UserLink, sample_realization
 from .error_assignment import SortedQosProfile, floor_errors, optimal_errors
@@ -327,8 +328,6 @@ def config_hash(config: ScenarioConfig) -> str:
 
 def write_manifest(config: ScenarioConfig, csv_path, manifest_path=None):
     """Record config hash, seed and library versions next to the CSV."""
-    import scipy
-
     from . import __version__
 
     manifest_path = manifest_path or str(csv_path) + ".manifest.txt"
@@ -340,7 +339,6 @@ def write_manifest(config: ScenarioConfig, csv_path, manifest_path=None):
         f"csv = {csv_path}",
         f"fblopt = {__version__}",
         f"numpy = {np.__version__}",
-        f"scipy = {scipy.__version__}",
         f"python = {sys.version.split()[0]}",
     ]
     with open(manifest_path, "w", encoding="utf-8") as fh:

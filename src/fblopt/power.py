@@ -242,7 +242,9 @@ def _spg(obj, mu, zeta, p_init):
     it = 0
     for it in range(1, INNER_MAX_ITER + 1):
         pg = _projected_residual(p, g)
-        if math.sqrt(pg.dot(pg)) <= INNER_TOL:
+        pg_max = float(np.abs(pg).max())
+        # max first: near p = 0 a slope of 1e161 would overflow pg.dot(pg)
+        if pg_max <= INNER_TOL and math.sqrt(pg.dot(pg)) <= INNER_TOL:
             converged = True
             break
         d = obj.newton_direction(p, g, mu, zeta)
@@ -255,7 +257,7 @@ def _spg(obj, mu, zeta, p_init):
                 else:
                     alpha *= 2.0
             else:
-                alpha = 1.0 / max(float(np.abs(pg).max()), 1e-12)
+                alpha = 1.0 / max(pg_max, 1e-12)
             alpha = min(max(alpha, 1e-16), 1e12)
             step = _armijo(obj, mu, zeta, p, f, g, g, alpha)
             if step is None:

@@ -410,7 +410,10 @@ class TestManifestAndConfig:
         manifest = write_manifest(cfg, csv_path)
         text = open(manifest).read()
         assert "config_hash" in text and "master_seed = 777" in text
-        assert "numpy" in text and "scipy" in text
+        lines = text.splitlines()
+        assert f"numpy = {np.__version__}" in lines
+        assert f"python = {sys.version.split()[0]}" in lines
+        assert not any(line.startswith("scipy") for line in lines)
 
     def test_config_hash_ignores_jobs(self):
         cfg = tiny_config()
@@ -529,6 +532,24 @@ class TestCli:
         rows = read_rows(out)
         assert len(rows) == 1 and rows[0].seed == 11
         assert os.path.exists(str(out) + ".manifest.txt")
+
+    def test_run_loads_no_scipy(self, tmp_path):
+        # numpy is the only runtime dependency: a fresh interpreter that
+        # imports the CLI and runs it, manifest included, never loads scipy
+        import subprocess
+
+        code = (
+            "import sys\n"
+            "from fblopt.cli import main\n"
+            "main(['--trials', '1', '--schemes', 'wf_minmax', '--out', sys.argv[1]])\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "fresh.csv")],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert done.stdout.splitlines()[-1] == "[]"
 
     def test_default_seed(self, tmp_path):
         from fblopt.cli import main

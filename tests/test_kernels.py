@@ -82,6 +82,14 @@ class TestQInverse:
         for eps in (below_half, near_half[near_half < 0.5], criterion_10):
             assert np.all(q_inverse(eps) > 0.0)
 
+    def test_matches_high_precision_inverse(self):
+        # -sqrt(2) * erfinv(2 eps - 1) at 40 digits, over the criterion-10
+        # grid and up to 0.5 - 1e-16, where the inverse goes to zero
+        eps = np.concatenate([np.geomspace(1e-12, 0.499, 1000), 0.5 - np.geomspace(1e-16, 1e-3)])
+        with mp.workdps(40):
+            want = np.array([float(-mp.sqrt(2) * mp.erfinv(2 * mp.mpf(e) - 1)) for e in eps])
+        assert np.max(np.abs(q_inverse(eps) - want) / want) <= 2e-15
+
     def test_round_trip_grid(self):
         eps = np.geomspace(1e-12, 0.499, 10_000)
         rel = np.abs(q_function(q_inverse(eps)) - eps) / eps

@@ -228,6 +228,19 @@ class TestNewtonStep:
         assert run.converged and run.p[0] == 0.0
         assert run.p[1] == pytest.approx(r.p_max, rel=1e-6)
 
+    def test_tiny_start_gradient_does_not_overflow_norm(self):
+        # at p = 1e-320 the dispersion is about 1e-161, so the slope of the
+        # first user is about 1e161 and its square overflows; the inner
+        # solve's convergence test must not square it
+        r = make_realization([0.8, 1.3], p_max=3.0)
+        obj = _PowerObjective(r, np.array([1e-4, 5e-4]), 0.8)
+        p0 = np.array([1e-320, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run = _alm_run(obj, r, p0)
+        assert run.converged and run.p[0] == 0.0
+        assert run.p[1] == pytest.approx(r.p_max, rel=1e-6)
+
 
 class TestSharedEvaluation:
     """grad() right after value() on the same array reuses value()'s SNR,
