@@ -6,18 +6,21 @@ For fixed powers the weighted objective reduces to minimizing
 
 over 0 < eps_i <= cap_i, where a_i is the dispersion coefficient of user i
 and cap_N the largest QoS cap. The problem is convex and admits a closed
-form: users with the strictest caps sit at their caps while the rest share a
-common level beta_k, found by scanning N candidate branches. A KKT-residual
-checker and a log-grid search oracle verify the closed form independently.
+form in one number, the shared level z = max(eps): every user sits at
+min(cap_i, z), and z is found by scanning N candidate branches. A
+KKT-residual checker and a log-grid search oracle verify the closed form
+independently.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import EPS_FLOOR, dispersion_coeff, q_function, q_inverse
+from .kernels import EPS_FLOOR, dispersion_coeff, q_inverse
 
-_SQRT_2PI = np.sqrt(2.0 * np.pi)
+_SQRT2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # absolute tolerance for interval-membership tests at branch endpoints
 EDGE_TOL = 1e-12
@@ -46,7 +49,7 @@ class SortedQosProfile:
             raise ValueError("every eps_max must lie in (0, 0.5)")
         order = np.argsort(caps, kind="stable")
         return cls(
-            eps_max_sorted=tuple(caps[order]),
+            eps_max_sorted=tuple(caps[order].tolist()),
             order=tuple(int(i) for i in order),
         )
 
@@ -75,32 +78,36 @@ class SortedQosProfile:
 
 @dataclass(frozen=True)
 class ErrorAssignment:
-    """Error probabilities in original user order, their max z, and the
-    branch index in [1, N+1] that produced them (N+1 = caps fallback)."""
+    """Error probabilities in original user order and their shared level z:
+    every user sits at min(cap_i, z), so z is also their max."""
 
     eps: np.ndarray
     z: float
-    branch: int
 
 
-def _branch_tails(realization, p, profile):
-    """Tail sums over sorted slots k..N of sqrt(s^2 + 2s)/(1+s), s = gamma*p,
-    for every branch k at once: one reversed cumulative sum, O(N)."""
+def errors_at_level(profile, z) -> np.ndarray:
+    """Every user's error probability at the shared level z, min(cap_i, z),
+    in original user order."""
+    return np.minimum(profile.caps_original(), z)
+
+
+def _branch_levels(realization, p, profile, omega):
+    """Yield (tail_k, beta_k) for the branches k = 1..N in turn, on floats.
+
+    tail_k sums sqrt(s^2 + 2s)/(1+s), s = gamma*p, over sorted slots k..N
+    (one reversed cumulative sum), and beta_k = Q(sqrt(2 log(arg))) with
+    arg = sqrt(L)(1-omega) sr_inf / (cap_N omega sqrt(2 pi) tail_k): None
+    when arg < 1, and the limit 0 at a zero tail.
+    """
     s = profile.to_sorted(realization.gamma) * profile.to_sorted(p)
-    return np.cumsum(dispersion_coeff(s, 1)[::-1])[::-1]
-
-
-def _beta_from_tail(tail, realization, profile, omega):
-    """Shared error level of a branch whose dispersion tail sum is `tail`;
-    see beta_k for the meaning of the returned pair."""
-    if tail == 0.0:
-        return 0.0, True
-    num = np.sqrt(realization.block_length) * (1.0 - omega) * realization.sr_inf
-    den = profile.eps_max_overall * omega * _SQRT_2PI * tail
-    arg = num / den
-    if arg < 1.0:
-        return None, False
-    return float(q_function(np.sqrt(2.0 * np.log(arg)))), False
+    num = math.sqrt(realization.block_length) * (1.0 - omega) * realization.sr_inf
+    den = profile.eps_max_overall * omega * _SQRT_2PI
+    for tail in np.cumsum(dispersion_coeff(s, 1)[::-1])[::-1].tolist():
+        arg = num / (den * tail) if tail else math.inf
+        if arg < 1.0:
+            yield tail, None
+        else:
+            yield tail, 0.5 * math.erfc(math.sqrt(2.0 * math.log(arg)) / _SQRT2)
 
 
 def beta_k(realization, p, profile, omega, k):
@@ -114,66 +121,53 @@ def beta_k(realization, p, profile, omega, k):
     n = realization.n_users
     if not 1 <= k <= n:
         raise ValueError("branch index k must lie in [1, n_users]")
-    tail = float(_branch_tails(realization, p, profile)[k - 1])
-    return _beta_from_tail(tail, realization, profile, omega)
-
-
-def _branch_assignment(profile, k, level) -> ErrorAssignment:
-    """Caps for sorted slots below k, the constant level from slot k up."""
-    caps = np.asarray(profile.eps_max_sorted)
-    level = min(max(level, EPS_FLOOR), caps[k - 1])
-    eps_sorted = np.concatenate([caps[: k - 1], np.full(profile.n_users - k + 1, level)])
-    return ErrorAssignment(
-        eps=profile.to_original(eps_sorted),
-        z=float(eps_sorted.max()),
-        branch=k,
-    )
+    tail, level = list(_branch_levels(realization, p, profile, omega))[k - 1]
+    return level, tail == 0.0
 
 
 def floor_errors(profile) -> np.ndarray:
     """The omega == 0 (pure reliability) assignment in original user order:
     every error probability at the floor, or at its cap if that is lower."""
-    return np.minimum(EPS_FLOOR, profile.caps_original())
+    return errors_at_level(profile, EPS_FLOOR)
 
 
 def optimal_errors(realization, p, profile, omega) -> ErrorAssignment:
     """Closed-form minimizer of the fixed-power error subproblem.
 
-    The objective restricted to a common level z on the sorted segment
+    For a shared level z every user does best at min(cap_i, z), since Qinv
+    decreases in eps. The objective restricted to z in the sorted segment
     (cap_{k-1}, cap_k] is convex with stationary point beta_k, so scanning
-    segments in order locates the global minimum: it is either an interior
-    beta_k landing in its own segment (caps below slot k, the constant
-    beta_k from slot k up), or a saturated level at the cap separating a
+    segments in order locates the global minimum: either an interior beta_k
+    landing in its own segment, or a saturated level at the cap separating a
     still-decreasing segment from an already-increasing one. With no
-    crossing at all, every user sits at its cap.
+    crossing at all, z is the loosest cap and every user sits at its cap.
     """
     if not 0.0 < omega <= 1.0:
         raise ValueError("omega must lie in (0, 1] for the error subproblem")
     n = realization.n_users
     if profile.n_users != n:
         raise ValueError("profile and realization disagree on user count")
-    caps = np.asarray(profile.eps_max_sorted)
+    caps = profile.eps_max_sorted
 
     # at omega == 1 there is no weight on the error objective and larger eps
     # only helps the rate, so every user sits at its cap
+    k, z = n, caps[-1]
     if omega < 1.0:
-        tails = _branch_tails(realization, p, profile)
-        for k in range(1, n + 1):
-            b, _ = _beta_from_tail(float(tails[k - 1]), realization, profile, omega)
-            if b is None:
-                continue  # objective still decreasing across this whole segment
-            lo = 0.0 if k == 1 else caps[k - 2]
-            if b > caps[k - 1] + EDGE_TOL:
-                continue
-            if b > lo - EDGE_TOL:
-                return _branch_assignment(profile, k, b)
-            # stationary point fell below the segment: the previous cap is the
-            # minimizer (decreasing before it, increasing after it)
-            if k == 1:
-                return _branch_assignment(profile, 1, EPS_FLOOR)
-            return _branch_assignment(profile, k - 1, caps[k - 2])
+        lo = 0.0
+        for k, (_, b) in enumerate(_branch_levels(realization, p, profile, omega), 1):
+            # None: the objective is still decreasing across this whole segment
+            if b is not None and b <= caps[k - 1] + EDGE_TOL:
+                if b > lo - EDGE_TOL:
+                    z = b
+                else:
+                    # stationary point fell below the segment: the previous
+                    # cap is the minimizer (decreasing before, increasing after)
+                    k, z = k - 1, lo
+                break
+            lo = caps[k - 1]
 
-    return ErrorAssignment(eps=profile.to_original(caps), z=float(caps[-1]), branch=n + 1)
+    z = min(max(z, EPS_FLOOR), caps[k - 1])
+    return ErrorAssignment(eps=errors_at_level(profile, z), z=z)
 
 
 def subproblem_objective(realization, p, profile, omega, eps) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 import numpy.random  # numpy loads it lazily: load it before a pool forks, not in each worker
 
 from .channel import NetworkRealization, UserLink, sample_realization
-from .error_assignment import SortedQosProfile, floor_errors, optimal_errors
+from .error_assignment import SortedQosProfile, errors_at_level, floor_errors, optimal_errors
 from .joint import OracleGrid, exhaustive_oracle, make_report, solve_joint
 from .power import equal_power, solve_power
 
@@ -130,7 +130,7 @@ def scheme_dispatch(scheme, realization, profile, omega):
         return solve_joint(realization, profile, omega)
 
     n = realization.n_users
-    minmax_eps = np.full(n, profile.eps_max_sorted[0])
+    minmax_eps = errors_at_level(profile, profile.eps_max_sorted[0])
     flags = []
     if scheme == "wf_minmax" or (scheme == "proposedpower_minmax" and omega == 0.0):
         p = realization.p_wf
@@ -210,7 +210,6 @@ def run_scenario(config: ScenarioConfig):
         for (omega, length, p_max, scheme), results in zip(_columns(config), zip(*per_trial))
     ]
     rows.sort(key=lambda r: (r.scheme, r.omega, r.block_length, r.p_max))
-    _log_scheme_ordering(rows)
     return rows
 
 
@@ -242,23 +241,6 @@ def _aggregate(results, scheme, omega, length, p_max, config) -> ResultRow:
         n_trials=int(ok.sum()),
         seed=config.master_seed,
     )
-
-
-def _log_scheme_ordering(rows):
-    """Soft check: equal power with optimal errors is expected to beat the
-    optimized power with minmax errors; a miss is logged, not fatal."""
-    by_cell = {}
-    for r in rows:
-        by_cell.setdefault((r.omega, r.block_length, r.p_max), {})[r.scheme] = r
-    for cell, per_scheme in by_cell.items():
-        a = per_scheme.get("equalpower_opteps")
-        b = per_scheme.get("proposedpower_minmax")
-        if a and b and a.mean_throughput < b.mean_throughput:
-            logger.warning(
-                "cell %s: equalpower_opteps throughput %.6g below "
-                "proposedpower_minmax %.6g",
-                cell, a.mean_throughput, b.mean_throughput,
-            )
 
 
 def _fmt(value) -> str:

@@ -109,7 +109,7 @@ def _alternate(realization, profile, omega, p0):
     """One alternation run from a given initial power vector. Returns
     (best objective, best p, best eps, trace, flags, iterations)."""
     p = np.asarray(p0, dtype=float)
-    eps_prev = None
+    z_prev = None
     p_prev = p
     best = None
     trace = []
@@ -127,11 +127,8 @@ def _alternate(realization, profile, omega, p0):
         obj = weighted_objective(
             omega, power.rate_sum, realization.sr_inf, assign.z, profile.eps_max_overall
         )
-        d_eps = (
-            float(np.max(np.abs(assign.eps - eps_prev)))
-            if eps_prev is not None
-            else np.inf
-        )
+        # every eps_i = min(cap_i, z) moves by at most |dz|, the loosest by |dz|
+        d_eps = abs(assign.z - z_prev) if z_prev is not None else np.inf
         d_p = float(np.max(np.abs(p - p_prev)))
         trace.append((obj, d_eps, d_p))
         if len(trace) > 1 and obj < trace[-2][0] - 1e-6:
@@ -139,7 +136,7 @@ def _alternate(realization, profile, omega, p0):
                 flags.append("objective_decreased")
         if best is None or obj > best[0]:
             best = (obj, p.copy(), assign.eps.copy())
-        eps_prev = assign.eps
+        z_prev = assign.z
         p_prev = p
         if d_eps <= EPS_TOL:
             converged = True

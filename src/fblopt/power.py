@@ -294,7 +294,7 @@ def _alm_run(obj, realization, p_init) -> PowerSolveResult:
         trace.append(StageRecord(stage, mu, zeta, p_new, delta, violation, iters, inner_ok))
         mu, zeta = update_multipliers(mu, zeta, slack)
         p = p_new
-        if delta <= POWER_TOL and violation <= FEAS_TOL:
+        if inner_ok and delta <= POWER_TOL and violation <= FEAS_TOL:
             converged = True
             break
 
@@ -312,8 +312,9 @@ def solve_power(realization, eps, omega, p_init=None) -> PowerSolveResult:
     """Augmented-Lagrangian outer loop for the fixed-error power subproblem.
 
     Stages alternate an inner maximization with the multiplier update until
-    the power vector stalls (inf-norm change <= POWER_TOL) with the budget
-    violation below FEAS_TOL, or the stage cap is reached. A tiny residual
+    a converged inner solve leaves the power vector still (inf-norm change
+    <= POWER_TOL) with the budget violation below FEAS_TOL, or the stage cap
+    is reached. A tiny residual
     violation (<= PROJECT_TOL) is removed by scaling onto the budget.
 
     One run starts from water-filling, or from the warm start projected onto

@@ -8,11 +8,14 @@ from fblopt.error_assignment import (
     ErrorAssignment,
     SortedQosProfile,
     beta_k,
+    errors_at_level,
+    floor_errors,
     grid_search_errors,
     kkt_residual,
     optimal_errors,
     subproblem_objective,
 )
+from fblopt.harness import scheme_dispatch
 from fblopt.kernels import EPS_FLOOR, dispersion_coeff, q_inverse
 from fblopt.power import sr_infinity, water_filling
 
@@ -158,7 +161,6 @@ class TestOptimalErrors:
         r, prof = make_instance([0.7, 1.1, 0.4, 0.9])
         p = water_filling(r.gamma, r.p_max)
         out = optimal_errors(r, p, prof, 1.0)
-        assert out.branch == 5
         assert np.array_equal(out.eps, prof.caps_original())
         assert out.z == 5e-4
 
@@ -186,17 +188,9 @@ class TestOptimalErrors:
             p = rng.dirichlet(np.ones(4)) * r.p_max
             omega = rng.uniform(0.05, 0.95)
             out = optimal_errors(r, p, prof, omega)
-            eps_sorted = prof.to_sorted(out.eps)
             caps = np.array(prof.eps_max_sorted)
-            k = out.branch
-            assert 1 <= k <= 5
-            if k <= 4:
-                assert np.array_equal(eps_sorted[: k - 1], caps[: k - 1])
-                suffix = eps_sorted[k - 1 :]
-                assert np.all(suffix == suffix[0])
-                assert suffix[0] <= caps[k - 1] + EDGE_TOL
-            assert np.all(eps_sorted <= caps + EDGE_TOL)
-            assert np.all(np.diff(eps_sorted) >= -EDGE_TOL)
+            assert EPS_FLOOR <= out.z <= caps[-1]
+            assert np.array_equal(prof.to_sorted(out.eps), np.minimum(caps, out.z))
 
     def test_symmetric_two_user_grid_oracle(self):
         gamma = np.array([1.5, 1.5])
@@ -229,6 +223,23 @@ class TestOptimalErrors:
             obj = subproblem_objective(r, p, profile, omega, out.eps)
             _, grid_obj = grid_search_errors(r, p, profile, omega, points_per_user=2000)
             assert obj <= grid_obj + 1e-8
+
+    def test_every_error_vector_is_min_of_caps_and_level(self):
+        # the joint solver's alternation measures the change of eps by |dz|
+        rng = np.random.default_rng(61)
+        instances = [random_instance(rng) for _ in range(40)]
+        moved = 0
+        for r, profile, p, omega, _ in instances + [many_users_instance(rng) for _ in range(8)]:
+            one = optimal_errors(r, p, profile, omega)
+            two = optimal_errors(r, rng.dirichlet(np.ones(r.n_users)) * r.p_max, profile, omega)
+            assert np.max(np.abs(one.eps - two.eps)) == abs(one.z - two.z)
+            moved += one.z != two.z
+            assert np.array_equal(floor_errors(profile), errors_at_level(profile, EPS_FLOOR))
+            report = scheme_dispatch("wf_minmax", r, profile, omega)
+            assert np.array_equal(
+                report.allocation.eps, np.full(r.n_users, profile.eps_max_sorted[0])
+            )
+        assert moved >= 20
 
     def test_branch_exclusivity(self):
         rng = np.random.default_rng(23)
@@ -277,7 +288,7 @@ class TestKktResidual:
         out = optimal_errors(r, p, prof, 0.6)
         eps = out.eps.copy()
         eps[1] *= 1.1
-        bad = ErrorAssignment(eps=eps, z=float(eps.max()), branch=out.branch)
+        bad = ErrorAssignment(eps=eps, z=float(eps.max()))
         assert kkt_residual(bad, r, p, prof, 0.6) > 1e-3
 
     def test_omega_one_caps_residual(self):

@@ -535,6 +535,17 @@ class TestSolvePower:
         assert np.all(res.p >= 0.0) and np.sum(res.p) <= r.p_max
         assert np.count_nonzero(res.p) <= 1
 
+    def test_stalled_inner_solve_is_not_converged(self, monkeypatch):
+        # with every line search failing, each stage's inner solve stops
+        # without moving: a zero power change is a stall, not convergence
+        monkeypatch.setattr(fblopt.power, "_armijo", lambda *args: None)
+        r = make_realization([0.8, 1.3], p_max=3.0)
+        obj = _PowerObjective(r, np.array([1e-4, 5e-4]), 0.8)
+        run = _alm_run(obj, r, r.p_wf)
+        assert not any(stage.inner_converged for stage in run.trace)
+        assert len(run.trace) == fblopt.power.MAX_STAGES
+        assert not run.converged
+
     def test_warm_start_projected_onto_nonnegative(self):
         r = make_realization([0.8, 1.3], p_max=3.0)
         eps = np.array([1e-4, 5e-4])
