@@ -314,8 +314,8 @@ def solve_power(realization, eps, omega, p_init=None) -> PowerSolveResult:
     Stages alternate an inner maximization with the multiplier update until
     a converged inner solve leaves the power vector still (inf-norm change
     <= POWER_TOL) with the budget violation below FEAS_TOL, or the stage cap
-    is reached. A tiny residual
-    violation (<= PROJECT_TOL) is removed by scaling onto the budget.
+    is reached. A tiny residual violation (<= PROJECT_TOL) is removed by
+    scaling onto the budget.
 
     One run starts from water-filling, or from the warm start projected onto
     p >= 0. A user at zero power in that start has gradient about

@@ -239,7 +239,7 @@ class TestOptimalErrors:
             assert np.array_equal(
                 report.allocation.eps, np.full(r.n_users, profile.eps_max_sorted[0])
             )
-        assert moved >= 20
+        assert moved >= 40
 
     def test_branch_exclusivity(self):
         rng = np.random.default_rng(23)
