@@ -7,6 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .kernels import EPS_FLOOR
 from .power import sr_infinity, water_filling
 
 
@@ -15,8 +16,8 @@ class UserLink:
     """One user's propagation parameters and QoS cap.
 
     kappa: power gain at 1 m, distance in meters, pathloss_exp the path-loss
-    exponent, eps_max the per-user block-error-probability cap (must lie
-    strictly inside (0, 0.5)).
+    exponent, eps_max the per-user block-error-probability cap (must lie in
+    [EPS_FLOOR, 0.5): no error probability is solved for below the floor).
     """
 
     kappa: float
@@ -27,8 +28,8 @@ class UserLink:
     def __post_init__(self):
         if not (self.kappa > 0 and self.distance > 0 and self.pathloss_exp > 0):
             raise ValueError("kappa, distance and pathloss_exp must be positive")
-        if not 0.0 < self.eps_max < 0.5:
-            raise ValueError("eps_max must lie in (0, 0.5)")
+        if not EPS_FLOOR <= self.eps_max < 0.5:
+            raise ValueError(f"eps_max must lie in [{EPS_FLOOR:g}, 0.5)")
 
 
 @dataclass(frozen=True)

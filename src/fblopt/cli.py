@@ -28,14 +28,16 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--config", help="scenario config file (key = value sections)")
-    parser.add_argument("--seed", type=int, help="master seed (overrides config)")
-    parser.add_argument("--trials", type=int, help="trials per cell")
-    parser.add_argument("--omega", type=float, nargs="+", help="weight grid")
-    parser.add_argument("--lgrid", type=int, nargs="+", help="block-length grid")
-    parser.add_argument("--pmax-db", type=float, nargs="+", help="power budget grid, dB")
     parser.add_argument(
-        "--schemes", nargs="+", choices=SCHEMES, help="schemes to evaluate"
+        "--seed", dest="master_seed", type=int, help="master seed (overrides config)"
     )
+    parser.add_argument("--trials", dest="n_trials", type=int, help="trials per cell")
+    parser.add_argument("--omega", dest="omega_grid", type=float, nargs="+", help="weight grid")
+    parser.add_argument("--lgrid", dest="l_grid", type=int, nargs="+", help="block-length grid")
+    parser.add_argument(
+        "--pmax-db", dest="p_max_grid", type=float, nargs="+", help="power budget grid, dB"
+    )
+    parser.add_argument("--schemes", nargs="+", choices=SCHEMES, help="schemes to evaluate")
     parser.add_argument("--out", default="results.csv", help="output CSV path")
     parser.add_argument(
         "--oracle",
@@ -44,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("P_POINTS", "EPS_POINTS"),
         help="also run the exhaustive grid oracle (3 users max)",
     )
-    parser.add_argument("--jobs", type=int, help="worker processes (default 1)")
+    parser.add_argument("--jobs", dest="n_jobs", type=int, help="worker processes (default 1)")
     parser.add_argument("-v", "--verbose", action="store_true")
     return parser
 
@@ -54,26 +56,16 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO)
 
     config = load_config_file(args.config) if args.config else default_config()
-
-    overrides = {}
-    if args.trials is not None:
-        overrides["n_trials"] = args.trials
-    if args.omega is not None:
-        overrides["omega_grid"] = tuple(args.omega)
-    if args.lgrid is not None:
-        overrides["l_grid"] = tuple(args.lgrid)
-    if args.pmax_db is not None:
-        overrides["p_max_grid"] = tuple(args.pmax_db)
-    if args.schemes is not None:
-        overrides["schemes"] = tuple(args.schemes)
+    # every flag but these three sets the ScenarioConfig field its dest
+    # names, and replace raises on a dest that names none
+    overrides = {
+        dest: tuple(value) if isinstance(value, list) else value
+        for dest, value in vars(args).items()
+        if value is not None and dest not in ("config", "out", "verbose")
+    }
     if args.oracle is not None:
-        overrides["oracle"] = OracleGrid(p_points=args.oracle[0], eps_points=args.oracle[1])
-    if args.jobs is not None:
-        overrides["n_jobs"] = args.jobs
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if overrides:
-        config = replace(config, **overrides)
+        overrides["oracle"] = OracleGrid(*args.oracle)
+    config = replace(config, **overrides)
 
     rows = run_scenario(config)
     emit_csv(rows, args.out)

@@ -45,8 +45,8 @@ class SortedQosProfile:
         caps = np.asarray(eps_max, dtype=float)
         if caps.ndim != 1 or caps.size < 1:
             raise ValueError("eps_max must be a nonempty 1-D sequence")
-        if not np.all((0.0 < caps) & (caps < 0.5)):
-            raise ValueError("every eps_max must lie in (0, 0.5)")
+        if not np.all((EPS_FLOOR <= caps) & (caps < 0.5)):
+            raise ValueError(f"every eps_max must lie in [{EPS_FLOOR:g}, 0.5)")
         order = np.argsort(caps, kind="stable")
         return cls(
             eps_max_sorted=tuple(caps[order].tolist()),
@@ -97,13 +97,14 @@ def _branch_levels(realization, p, profile, omega):
     tail_k sums sqrt(s^2 + 2s)/(1+s), s = gamma*p, over sorted slots k..N
     (one reversed cumulative sum), and beta_k = Q(sqrt(2 log(arg))) with
     arg = sqrt(L)(1-omega) sr_inf / (cap_N omega sqrt(2 pi) tail_k): None
-    when arg < 1, and the limit 0 at a zero tail.
+    when arg < 1, and the limit 0 when the denominator is zero (a zero tail,
+    or omega = 0, where every level is 0 and the scan lands on the floor).
     """
     s = profile.to_sorted(realization.gamma) * profile.to_sorted(p)
     num = math.sqrt(realization.block_length) * (1.0 - omega) * realization.sr_inf
     den = profile.eps_max_overall * omega * _SQRT_2PI
     for tail in np.cumsum(dispersion_coeff(s, 1)[::-1])[::-1].tolist():
-        arg = num / (den * tail) if tail else math.inf
+        arg = num / (den * tail) if den * tail else math.inf
         if arg < 1.0:
             yield tail, None
         else:
@@ -125,12 +126,6 @@ def beta_k(realization, p, profile, omega, k):
     return level, tail == 0.0
 
 
-def floor_errors(profile) -> np.ndarray:
-    """The omega == 0 (pure reliability) assignment in original user order:
-    every error probability at the floor, or at its cap if that is lower."""
-    return errors_at_level(profile, EPS_FLOOR)
-
-
 def optimal_errors(realization, p, profile, omega) -> ErrorAssignment:
     """Closed-form minimizer of the fixed-power error subproblem.
 
@@ -141,9 +136,10 @@ def optimal_errors(realization, p, profile, omega) -> ErrorAssignment:
     landing in its own segment, or a saturated level at the cap separating a
     still-decreasing segment from an already-increasing one. With no
     crossing at all, z is the loosest cap and every user sits at its cap.
+    At omega = 0 every level is 0, so z clamps to EPS_FLOOR.
     """
-    if not 0.0 < omega <= 1.0:
-        raise ValueError("omega must lie in (0, 1] for the error subproblem")
+    if not 0.0 <= omega <= 1.0:
+        raise ValueError("omega must lie in [0, 1] for the error subproblem")
     n = realization.n_users
     if profile.n_users != n:
         raise ValueError("profile and realization disagree on user count")

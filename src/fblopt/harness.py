@@ -16,7 +16,7 @@ import hashlib
 import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import partial
 from itertools import product
 
@@ -24,18 +24,13 @@ import numpy as np
 import numpy.random  # numpy loads it lazily: load it before a pool forks, not in each worker
 
 from .channel import NetworkRealization, UserLink, sample_realization
-from .error_assignment import SortedQosProfile, errors_at_level, floor_errors, optimal_errors
+from .error_assignment import SortedQosProfile, errors_at_level, optimal_errors
 from .joint import OracleGrid, exhaustive_oracle, make_report, solve_joint
 from .power import equal_power, solve_power
 
 logger = logging.getLogger("fblopt")
 
 SCHEMES = ("proposed", "wf_minmax", "proposedpower_minmax", "equalpower_opteps")
-
-CSV_HEADER = (
-    "scheme,omega,L,p_max,mean_sum_rate,mean_max_eps,"
-    "mean_throughput,std_throughput,n_trials,seed"
-)
 
 # fraction of failed trials above which a cell is considered broken
 FAILURE_BUDGET = 0.01
@@ -102,6 +97,15 @@ class ResultRow:
     seed: int
 
 
+# the CSV header: ResultRow's fields in order, block_length written as L
+CSV_COLUMNS = tuple("L" if f.name == "block_length" else f.name for f in fields(ResultRow))
+
+
+def _row_key(row):
+    """Sort key of result rows and CSV lines: (scheme, omega, L, p_max)."""
+    return row.scheme, row.omega, row.block_length, row.p_max
+
+
 def default_config(**overrides) -> ScenarioConfig:
     """Four equidistant users with the usual vehicular-grade error caps,
     unit noise, 6 dB budget, 200 channel uses, omega 0.9, 10^3 trials.
@@ -123,16 +127,14 @@ def scheme_dispatch(scheme, realization, profile, omega):
     proposed             joint alternating solver
     wf_minmax            water-filling power, all errors at the strictest cap
     proposedpower_minmax augmented-Lagrangian power, errors at strictest cap
-                         (water-filling at omega 0, where rate has no weight)
     equalpower_opteps    equal power split, closed-form error assignment
     """
     if scheme == "proposed":
         return solve_joint(realization, profile, omega)
 
-    n = realization.n_users
     minmax_eps = errors_at_level(profile, profile.eps_max_sorted[0])
     flags = []
-    if scheme == "wf_minmax" or (scheme == "proposedpower_minmax" and omega == 0.0):
+    if scheme == "wf_minmax":
         p = realization.p_wf
         eps = minmax_eps
     elif scheme == "proposedpower_minmax":
@@ -142,11 +144,8 @@ def scheme_dispatch(scheme, realization, profile, omega):
         if not result.converged:
             flags.append("power_stage_cap")
     elif scheme == "equalpower_opteps":
-        p = equal_power(n, realization.p_max)
-        if omega == 0.0:
-            eps = floor_errors(profile)
-        else:
-            eps = optimal_errors(realization, p, profile, omega).eps
+        p = equal_power(realization.n_users, realization.p_max)
+        eps = optimal_errors(realization, p, profile, omega).eps
     else:
         raise ValueError(f"unknown scheme: {scheme!r}")
     return make_report(realization, profile, p, eps, omega, iterations=1, flags=flags)
@@ -209,7 +208,7 @@ def run_scenario(config: ScenarioConfig):
         _aggregate(results, scheme, omega, length, p_max, config)
         for (omega, length, p_max, scheme), results in zip(_columns(config), zip(*per_trial))
     ]
-    rows.sort(key=lambda r: (r.scheme, r.omega, r.block_length, r.p_max))
+    rows.sort(key=_row_key)
     return rows
 
 
@@ -248,56 +247,31 @@ def _fmt(value) -> str:
 
 
 def emit_csv(rows, path):
-    """Write rows as UTF-8 CSV, 9 significant digits, sorted by
-    (scheme, omega, L, p_max)."""
-    rows = sorted(rows, key=lambda r: (r.scheme, r.omega, r.block_length, r.p_max))
+    """Write rows as UTF-8 CSV under the CSV_COLUMNS header, floats to 9
+    significant digits, sorted by (scheme, omega, L, p_max)."""
+    rows = sorted(rows, key=_row_key)
     if not rows:
         raise ValueError("emit_csv requires at least one row")
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(CSV_HEADER + "\n")
+            fh.write(",".join(CSV_COLUMNS) + "\n")
             for r in rows:
-                fh.write(
-                    ",".join(
-                        [
-                            r.scheme,
-                            _fmt(r.omega),
-                            str(r.block_length),
-                            _fmt(r.p_max),
-                            _fmt(r.mean_sum_rate),
-                            _fmt(r.mean_max_eps),
-                            _fmt(r.mean_throughput),
-                            _fmt(r.std_throughput),
-                            str(r.n_trials),
-                            str(r.seed),
-                        ]
-                    )
-                    + "\n"
-                )
+                line = (_fmt(v) if isinstance(v, float) else str(v) for v in astuple(r))
+                fh.write(",".join(line) + "\n")
     except OSError as exc:
         raise OSError(f"failed writing CSV to {path}: {exc}") from exc
 
 
 def read_rows(path):
-    """Parse a CSV produced by emit_csv back into ResultRow objects."""
-    out = []
+    """Parse a CSV produced by emit_csv back into ResultRow objects, each
+    column with its field's type; a header other than CSV_COLUMNS raises."""
+    types = [f.type for f in fields(ResultRow)]
     with open(path, encoding="utf-8", newline="") as fh:
-        for rec in csv.DictReader(fh):
-            out.append(
-                ResultRow(
-                    scheme=rec["scheme"],
-                    omega=float(rec["omega"]),
-                    block_length=int(rec["L"]),
-                    p_max=float(rec["p_max"]),
-                    mean_sum_rate=float(rec["mean_sum_rate"]),
-                    mean_max_eps=float(rec["mean_max_eps"]),
-                    mean_throughput=float(rec["mean_throughput"]),
-                    std_throughput=float(rec["std_throughput"]),
-                    n_trials=int(rec["n_trials"]),
-                    seed=int(rec["seed"]),
-                )
-            )
-    return out
+        records = csv.reader(fh)
+        header = tuple(next(records, ()))
+        if header != CSV_COLUMNS:
+            raise ValueError(f"{path}: header {header} is not {CSV_COLUMNS}")
+        return [ResultRow(*(t(v) for t, v in zip(types, rec))) for rec in records]
 
 
 def config_hash(config: ScenarioConfig) -> str:

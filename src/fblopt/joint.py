@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .error_assignment import floor_errors, optimal_errors, z_sweep
+from .error_assignment import optimal_errors, z_sweep
 from .kernels import EPS_FLOOR, dispersion_coeff, length_offset, q_inverse, rate_term
 from .power import simplex_grid, solve_power
 
@@ -163,19 +163,14 @@ def solve_joint(realization, profile, omega) -> SolveReport:
     transmitting user. The best of them (the first on ties) is returned,
     flagged "silent_start", if it beats the alternation strictly.
 
-    omega == 0 is the pure reliability regime: every error probability is
-    pinned at the floor and water-filling breaks the power tie.
+    At omega = 0, the pure reliability regime, the solvers' own limits
+    decide: every error probability sits at the floor, solve_power keeps
+    water-filling, and no corner beats it strictly.
     """
     if not 0.0 <= omega <= 1.0:
         raise ValueError("omega must lie in [0, 1]")
     if profile.n_users != realization.n_users:
         raise ValueError("profile and realization disagree on user count")
-
-    if omega == 0.0:
-        return make_report(
-            realization, profile, realization.p_wf, floor_errors(profile), omega,
-            iterations=1, flags=["omega_zero"],
-        )
 
     _, p, eps, trace, flags, iterations = _alternate(realization, profile, omega, realization.p_wf)
     best = make_report(

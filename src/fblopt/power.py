@@ -29,7 +29,6 @@ from .kernels import EPS_FLOOR, dispersion_coeff, q_inverse, rate_term
 # augmented-Lagrangian outer loop
 MU0 = 1.0
 ZETA0 = 0.15
-MU_CAP = 1e12
 MAX_STAGES = 30
 POWER_TOL = 1e-6      # inf-norm change of p between stages
 FEAS_TOL = 1e-8       # allowed budget violation at convergence
@@ -272,11 +271,10 @@ def _spg(obj, mu, zeta, p_init):
 
 def update_multipliers(mu, zeta, slack):
     """Multiplier and penalty update between stages, given the budget slack
-    P_max - sum p: zeta <- max(0, zeta - mu*slack), mu <- 2*mu (capped at
-    MU_CAP). Returns (mu, zeta)."""
-    zeta_next = max(0.0, zeta - mu * slack)
-    mu_next = min(2.0 * mu, MU_CAP)
-    return mu_next, zeta_next
+    P_max - sum p: zeta <- max(0, zeta - mu*slack), mu <- 2*mu, uncapped:
+    a run starts at MU0 and stops within MAX_STAGES stages, so mu stays
+    below MU0 * 2^MAX_STAGES. Returns (mu, zeta)."""
+    return 2.0 * mu, max(0.0, zeta - mu * slack)
 
 
 def _alm_run(obj, realization, p_init) -> PowerSolveResult:
@@ -332,18 +330,20 @@ def solve_power(realization, eps, omega, p_init=None) -> PowerSolveResult:
     and all-zero power (best when every rate would come out negative), the
     first with the best rate objective is returned.
 
-    omega must lie in (0, 1]: at omega == 0 the objective is identically
-    zero and every feasible p is optimal.
+    At omega == 0 the objective is identically zero, every feasible p is
+    optimal, and the start itself is returned, converged.
     """
     eps = np.asarray(eps, dtype=float)
     if not np.all((0.0 < eps) & (eps < 0.5)):
         raise ValueError("eps must lie componentwise in (0, 0.5)")
-    if not 0.0 < omega <= 1.0:
-        raise ValueError("omega must lie in (0, 1] for the power subproblem")
+    if not 0.0 <= omega <= 1.0:
+        raise ValueError("omega must lie in [0, 1] for the power subproblem")
 
     obj = _PowerObjective(realization, eps, omega)
     n = realization.n_users
     start = realization.p_wf if p_init is None else np.maximum(p_init, 0.0)
+    if omega == 0.0:
+        return PowerSolveResult(p=start, rate_sum=obj.rate_sum(start), converged=True)
     run = _alm_run(obj, realization, start)
     candidates = [run] if run.violation <= PROJECT_TOL else []
     for vertex in np.eye(n) * realization.p_max:

@@ -26,6 +26,8 @@ class TestUserLink:
             UserLink(kappa=np.nan, distance=1.0, pathloss_exp=3.0, eps_max=1e-4)
         with pytest.raises(ValueError):
             UserLink(kappa=1.0, distance=1.0, pathloss_exp=3.0, eps_max=np.nan)
+        with pytest.raises(ValueError):  # below EPS_FLOOR
+            UserLink(kappa=1.0, distance=1.0, pathloss_exp=3.0, eps_max=1e-13)
 
 
 class TestMeanGain:

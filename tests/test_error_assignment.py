@@ -9,7 +9,6 @@ from fblopt.error_assignment import (
     SortedQosProfile,
     beta_k,
     errors_at_level,
-    floor_errors,
     grid_search_errors,
     kkt_residual,
     optimal_errors,
@@ -91,6 +90,11 @@ class TestSortedQosProfile:
             SortedQosProfile.from_caps([0.0, 1e-4])
         with pytest.raises(ValueError):
             SortedQosProfile.from_caps([np.nan])
+        # below the floor no error probability is solved for: such a cap
+        # would be reported while the rate is computed at Qinv(EPS_FLOOR)
+        with pytest.raises(ValueError):
+            SortedQosProfile.from_caps([1e-13, 5e-5, 1e-4, 5e-4])
+        assert SortedQosProfile.from_caps([EPS_FLOOR]).eps_max_sorted == (EPS_FLOOR,)
 
 
 class TestBetaK:
@@ -164,11 +168,6 @@ class TestOptimalErrors:
         assert np.array_equal(out.eps, prof.caps_original())
         assert out.z == 5e-4
 
-    def test_omega_zero_rejected(self):
-        r, prof = make_instance([1.0])
-        with pytest.raises(ValueError):
-            optimal_errors(r, np.array([1.0]), prof, 0.0)
-
     @pytest.mark.parametrize("sr_inf", [0.0, -1.0, np.nan])
     def test_bad_sr_inf_rejected(self, sr_inf, monkeypatch):
         # the realization checks its normalizer where it computes it, so the
@@ -234,7 +233,10 @@ class TestOptimalErrors:
             two = optimal_errors(r, rng.dirichlet(np.ones(r.n_users)) * r.p_max, profile, omega)
             assert np.max(np.abs(one.eps - two.eps)) == abs(one.z - two.z)
             moved += one.z != two.z
-            assert np.array_equal(floor_errors(profile), errors_at_level(profile, EPS_FLOOR))
+            # at omega = 0 the scan's own limit is the floor: every level is 0
+            floor = optimal_errors(r, p, profile, 0.0)
+            assert floor.z == EPS_FLOOR
+            assert np.array_equal(floor.eps, errors_at_level(profile, EPS_FLOOR))
             report = scheme_dispatch("wf_minmax", r, profile, omega)
             assert np.array_equal(
                 report.allocation.eps, np.full(r.n_users, profile.eps_max_sorted[0])

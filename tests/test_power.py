@@ -425,14 +425,6 @@ class TestUpdateMultipliers:
         mu, zeta = update_multipliers(1.0, 0.0, 1.0 - 1.2)
         assert zeta == pytest.approx(0.2, abs=1e-15)
 
-    def test_configured_mu_cap_bounds_trace(self, monkeypatch):
-        monkeypatch.setattr(fblopt.power, "MU_CAP", 4.0)
-        r = make_realization([0.8, 1.3], p_max=3.0)
-        eps = np.array([1e-4, 5e-4])
-        res = solve_power(r, eps, 0.8)
-        mus = [rec.mu for rec in res.trace]
-        assert len(mus) > 3 and max(mus) == 4.0
-
 
 class TestSolvePower:
     def test_defaults_match_multiplier_seeds(self):
@@ -552,12 +544,18 @@ class TestSolvePower:
         res = solve_power(r, eps, 0.8, p_init=np.array([-1.0, 2.0]))
         assert_same_run(res, solve_power(r, eps, 0.8, p_init=np.array([0.0, 2.0])))
 
-    def test_omega_zero_rejected(self):
-        # every p is optimal at omega == 0; the caller picks one instead
-        # (scheme_dispatch takes water-filling)
+    def test_omega_zero_returns_start(self):
+        # every p is optimal at omega == 0, so the start is the answer:
+        # water-filling itself, or the warm start projected onto p >= 0
         r = make_realization([0.5, 2.0], p_max=3.0)
+        eps = np.array([1e-4, 1e-4])
+        res = solve_power(r, eps, 0.0)
+        assert res.p is r.p_wf and res.converged and res.trace == []
+        assert res.rate_sum == _PowerObjective(r, eps, 0.0).rate_sum(r.p_wf)
+        warm = solve_power(r, eps, 0.0, p_init=np.array([-1.0, 2.0]))
+        assert np.array_equal(warm.p, [0.0, 2.0]) and warm.converged
         with pytest.raises(ValueError, match="omega"):
-            solve_power(r, np.array([1e-4, 1e-4]), 0.0)
+            solve_power(r, eps, -0.1)
 
     def test_rejects_bad_eps(self):
         r = make_realization([1.0], p_max=1.0)
