@@ -16,9 +16,10 @@ import hashlib
 import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from itertools import product
+from operator import attrgetter
 
 import numpy as np
 import numpy.random  # numpy loads it lazily: load it before a pool forks, not in each worker
@@ -252,26 +253,28 @@ def emit_csv(rows, path):
     rows = sorted(rows, key=_row_key)
     if not rows:
         raise ValueError("emit_csv requires at least one row")
+    values = attrgetter(*(f.name for f in fields(ResultRow)))
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
             for r in rows:
-                line = (_fmt(v) if isinstance(v, float) else str(v) for v in astuple(r))
-                fh.write(",".join(line) + "\n")
+                cells = [_fmt(v) if isinstance(v, float) else str(v) for v in values(r)]
+                fh.write(",".join(cells) + "\n")
     except OSError as exc:
         raise OSError(f"failed writing CSV to {path}: {exc}") from exc
 
 
 def read_rows(path):
     """Parse a CSV produced by emit_csv back into ResultRow objects, each
-    column with its field's type; a header other than CSV_COLUMNS raises."""
+    column with its field's type; a header other than CSV_COLUMNS, or a row
+    of another length, raises ValueError."""
     types = [f.type for f in fields(ResultRow)]
     with open(path, encoding="utf-8", newline="") as fh:
         records = csv.reader(fh)
         header = tuple(next(records, ()))
         if header != CSV_COLUMNS:
             raise ValueError(f"{path}: header {header} is not {CSV_COLUMNS}")
-        return [ResultRow(*(t(v) for t, v in zip(types, rec))) for rec in records]
+        return [ResultRow(*(t(v) for t, v in zip(types, rec, strict=True))) for rec in records]
 
 
 def config_hash(config: ScenarioConfig) -> str:

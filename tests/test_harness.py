@@ -366,6 +366,9 @@ class TestCsv:
         b.write_text(a.read_text().replace(",L,", ",block_length,", 1))
         with pytest.raises(ValueError, match="header"):
             read_rows(b)
+        b.write_text(a.read_text() + "wf_minmax,0.9,200,6,1,1e-05,1,0,10,7,extra\n")
+        with pytest.raises(ValueError):
+            read_rows(b)
 
     def test_rows_sorted(self, tmp_path):
         rows = [
