@@ -1,6 +1,7 @@
 """Joint error-probability and power optimization for finite-blocklength
 multi-user downlinks: closed-form error assignment, augmented-Lagrangian
-power allocation, an alternating joint solver, baselines, and grid oracles.
+power allocation, an alternating joint solver, baselines, and the
+exhaustive grid oracle behind the --oracle rows.
 """
 
 from .kernels import (
@@ -15,15 +16,11 @@ from .error_assignment import (
     ErrorAssignment,
     SortedQosProfile,
     beta_k,
-    grid_search_errors,
-    kkt_residual,
     optimal_errors,
-    subproblem_objective,
 )
 from .power import (
     PowerSolveResult,
     equal_power,
-    power_grid_oracle,
     simplex_grid,
     solve_power,
     sr_infinity,
@@ -31,7 +28,6 @@ from .power import (
     water_filling,
 )
 from .joint import (
-    Allocation,
     OracleGrid,
     SolveReport,
     exhaustive_oracle,

@@ -59,8 +59,7 @@ def main(argv=None) -> int:
     # every flag but these three sets the ScenarioConfig field its dest
     # names, and replace raises on a dest that names none
     overrides = {
-        dest: tuple(value) if isinstance(value, list) else value
-        for dest, value in vars(args).items()
+        dest: value for dest, value in vars(args).items()
         if value is not None and dest not in ("config", "out", "verbose")
     }
     if args.oracle is not None:

@@ -7,9 +7,7 @@ For fixed powers the weighted objective reduces to minimizing
 over 0 < eps_i <= cap_i, where a_i is the dispersion coefficient of user i
 and cap_N the largest QoS cap. The problem is convex and admits a closed
 form in one number, the shared level z = max(eps): every user sits at
-min(cap_i, z), and z is found by scanning N candidate branches. A
-KKT-residual checker and a log-grid search oracle verify the closed form
-independently.
+min(cap_i, z), and z is found by scanning N candidate branches.
 """
 
 import math
@@ -17,16 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import EPS_FLOOR, dispersion_coeff, q_inverse
+from .kernels import EPS_FLOOR, dispersion_coeff
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # absolute tolerance for interval-membership tests at branch endpoints
 EDGE_TOL = 1e-12
-
-# absolute tolerance for detecting active constraints in the KKT checker
-_ACTIVE_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -166,76 +161,6 @@ def optimal_errors(realization, p, profile, omega) -> ErrorAssignment:
     return ErrorAssignment(eps=errors_at_level(profile, z), z=z)
 
 
-def subproblem_objective(realization, p, profile, omega, eps) -> float:
-    """Value of the fixed-power error objective at eps (original order)."""
-    eps = np.maximum(np.asarray(eps, dtype=float), EPS_FLOOR)
-    a = dispersion_coeff(realization.gamma * np.asarray(p), realization.block_length)
-    cost = (omega / realization.sr_inf) * float(np.sum(a * q_inverse(eps)))
-    return cost + (1.0 - omega) / profile.eps_max_overall * float(eps.max())
-
-
-def kkt_residual(assignment, realization, p, profile, omega) -> float:
-    """Max absolute residual of the subproblem's KKT system at an assignment.
-
-    Multipliers are rebuilt from the active-set structure: lambda_i for the
-    eps_i <= z couplings, nu_i for the caps, eta for z <= cap_N. Slots where
-    both constraints are active get their stationarity weight split so the
-    z-stationarity equation is matched as closely as possible.
-    """
-    n = realization.n_users
-    eps_s = profile.to_sorted(assignment.eps)
-    caps = np.asarray(profile.eps_max_sorted)
-    z = float(assignment.z)
-    a = dispersion_coeff(
-        profile.to_sorted(realization.gamma) * profile.to_sorted(p),
-        realization.block_length,
-    )
-    y = q_inverse(np.maximum(eps_s, EPS_FLOOR))
-    weight = (omega / realization.sr_inf) * a * _SQRT_2PI * np.exp(0.5 * y * y)
-
-    lam_active = (z - eps_s) <= _ACTIVE_TOL
-    nu_active = (caps - eps_s) <= _ACTIVE_TOL
-    eta_free = (profile.eps_max_overall - z) <= _ACTIVE_TOL
-
-    lam = np.zeros(n)
-    nu = np.zeros(n)
-    lam_only = lam_active & ~nu_active
-    nu_only = nu_active & ~lam_active
-    flexible = lam_active & nu_active
-    lam[lam_only] = weight[lam_only]
-    nu[nu_only] = weight[nu_only]
-
-    target = (1.0 - omega) / profile.eps_max_overall
-    need = target - float(lam.sum())
-    for i in np.flatnonzero(flexible):
-        take = min(max(need, 0.0), weight[i])
-        lam[i] = take
-        nu[i] = weight[i] - take
-        need -= take
-    eta = max(0.0, float(lam.sum()) - target) if eta_free else 0.0
-
-    inactive = ~lam_active & ~nu_active
-    residuals = [
-        # stationarity in eps: -weight + lam + nu = 0
-        float(np.max(np.abs(-weight + lam + nu))) if n else 0.0,
-        # stationarity in z
-        abs(target - float(lam.sum()) + eta),
-        # complementary slackness
-        float(np.max(lam * np.abs(z - eps_s))),
-        float(np.max(nu * np.abs(caps - eps_s))),
-        eta * abs(profile.eps_max_overall - z),
-        # primal feasibility
-        float(np.max(np.maximum(eps_s - z, 0.0))),
-        float(np.max(np.maximum(eps_s - caps, 0.0))),
-        max(z - profile.eps_max_overall, 0.0),
-        float(np.max(np.maximum(-eps_s, 0.0))),
-    ]
-    # slots touching neither constraint violate stationarity outright
-    if np.any(inactive):
-        residuals.append(float(np.max(weight[inactive])))
-    return max(residuals)
-
-
 def z_sweep(caps, points):
     """Per-user log grids of `points` values on (EPS_FLOOR, cap_i], and the
     sweep of the max level z over the union of those grids.
@@ -250,24 +175,3 @@ def z_sweep(caps, points):
     z_cand = np.unique(np.concatenate(grids))
     idx = np.array([np.searchsorted(g, z_cand, side="right") - 1 for g in grids])
     return grids, z_cand, np.clip(idx, 0, None), np.all(idx >= 0, axis=0)
-
-
-def grid_search_errors(realization, p, profile, omega, points_per_user=10_000):
-    """Brute-force oracle: minimize the error subproblem over per-user log
-    grids on (EPS_FLOOR, cap_i], exactly over their product via z_sweep.
-
-    Returns (eps in original order, objective value).
-    """
-    a = dispersion_coeff(realization.gamma * np.asarray(p), realization.block_length)
-    c = (omega / realization.sr_inf) * a
-    d = (1.0 - omega) / profile.eps_max_overall
-
-    grids, z_cand, idx, feasible = z_sweep(profile.caps_original(), points_per_user)
-    total = d * z_cand
-    for i, g in enumerate(grids):
-        total += (c[i] * q_inverse(g))[idx[i]]
-
-    total[~feasible] = np.inf
-    best = int(np.argmin(total))
-    eps = np.array([g[idx[i, best]] for i, g in enumerate(grids)])
-    return eps, subproblem_objective(realization, p, profile, omega, eps)

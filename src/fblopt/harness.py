@@ -52,6 +52,9 @@ class ScenarioConfig:
     fading: bool = True  # False pins theta = 1, for hand-checkable runs
 
     def __post_init__(self):
+        # a library caller's lists become tuples, so equal configs compare and hash equal
+        for name in ("links", "p_max_grid", "l_grid", "omega_grid", "schemes"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.n_jobs < 1:
             raise ValueError("n_jobs must be >= 1")
         if self.n_trials < 1:

@@ -15,18 +15,13 @@ MAX_ALTERNATIONS = 50
 EPS_TOL = 1e-9        # inf-norm change of eps between alternations
 
 
-@dataclass(frozen=True)
-class Allocation:
-    """A joint decision point: powers and error probabilities, both in
-    original user order."""
+@dataclass
+class SolveReport:
+    """A joint decision point, powers p and error probabilities eps both in
+    original user order, with its objective and metrics."""
 
     p: np.ndarray
     eps: np.ndarray
-
-
-@dataclass
-class SolveReport:
-    allocation: Allocation
     objective: float
     u1: float
     u2: float
@@ -92,7 +87,8 @@ def make_report(
     max_eps = float(np.max(eps))
     sr_inf = realization.sr_inf
     return SolveReport(
-        allocation=Allocation(p=p, eps=eps),
+        p=p,
+        eps=eps,
         objective=weighted_objective(omega, rate_sum, sr_inf, max_eps, profile.eps_max_overall),
         u1=rate_sum / sr_inf,
         u2=u2(max_eps, profile.eps_max_overall),

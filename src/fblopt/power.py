@@ -363,14 +363,3 @@ def simplex_grid(n_users, p_max, points) -> np.ndarray:
     mesh = np.meshgrid(*([axis] * n_users), indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     return pts[pts.sum(axis=1) <= p_max * (1.0 + 1e-12)]
-
-
-def power_grid_oracle(realization, eps, omega, points=300):
-    """Best scaled rate objective over a simplex grid; brute-force reference
-    for solve_power. Returns (p, objective value)."""
-    pts = simplex_grid(realization.n_users, realization.p_max, points)
-    qinv = q_inverse(np.maximum(np.asarray(eps, dtype=float), EPS_FLOOR))
-    terms = rate_term(pts * realization.gamma, realization.block_length, qinv)
-    vals = (omega / realization.sr_inf) * np.sum(terms, axis=1)
-    best = int(np.argmax(vals))
-    return pts[best], float(vals[best])

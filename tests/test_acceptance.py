@@ -13,21 +13,18 @@ import pytest
 from fblopt.channel import NetworkRealization
 from fblopt.error_assignment import (
     SortedQosProfile,
-    grid_search_errors,
-    kkt_residual,
     optimal_errors,
-    subproblem_objective,
 )
 from fblopt.harness import default_config, emit_csv, run_scenario
 from fblopt.joint import OracleGrid, exhaustive_oracle, solve_joint
 from fblopt.kernels import achievable_rate, dispersion_coeff, q_function, q_inverse
 from fblopt.power import (
     _PowerObjective,
-    power_grid_oracle,
     solve_power,
     sr_infinity,
     update_multipliers,
 )
+from oracles import grid_search_errors, kkt_residual, power_grid_oracle, subproblem_objective
 
 
 def report(number, ok, detail):

@@ -9,14 +9,12 @@ from fblopt.error_assignment import (
     SortedQosProfile,
     beta_k,
     errors_at_level,
-    grid_search_errors,
-    kkt_residual,
     optimal_errors,
-    subproblem_objective,
 )
 from fblopt.harness import scheme_dispatch
 from fblopt.kernels import EPS_FLOOR, dispersion_coeff, q_inverse
 from fblopt.power import sr_infinity, water_filling
+from oracles import grid_search_errors, kkt_residual, subproblem_objective
 
 PAPER_CAPS = (1e-5, 5e-5, 1e-4, 5e-4)
 
@@ -239,7 +237,7 @@ class TestOptimalErrors:
             assert np.array_equal(floor.eps, errors_at_level(profile, EPS_FLOOR))
             report = scheme_dispatch("wf_minmax", r, profile, omega)
             assert np.array_equal(
-                report.allocation.eps, np.full(r.n_users, profile.eps_max_sorted[0])
+                report.eps, np.full(r.n_users, profile.eps_max_sorted[0])
             )
         assert moved >= 40
 

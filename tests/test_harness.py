@@ -57,26 +57,26 @@ class TestSchemeDispatch:
 
     def test_wf_minmax_uses_strictest_cap(self):
         rep = scheme_dispatch("wf_minmax", self.r, self.profile, 0.9)
-        assert np.all(rep.allocation.eps == 1e-5)
-        assert np.allclose(rep.allocation.p, water_filling(self.r.gamma, 4.0))
+        assert np.all(rep.eps == 1e-5)
+        assert np.allclose(rep.p, water_filling(self.r.gamma, 4.0))
 
     def test_proposedpower_minmax_eps(self):
         rep = scheme_dispatch("proposedpower_minmax", self.r, self.profile, 0.9)
-        assert np.all(rep.allocation.eps == 1e-5)
-        assert np.sum(rep.allocation.p) <= 4.0 * (1 + 1e-6)
+        assert np.all(rep.eps == 1e-5)
+        assert np.sum(rep.p) <= 4.0 * (1 + 1e-6)
 
     def test_equal_power_split(self):
         rep = scheme_dispatch("equalpower_opteps", self.r, self.profile, 0.9)
-        assert np.allclose(rep.allocation.p, equal_power(4, 4.0))
-        expected = optimal_errors(self.r, rep.allocation.p, self.profile, 0.9).eps
-        assert np.array_equal(rep.allocation.eps, expected)
+        assert np.allclose(rep.p, equal_power(4, 4.0))
+        expected = optimal_errors(self.r, rep.p, self.profile, 0.9).eps
+        assert np.array_equal(rep.eps, expected)
 
     def test_proposedpower_minmax_omega_zero_is_water_filling(self):
         # with no weight on the rate every p is optimal; solve_power returns
         # its start, water-filling
         rep = scheme_dispatch("proposedpower_minmax", self.r, self.profile, 0.0)
-        assert rep.allocation.p is self.r.p_wf
-        assert np.all(rep.allocation.eps == 1e-5) and rep.flags == []
+        assert rep.p is self.r.p_wf
+        assert np.all(rep.eps == 1e-5) and rep.flags == []
 
     def test_proposed_is_joint_solver(self):
         rep = scheme_dispatch("proposed", self.r, self.profile, 0.9)
@@ -109,7 +109,7 @@ class TestSchemeDispatch:
 
     @pytest.mark.parametrize("scheme", ["proposed", "proposedpower_minmax"])
     def test_over_budget_power_run_never_returned(self, scheme, over_budget_alm):
-        p = scheme_dispatch(scheme, self.r, self.profile, 0.9).allocation.p
+        p = scheme_dispatch(scheme, self.r, self.profile, 0.9).p
         # a closed-form candidate (a vertex or zero power), within budget
         assert np.all(p >= 0.0) and np.sum(p) <= self.r.p_max
         assert np.count_nonzero(p) <= 1
@@ -287,7 +287,7 @@ class TestRunScenario:
         with pytest.raises(ValueError):
             r.p_wf[0] = 0.0
         rep = scheme_dispatch("wf_minmax", r, SortedQosProfile.from_caps(PAPER_CAPS), 0.9)
-        assert rep.allocation.p is r.p_wf
+        assert rep.p is r.p_wf
 
     def test_over_budget_runs_do_not_fail_trials(self, over_budget_alm):
         cfg = tiny_config(schemes=("proposedpower_minmax",), n_trials=1)
@@ -445,6 +445,11 @@ class TestManifestAndConfig:
         cfg = tiny_config()
         assert config_hash(cfg) == config_hash(replace(cfg, n_jobs=2))
         assert config_hash(cfg) != config_hash(replace(cfg, n_trials=9))
+        # grids given as lists are kept as tuples: the same config, hashable
+        listed = replace(cfg, omega_grid=list(cfg.omega_grid), schemes=list(cfg.schemes))
+        assert listed == cfg and hash(listed) == hash(cfg)
+        assert config_hash(listed) == config_hash(cfg)
+        assert default_config(omega_grid=[0.9]) == default_config()
 
     def test_load_config_file(self, tmp_path):
         text = """

@@ -138,7 +138,7 @@ class TestMakeReport:
             assert rep.sum_rate == float(np.sum(rates))
             assert rep.throughput == sum_throughput(rates, eps)
             assert rep.max_eps == max_eps
-            assert np.array_equal(rep.allocation.p, p) and np.array_equal(rep.allocation.eps, eps)
+            assert np.array_equal(rep.p, p) and np.array_equal(rep.eps, eps)
             assert (rep.iterations, rep.trace, rep.flags) == (3, [], ["x"])
 
     def test_rates_match_kernel_bitwise(self):
@@ -154,13 +154,13 @@ class TestSolveJoint:
     def test_omega_one_uses_caps(self):
         r, prof = make_instance([0.7, 1.2, 0.5, 1.0])
         rep = solve_joint(r, prof, 1.0)
-        assert np.array_equal(rep.allocation.eps, prof.caps_original())
+        assert np.array_equal(rep.eps, prof.caps_original())
 
     def test_omega_zero_floor_and_waterfilling(self):
         r, prof = make_instance([0.7, 1.2])
         rep = solve_joint(r, prof, 0.0)
-        assert np.all(rep.allocation.eps == EPS_FLOOR)
-        assert np.array_equal(rep.allocation.p, water_filling(r.gamma, r.p_max))
+        assert np.all(rep.eps == EPS_FLOOR)
+        assert np.array_equal(rep.p, water_filling(r.gamma, r.p_max))
 
     def test_single_user_matches_oracle(self):
         r, prof = make_instance([1.0], p_max=4.0, L=200, caps=(5e-4,))
@@ -198,15 +198,14 @@ class TestSolveJoint:
         for _ in range(10):
             r, prof, omega = random_small_instance(rng)
             rep = solve_joint(r, prof, omega)
-            alloc = rep.allocation
-            assert np.all(alloc.p >= 0)
-            assert np.sum(alloc.p) <= r.p_max * (1 + 1e-6)
-            assert np.all(alloc.eps <= prof.caps_original() + 1e-15)
+            assert np.all(rep.p >= 0)
+            assert np.sum(rep.p) <= r.p_max * (1 + 1e-6)
+            assert np.all(rep.eps <= prof.caps_original() + 1e-15)
             assert 0.0 <= rep.u2 <= 1.0
             assert rep.objective == pytest.approx(
                 omega * rep.u1 + (1 - omega) * rep.u2, rel=1e-12
             )
-            assert rep.max_eps == alloc.eps.max()
+            assert rep.max_eps == rep.eps.max()
             assert rep.iterations <= 50
 
     @pytest.mark.parametrize("n", [4, 12])
@@ -240,7 +239,7 @@ class TestSolveJoint:
             again = solve_joint(r, prof, 0.9)
             assert len(starts) == len(warm)
             assert again.objective == rep.objective
-            assert np.array_equal(again.allocation.p, rep.allocation.p)
+            assert np.array_equal(again.p, rep.p)
 
     @staticmethod
     def closed_form_objectives(r, prof, omega):
@@ -297,9 +296,9 @@ class TestSolveJoint:
         )
         r, prof = make_instance(gamma, p_max=p_max, L=L, caps=caps)
         rep = solve_joint(r, prof, omega)
-        assert rep.flags == ["silent_start"] and np.array_equal(rep.allocation.p, p)
-        expected = optimal_errors(r, rep.allocation.p, prof, omega).eps
-        assert np.array_equal(rep.allocation.eps, expected)
+        assert rep.flags == ["silent_start"] and np.array_equal(rep.p, p)
+        expected = optimal_errors(r, rep.p, prof, omega).eps
+        assert np.array_equal(rep.eps, expected)
         assert rep.objective == max(self.closed_form_objectives(r, prof, omega)) > runs[0][0]
 
     def test_inversions_per_solve(self, monkeypatch):
@@ -357,8 +356,8 @@ class TestExhaustiveOracle:
 
     def test_omega_one_eps_at_caps(self):
         r, prof = make_instance([0.9, 1.1], caps=(1e-4, 5e-4))
-        alloc = exhaustive_oracle(r, prof, 1.0, OracleGrid(50, 50)).allocation
-        assert np.array_equal(alloc.eps, prof.caps_original())
+        eps = exhaustive_oracle(r, prof, 1.0, OracleGrid(50, 50)).eps
+        assert np.array_equal(eps, prof.caps_original())
 
     def test_rejects_many_users(self):
         r, prof = make_instance([1.0, 1.0, 1.0, 1.0])
@@ -390,8 +389,8 @@ class TestExhaustiveOracle:
     def test_allocation_matches_reported_value(self):
         r, prof, omega = random_small_instance(np.random.default_rng(61))
         rep = exhaustive_oracle(r, prof, omega, OracleGrid(40, 40))
-        alloc, sr = rep.allocation, sr_infinity(r.gamma, r.p_max)
+        sr = sr_infinity(r.gamma, r.p_max)
         recomputed = weighted_objective(
-            omega, rate_sum(r, alloc.p, alloc.eps), sr, alloc.eps.max(), prof.eps_max_overall
+            omega, rate_sum(r, rep.p, rep.eps), sr, rep.eps.max(), prof.eps_max_overall
         )
         assert recomputed == pytest.approx(rep.objective, rel=1e-12)

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fblopt.channel import NetworkRealization
+from fblopt.channel import NetworkRealization, sample_realization
+from fblopt.error_assignment import SortedQosProfile, errors_at_level
+from fblopt.harness import default_config
 from fblopt.kernels import EPS_FLOOR, dispersion_coeff, q_inverse, rate_term
 import fblopt.power
 from fblopt.power import (
@@ -15,13 +17,13 @@ from fblopt.power import (
     _PowerObjective,
     _spg,
     equal_power,
-    power_grid_oracle,
     simplex_grid,
     solve_power,
     sr_infinity,
     update_multipliers,
     water_filling,
 )
+from oracles import power_grid_oracle, power_support_oracle
 
 
 def make_realization(gamma, p_max=4.0, L=200):
@@ -579,3 +581,70 @@ class TestGridHelpers:
     def test_simplex_grid_guard(self):
         with pytest.raises(ValueError):
             simplex_grid(4, 1.0, 10)
+
+
+SUPPORT_DEFECT = (
+    "known defect (ROADMAP): solve_power keeps the wrong set of transmitting users at N >= 3"
+)
+
+
+def default_trial_minmax(trial):
+    """The default cell's realization of a trial, drawn as the harness
+    draws it, and the minmax eps (every user at the strictest cap)."""
+    cfg = default_config()
+    gamma = sample_realization(cfg.links, cfg.noise_power, np.random.SeedSequence([20240, trial]))
+    profile = SortedQosProfile.from_caps([link.eps_max for link in cfg.links])
+    r = NetworkRealization(gamma, cfg.p_max_linear(6.0), 200)
+    return r, errors_at_level(profile, profile.eps_max_sorted[0])
+
+
+def seeded_minmax_instances(n, count=6):
+    """Unit-mean Rayleigh gains for n users at 6 dB and L = 200, with every
+    user at the default strictest cap, from a seed fixed per n."""
+    rng = np.random.default_rng([2017, n])
+    return [
+        (make_realization(rng.exponential(1.0, n), p_max=10**0.6), np.full(n, 1e-5))
+        for _ in range(count)
+    ]
+
+
+class TestSupportOracle:
+    def test_never_below_grid_oracle_or_solver(self):
+        rng = np.random.default_rng(71)
+        for _ in range(12):
+            n = int(rng.integers(2, 4))
+            gamma = rng.exponential(1.0, n) + 0.05
+            r = make_realization(gamma, p_max=rng.uniform(0.3, 8.0), L=int(rng.integers(100, 1000)))
+            eps = rng.uniform(1e-5, 1e-2, n)
+            p, value = power_support_oracle(r, eps)
+            assert np.all(p >= 0.0) and np.sum(p) <= r.p_max * (1 + 1e-12)
+            rates = rate_term(r.gamma * p, r.block_length, q_inverse(eps))
+            assert value == pytest.approx(float(np.sum(rates)))
+            # a 300-point grid at N = 3 would hold 27 million points
+            _, grid = power_grid_oracle(r, eps, 1.0, points=300 if n == 2 else 120)
+            assert value >= grid * r.sr_inf - 1e-12 * abs(value)
+            assert value >= solve_power(r, eps, 0.9).rate_sum - 1e-9 * abs(value)
+
+    def test_default_trial_0_optimum_has_two_users(self):
+        r, eps = default_trial_minmax(0)
+        p, value = power_support_oracle(r, eps)
+        assert value == pytest.approx(2.2953, abs=1e-4)
+        assert np.count_nonzero(p) == 2
+
+    @pytest.mark.xfail(strict=True, reason=SUPPORT_DEFECT)
+    def test_solve_power_default_trial_0(self):
+        # solve_power keeps three users on and reaches 2.2094
+        r, eps = default_trial_minmax(0)
+        _, value = power_support_oracle(r, eps)
+        assert solve_power(r, eps, 0.9).rate_sum >= value * (1 - 1e-4)
+
+    @pytest.mark.xfail(strict=True, reason=SUPPORT_DEFECT)
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_solve_power_matches_support_oracle(self, n):
+        short = []
+        for i, (r, eps) in enumerate(seeded_minmax_instances(n)):
+            _, value = power_support_oracle(r, eps)
+            gap = (value - solve_power(r, eps, 0.9).rate_sum) / abs(value)
+            if gap > 1e-4:
+                short.append((i, gap))
+        assert short == []
