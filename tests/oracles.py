@@ -17,6 +17,7 @@ from fblopt.power import simplex_grid
 # absolute tolerance for detecting active constraints in the KKT checker
 _ACTIVE_TOL = 1e-11
 
+
 def subproblem_objective(realization, p, profile, omega, eps) -> float:
     """Value of the fixed-power error objective at eps (original order)."""
     eps = np.maximum(np.asarray(eps, dtype=float), EPS_FLOOR)
@@ -190,22 +191,17 @@ def power_support_oracle(realization, eps):
         )
         return np.minimum(concave / gamma, p_max), np.minimum(convex / gamma, p_max), lam <= peak
 
-    # one row per (support, convex user or none): which users sit on which branch
-    configs = []
-    for mask in itertools.product((False, True), repeat=n):
-        support = np.array(mask)
-        if support.any():
-            configs.append((support, np.zeros(n, dtype=bool)))
-            for j in np.flatnonzero(support):
-                convex = np.zeros(n, dtype=bool)
-                convex[j] = True
-                configs.append((support & ~convex, convex))
-    on_concave = np.array([c for c, _ in configs], dtype=float)
-    on_convex = np.array([v for _, v in configs], dtype=float)
+    # one row per (support, its convex user or none): the users on each branch
+    rows = [
+        (support - convex, convex)
+        for support in np.array(list(itertools.product((0.0, 1.0), repeat=n)))[1:]
+        for convex in [np.zeros(n), *np.eye(n)[support > 0]]
+    ]
+    on_concave, on_convex = (np.array(side) for side in zip(*rows))
 
     def allocations(lam, concave, convex):
-        """Row b's powers at price lam[b]: on_concave/on_convex rows pick
-        each user's branch (neither for a user off the support)."""
+        """Row b's powers at price lam[b], each user on the branch that row b
+        of concave and convex picks (neither for a user off the support)."""
         p_cc, p_cv, _ = powers(lam)
         return p_cc * concave + p_cv * convex
 
@@ -213,10 +209,11 @@ def power_support_oracle(realization, eps):
     p_cc, p_cv, valid = powers(grid)
     gap = p_cc @ on_concave.T + p_cv @ on_convex.T - p_max
     gap[~valid @ (on_concave + on_convex).T > 0.0] = np.nan
-    m, rows = np.nonzero(gap[:-1] * gap[1:] < 0.0)
-    concave, convex = on_concave[rows], on_convex[rows]
+    # brackets: grid interval m where config k's gap changes sign
+    m, k = np.nonzero(gap[:-1] * gap[1:] < 0.0)
+    concave, convex = on_concave[k], on_convex[k]
     lo, hi = np.log(grid[m]), np.log(grid[m + 1])
-    lo_sign = np.sign(gap[m, rows])
+    lo_sign = np.sign(gap[m, k])
     for _ in range(_BISECT):
         mid = 0.5 * (lo + hi)
         p = allocations(np.exp(mid), concave, convex)
