@@ -12,12 +12,7 @@ from .kernels import (
     q_inverse,
 )
 from .channel import UserLink, NetworkRealization, mean_gain, sample_realization
-from .error_assignment import (
-    ErrorAssignment,
-    SortedQosProfile,
-    beta_k,
-    optimal_errors,
-)
+from .error_assignment import SortedQosProfile, beta_k, optimal_errors
 from .power import (
     PowerSolveResult,
     equal_power,

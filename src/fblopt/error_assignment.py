@@ -8,10 +8,12 @@ over 0 < eps_i <= cap_i, where a_i is the dispersion coefficient of user i
 and cap_N the largest QoS cap. The problem is convex and admits a closed
 form in one number, the shared level z = max(eps): every user sits at
 min(cap_i, z), and z is found by scanning N candidate branches.
+optimal_errors returns that error vector itself, so its max is z.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,34 +58,23 @@ class SortedQosProfile:
     def eps_max_overall(self) -> float:
         return self.eps_max_sorted[-1]
 
-    def caps_original(self) -> np.ndarray:
-        """Caps in original user order."""
-        return self.to_original(np.asarray(self.eps_max_sorted))
-
-    def to_original(self, sorted_values) -> np.ndarray:
-        """Scatter a sorted-order vector back to original user order."""
-        out = np.empty(self.n_users)
-        out[list(self.order)] = np.asarray(sorted_values, dtype=float)
-        return out
+    @cached_property
+    def caps(self) -> np.ndarray:
+        """The caps in original user order, built once, read-only."""
+        caps = np.empty(self.n_users)
+        caps[list(self.order)] = self.eps_max_sorted
+        caps.flags.writeable = False
+        return caps
 
     def to_sorted(self, original_values) -> np.ndarray:
         """Gather an original-order vector into sorted-cap order."""
         return np.asarray(original_values, dtype=float)[list(self.order)]
 
 
-@dataclass(frozen=True)
-class ErrorAssignment:
-    """Error probabilities in original user order and their shared level z:
-    every user sits at min(cap_i, z), so z is also their max."""
-
-    eps: np.ndarray
-    z: float
-
-
 def errors_at_level(profile, z) -> np.ndarray:
     """Every user's error probability at the shared level z, min(cap_i, z),
     in original user order."""
-    return np.minimum(profile.caps_original(), z)
+    return np.minimum(profile.caps, z)
 
 
 def _branch_levels(realization, p, profile, omega):
@@ -95,7 +86,7 @@ def _branch_levels(realization, p, profile, omega):
     when arg < 1, and the limit 0 when the denominator is zero (a zero tail,
     or omega = 0, where every level is 0 and the scan lands on the floor).
     """
-    s = profile.to_sorted(realization.gamma) * profile.to_sorted(p)
+    s = profile.to_sorted(realization.gamma * p)
     num = math.sqrt(realization.block_length) * (1.0 - omega) * realization.sr_inf
     den = profile.eps_max_overall * omega * _SQRT_2PI
     for tail in np.cumsum(dispersion_coeff(s, 1)[::-1])[::-1].tolist():
@@ -121,8 +112,9 @@ def beta_k(realization, p, profile, omega, k):
     return level, tail == 0.0
 
 
-def optimal_errors(realization, p, profile, omega) -> ErrorAssignment:
-    """Closed-form minimizer of the fixed-power error subproblem.
+def optimal_errors(realization, p, profile, omega) -> np.ndarray:
+    """Closed-form minimizer of the fixed-power error subproblem: the error
+    probabilities in original user order, min(cap_i, z), whose max is z.
 
     For a shared level z every user does best at min(cap_i, z), since Qinv
     decreases in eps. The objective restricted to z in the sorted segment
@@ -157,8 +149,7 @@ def optimal_errors(realization, p, profile, omega) -> ErrorAssignment:
                 break
             lo = caps[k - 1]
 
-    z = min(max(z, EPS_FLOOR), caps[k - 1])
-    return ErrorAssignment(eps=errors_at_level(profile, z), z=z)
+    return errors_at_level(profile, min(max(z, EPS_FLOOR), caps[k - 1]))
 
 
 def z_sweep(caps, points):

@@ -149,7 +149,7 @@ def scheme_dispatch(scheme, realization, profile, omega):
             flags.append("power_stage_cap")
     elif scheme == "equalpower_opteps":
         p = equal_power(realization.n_users, realization.p_max)
-        eps = optimal_errors(realization, p, profile, omega).eps
+        eps = optimal_errors(realization, p, profile, omega)
     else:
         raise ValueError(f"unknown scheme: {scheme!r}")
     return make_report(realization, profile, p, eps, omega, iterations=1, flags=flags)

@@ -115,24 +115,25 @@ def _alternate(realization, profile, omega, p0):
 
     for t in range(1, MAX_ALTERNATIONS + 1):
         iterations = t
-        assign = optimal_errors(realization, p, profile, omega)
-        power = solve_power(realization, assign.eps, omega, p_init=p)
+        eps = optimal_errors(realization, p, profile, omega)
+        z = float(eps.max())
+        power = solve_power(realization, eps, omega, p_init=p)
         if not power.converged and "power_stage_cap" not in flags:
             flags.append("power_stage_cap")
         p = power.p
         obj = weighted_objective(
-            omega, power.rate_sum, realization.sr_inf, assign.z, profile.eps_max_overall
+            omega, power.rate_sum, realization.sr_inf, z, profile.eps_max_overall
         )
         # every eps_i = min(cap_i, z) moves by at most |dz|, the loosest by |dz|
-        d_eps = abs(assign.z - z_prev) if z_prev is not None else np.inf
+        d_eps = abs(z - z_prev) if z_prev is not None else np.inf
         d_p = float(np.max(np.abs(p - p_prev)))
         trace.append((obj, d_eps, d_p))
         if len(trace) > 1 and obj < trace[-2][0] - 1e-6:
             if "objective_decreased" not in flags:
                 flags.append("objective_decreased")
         if best is None or obj > best[0]:
-            best = (obj, p.copy(), assign.eps.copy())
-        z_prev = assign.z
+            best = (obj, p.copy(), eps)
+        z_prev = z
         p_prev = p
         if d_eps <= EPS_TOL:
             converged = True
@@ -174,7 +175,7 @@ def solve_joint(realization, profile, omega) -> SolveReport:
     )
     n = realization.n_users
     for p in [np.zeros(n), *np.eye(n) * realization.p_max]:
-        eps = optimal_errors(realization, p, profile, omega).eps
+        eps = optimal_errors(realization, p, profile, omega)
         corner = make_report(realization, profile, p, eps, omega, flags=["silent_start"])
         if corner.objective > best.objective:
             best = corner
@@ -199,7 +200,7 @@ def exhaustive_oracle(realization, profile, omega, grid=None):
     if profile.n_users != n:
         raise ValueError("profile and realization disagree on user count")
 
-    grids, z_cand, idx, feasible = z_sweep(profile.caps_original(), grid.eps_points)
+    grids, z_cand, idx, feasible = z_sweep(profile.caps, grid.eps_points)
     nz = z_cand.size
     qbest = np.array([q_inverse(g[ix]) for g, ix in zip(grids, idx)])
 

@@ -354,12 +354,16 @@ def solve_power(realization, eps, omega, p_init=None) -> PowerSolveResult:
 
 def simplex_grid(n_users, p_max, points) -> np.ndarray:
     """All points of the per-axis grid on [0, p_max]^n with sum <= p_max
-    (slight tolerance so the budget face itself is included)."""
+    (slight tolerance so the budget face itself is included), in
+    lexicographic order, built from the in-budget index tuples alone."""
     if n_users > 3:
         raise ValueError("simplex_grid is guarded to n_users <= 3")
     axis = np.linspace(0.0, p_max, points)
-    if n_users == 1:
-        return axis[:, None]
-    mesh = np.meshgrid(*([axis] * n_users), indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    idx = np.zeros((1, 0), dtype=int)
+    for _ in range(n_users):
+        # each prefix extends by every next index keeping its sum <= points - 1
+        counts = points - idx.sum(axis=1)
+        nxt = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        idx = np.column_stack([np.repeat(idx, counts, axis=0), nxt])
+    pts = axis[idx]
     return pts[pts.sum(axis=1) <= p_max * (1.0 + 1e-12)]

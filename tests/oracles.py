@@ -26,8 +26,9 @@ def subproblem_objective(realization, p, profile, omega, eps) -> float:
     return cost + (1.0 - omega) / profile.eps_max_overall * float(eps.max())
 
 
-def kkt_residual(assignment, realization, p, profile, omega) -> float:
-    """Max absolute residual of the subproblem's KKT system at an assignment.
+def kkt_residual(eps, realization, p, profile, omega) -> float:
+    """Max absolute residual of the subproblem's KKT system at an error
+    vector eps (original order), whose max is the shared level z.
 
     Multipliers are rebuilt from the active-set structure: lambda_i for the
     eps_i <= z couplings, nu_i for the caps, eta for z <= cap_N. Slots where
@@ -35,9 +36,9 @@ def kkt_residual(assignment, realization, p, profile, omega) -> float:
     z-stationarity equation is matched as closely as possible.
     """
     n = realization.n_users
-    eps_s = profile.to_sorted(assignment.eps)
+    eps_s = profile.to_sorted(eps)
     caps = np.asarray(profile.eps_max_sorted)
-    z = float(assignment.z)
+    z = float(np.max(eps))
     a = dispersion_coeff(
         profile.to_sorted(realization.gamma) * profile.to_sorted(p),
         realization.block_length,
@@ -98,7 +99,7 @@ def grid_search_errors(realization, p, profile, omega, points_per_user=10_000):
     c = (omega / realization.sr_inf) * a
     d = (1.0 - omega) / profile.eps_max_overall
 
-    grids, z_cand, idx, feasible = z_sweep(profile.caps_original(), points_per_user)
+    grids, z_cand, idx, feasible = z_sweep(profile.caps, points_per_user)
     total = d * z_cand
     for i, g in enumerate(grids):
         total += (c[i] * q_inverse(g))[idx[i]]

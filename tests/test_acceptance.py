@@ -63,7 +63,7 @@ def theorem_instances():
 def test_criterion_01_error_assignment_oracle_equivalence(theorem_instances):
     worst = -np.inf
     for r, prof, p, omega, out in theorem_instances:
-        obj = subproblem_objective(r, p, prof, omega, out.eps)
+        obj = subproblem_objective(r, p, prof, omega, out)
         _, grid_obj = grid_search_errors(r, p, prof, omega, points_per_user=10_000)
         worst = max(worst, obj - grid_obj)
     report(1, worst <= 1e-8, f"worst objective excess over 10^4-point grid: {worst:.3e}")

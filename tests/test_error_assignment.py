@@ -5,7 +5,6 @@ import fblopt.channel
 from fblopt.channel import NetworkRealization
 from fblopt.error_assignment import (
     EDGE_TOL,
-    ErrorAssignment,
     SortedQosProfile,
     beta_k,
     errors_at_level,
@@ -57,7 +56,7 @@ def many_users_instance(rng):
 
 def naive_grid_min(realization, p, profile, omega, sr_inf, points):
     """Direct enumeration of the full product grid (small cases only)."""
-    caps = profile.caps_original()
+    caps = profile.caps
     grids = [np.geomspace(EPS_FLOOR, c, points + 1)[1:] for c in caps]
     mesh = np.meshgrid(*grids, indexing="ij")
     eps_all = np.stack([m.ravel() for m in mesh], axis=1)
@@ -74,8 +73,9 @@ class TestSortedQosProfile:
         prof = SortedQosProfile.from_caps([5e-4, 1e-5, 1e-4])
         assert prof.eps_max_sorted == (1e-5, 1e-4, 5e-4)
         assert prof.order == (1, 2, 0)
-        back = prof.to_original(np.array(prof.eps_max_sorted))
-        assert np.array_equal(back, [5e-4, 1e-5, 1e-4])
+        assert np.array_equal(prof.caps, [5e-4, 1e-5, 1e-4])
+        # built once and shared by every errors_at_level call, so read-only
+        assert prof.caps is prof.caps and not prof.caps.flags.writeable
 
     def test_duplicate_caps_stable(self):
         prof = SortedQosProfile.from_caps([1e-4, 1e-4, 1e-5])
@@ -163,8 +163,8 @@ class TestOptimalErrors:
         r, prof = make_instance([0.7, 1.1, 0.4, 0.9])
         p = water_filling(r.gamma, r.p_max)
         out = optimal_errors(r, p, prof, 1.0)
-        assert np.array_equal(out.eps, prof.caps_original())
-        assert out.z == 5e-4
+        assert np.array_equal(out, prof.caps)
+        assert out.max() == 5e-4
 
     @pytest.mark.parametrize("sr_inf", [0.0, -1.0, np.nan])
     def test_bad_sr_inf_rejected(self, sr_inf, monkeypatch):
@@ -186,15 +186,15 @@ class TestOptimalErrors:
             omega = rng.uniform(0.05, 0.95)
             out = optimal_errors(r, p, prof, omega)
             caps = np.array(prof.eps_max_sorted)
-            assert EPS_FLOOR <= out.z <= caps[-1]
-            assert np.array_equal(prof.to_sorted(out.eps), np.minimum(caps, out.z))
+            assert EPS_FLOOR <= out.max() <= caps[-1]
+            assert np.array_equal(prof.to_sorted(out), np.minimum(caps, out.max()))
 
     def test_symmetric_two_user_grid_oracle(self):
         gamma = np.array([1.5, 1.5])
         r, prof = make_instance(gamma, p_max=4.0, L=200, caps=(1e-4, 1e-4))
         p = np.array([2.0, 2.0])  # gamma*p = [3, 3]
         out = optimal_errors(r, p, prof, 0.5)
-        obj = subproblem_objective(r, p, prof, 0.5, out.eps)
+        obj = subproblem_objective(r, p, prof, 0.5, out)
         _, grid_obj = grid_search_errors(r, p, prof, 0.5, points_per_user=10_000)
         assert obj <= grid_obj + 1e-8
 
@@ -205,8 +205,8 @@ class TestOptimalErrors:
         r, prof = make_instance(gamma, p_max=4.0, L=200)
         p = water_filling(gamma, 4.0)
         out = optimal_errors(r, p, prof, 0.5)
-        assert out.z == pytest.approx(1e-5, abs=1e-18)
-        obj = subproblem_objective(r, p, prof, 0.5, out.eps)
+        assert out.max() == pytest.approx(1e-5, abs=1e-18)
+        obj = subproblem_objective(r, p, prof, 0.5, out)
         _, grid_obj = grid_search_errors(r, p, prof, 0.5, points_per_user=4000)
         assert obj <= grid_obj + 1e-8
 
@@ -216,8 +216,8 @@ class TestOptimalErrors:
         for r, profile, p, omega, _ in instances + [many_users_instance(rng) for _ in range(8)]:
             out = optimal_errors(r, p, profile, omega)
             # the joint solver scores each iterate with z as the max level
-            assert out.z == float(np.max(out.eps))
-            obj = subproblem_objective(r, p, profile, omega, out.eps)
+            assert np.array_equal(out, errors_at_level(profile, out.max()))
+            obj = subproblem_objective(r, p, profile, omega, out)
             _, grid_obj = grid_search_errors(r, p, profile, omega, points_per_user=2000)
             assert obj <= grid_obj + 1e-8
 
@@ -229,12 +229,12 @@ class TestOptimalErrors:
         for r, profile, p, omega, _ in instances + [many_users_instance(rng) for _ in range(8)]:
             one = optimal_errors(r, p, profile, omega)
             two = optimal_errors(r, rng.dirichlet(np.ones(r.n_users)) * r.p_max, profile, omega)
-            assert np.max(np.abs(one.eps - two.eps)) == abs(one.z - two.z)
-            moved += one.z != two.z
+            assert np.max(np.abs(one - two)) == abs(one.max() - two.max())
+            moved += one.max() != two.max()
             # at omega = 0 the scan's own limit is the floor: every level is 0
             floor = optimal_errors(r, p, profile, 0.0)
-            assert floor.z == EPS_FLOOR
-            assert np.array_equal(floor.eps, errors_at_level(profile, EPS_FLOOR))
+            assert floor.max() == EPS_FLOOR
+            assert np.array_equal(floor, errors_at_level(profile, EPS_FLOOR))
             report = scheme_dispatch("wf_minmax", r, profile, omega)
             assert np.array_equal(
                 report.eps, np.full(r.n_users, profile.eps_max_sorted[0])
@@ -260,7 +260,7 @@ class TestOptimalErrors:
         rng = np.random.default_rng(31)
         for _ in range(25):
             r, profile, p, omega, _ = random_instance(rng)
-            caps = profile.caps_original()
+            caps = profile.caps
             base = caps * rng.uniform(0.3, 0.8, r.n_users)
             d = rng.normal(size=r.n_users)
             d /= np.max(np.abs(d))
@@ -286,9 +286,8 @@ class TestKktResidual:
         r, prof = make_instance([0.8, 1.2, 0.6, 1.0])
         p = water_filling(r.gamma, r.p_max)
         out = optimal_errors(r, p, prof, 0.6)
-        eps = out.eps.copy()
-        eps[1] *= 1.1
-        bad = ErrorAssignment(eps=eps, z=float(eps.max()))
+        bad = out.copy()
+        bad[1] *= 1.1
         assert kkt_residual(bad, r, p, prof, 0.6) > 1e-3
 
     def test_omega_one_caps_residual(self):
@@ -311,5 +310,5 @@ class TestGridOracle:
     def test_grid_points_respect_caps(self):
         r, profile, p, omega, _ = random_instance(np.random.default_rng(3), n=3)
         eps, _ = grid_search_errors(r, p, profile, omega, points_per_user=500)
-        assert np.all(eps <= profile.caps_original())
+        assert np.all(eps <= profile.caps)
         assert np.all(eps > EPS_FLOOR * (1 - 1e-12))

@@ -68,7 +68,7 @@ class TestSchemeDispatch:
     def test_equal_power_split(self):
         rep = scheme_dispatch("equalpower_opteps", self.r, self.profile, 0.9)
         assert np.allclose(rep.p, equal_power(4, 4.0))
-        expected = optimal_errors(self.r, rep.p, self.profile, 0.9).eps
+        expected = optimal_errors(self.r, rep.p, self.profile, 0.9)
         assert np.array_equal(rep.eps, expected)
 
     def test_proposedpower_minmax_omega_zero_is_water_filling(self):
@@ -106,6 +106,22 @@ class TestSchemeDispatch:
                 if scheme_dispatch(scheme, r, self.profile, 0.9).objective > best:
                     beaten.append((trial, scheme))
         assert beaten == []
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect (ROADMAP): solve_power misses the best set of transmitting "
+        "users at N >= 3; on trial 43 proposed scores 0.70469 against 0.73216",
+    )
+    def test_default_trial_43_proposed_not_beaten(self):
+        # the certificate's worst trial. At the minmax eps solve_power is
+        # within 5e-10 relative of tests/oracles.py's exact support
+        # enumeration here, so the shortfall comes from the power solves
+        # inside the alternation, at other shared levels z
+        cfg = default_config()
+        gamma = sample_realization(cfg.links, cfg.noise_power, np.random.SeedSequence([20240, 43]))
+        r = NetworkRealization(gamma, cfg.p_max_linear(6.0), 200)
+        proposed = scheme_dispatch("proposed", r, self.profile, 0.9).objective
+        assert proposed >= scheme_dispatch("proposedpower_minmax", r, self.profile, 0.9).objective
 
     @pytest.mark.parametrize("scheme", ["proposed", "proposedpower_minmax"])
     def test_over_budget_power_run_never_returned(self, scheme, over_budget_alm):

@@ -154,7 +154,7 @@ class TestSolveJoint:
     def test_omega_one_uses_caps(self):
         r, prof = make_instance([0.7, 1.2, 0.5, 1.0])
         rep = solve_joint(r, prof, 1.0)
-        assert np.array_equal(rep.eps, prof.caps_original())
+        assert np.array_equal(rep.eps, prof.caps)
 
     def test_omega_zero_floor_and_waterfilling(self):
         r, prof = make_instance([0.7, 1.2])
@@ -200,7 +200,7 @@ class TestSolveJoint:
             rep = solve_joint(r, prof, omega)
             assert np.all(rep.p >= 0)
             assert np.sum(rep.p) <= r.p_max * (1 + 1e-6)
-            assert np.all(rep.eps <= prof.caps_original() + 1e-15)
+            assert np.all(rep.eps <= prof.caps + 1e-15)
             assert 0.0 <= rep.u2 <= 1.0
             assert rep.objective == pytest.approx(
                 omega * rep.u1 + (1 - omega) * rep.u2, rel=1e-12
@@ -246,7 +246,7 @@ class TestSolveJoint:
         n = r.n_users
         corners = [np.zeros(n)] + [np.eye(n)[i] * r.p_max for i in range(n)]
         return [
-            make_report(r, prof, p, optimal_errors(r, p, prof, omega).eps, omega).objective
+            make_report(r, prof, p, optimal_errors(r, p, prof, omega), omega).objective
             for p in corners
         ]
 
@@ -297,7 +297,7 @@ class TestSolveJoint:
         r, prof = make_instance(gamma, p_max=p_max, L=L, caps=caps)
         rep = solve_joint(r, prof, omega)
         assert rep.flags == ["silent_start"] and np.array_equal(rep.p, p)
-        expected = optimal_errors(r, rep.p, prof, omega).eps
+        expected = optimal_errors(r, rep.p, prof, omega)
         assert np.array_equal(rep.eps, expected)
         assert rep.objective == max(self.closed_form_objectives(r, prof, omega)) > runs[0][0]
 
@@ -357,7 +357,7 @@ class TestExhaustiveOracle:
     def test_omega_one_eps_at_caps(self):
         r, prof = make_instance([0.9, 1.1], caps=(1e-4, 5e-4))
         eps = exhaustive_oracle(r, prof, 1.0, OracleGrid(50, 50)).eps
-        assert np.array_equal(eps, prof.caps_original())
+        assert np.array_equal(eps, prof.caps)
 
     def test_rejects_many_users(self):
         r, prof = make_instance([1.0, 1.0, 1.0, 1.0])
@@ -373,7 +373,7 @@ class TestExhaustiveOracle:
             grid = OracleGrid(p_points=12, eps_points=10)
             val = exhaustive_oracle(r, prof, omega, grid).objective
             sr = sr_infinity(r.gamma, r.p_max)
-            caps = prof.caps_original()
+            caps = prof.caps
             eps_grids = [np.geomspace(EPS_FLOOR, c, 11)[1:] for c in caps]
             best = -np.inf
             for p in simplex_grid(2, r.p_max, 12):

@@ -578,6 +578,19 @@ class TestGridHelpers:
         assert np.all(pts >= 0)
         assert np.all(pts.sum(axis=1) <= 3.0 * (1 + 1e-9))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_simplex_grid_matches_cube(self, n):
+        # the grid is built without the cube; it keeps the cube's in-budget
+        # points, in the cube's (lexicographic) order, bit for bit
+        for points in [0, 1, 2, 3, 7, 40, 97 if n < 3 else 64]:
+            for p_max in [1e-3, 0.3, 10**0.6, 7.0, 1e3]:
+                axis = np.linspace(0.0, p_max, points)
+                mesh = np.meshgrid(*([axis] * n), indexing="ij")
+                cube = np.stack([m.ravel() for m in mesh], axis=1)
+                cube = cube[cube.sum(axis=1) <= p_max * (1.0 + 1e-12)]
+                pts = simplex_grid(n, p_max, points)
+                assert pts.shape == cube.shape and np.array_equal(pts, cube)
+
     def test_simplex_grid_guard(self):
         with pytest.raises(ValueError):
             simplex_grid(4, 1.0, 10)
@@ -620,7 +633,7 @@ class TestSupportOracle:
             assert np.all(p >= 0.0) and np.sum(p) <= r.p_max * (1 + 1e-12)
             rates = rate_term(r.gamma * p, r.block_length, q_inverse(eps))
             assert value == pytest.approx(float(np.sum(rates)))
-            # a 300-point grid at N = 3 would hold 27 million points
+            # a 300-point grid at N = 3 holds 4.5 million points
             _, grid = power_grid_oracle(r, eps, 1.0, points=300 if n == 2 else 120)
             assert value >= grid * r.sr_inf - 1e-12 * abs(value)
             assert value >= solve_power(r, eps, 0.9).rate_sum - 1e-9 * abs(value)
