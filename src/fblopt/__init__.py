@@ -1,6 +1,6 @@
 """Joint error-probability and power optimization for finite-blocklength
-multi-user downlinks: closed-form error assignment, augmented-Lagrangian
-power allocation, an alternating joint solver, baselines, and the
+multi-user downlinks: closed-form error assignment, exact power
+allocation for fixed errors, an alternating joint solver, baselines, and the
 exhaustive grid oracle behind the --oracle rows.
 """
 

@@ -130,7 +130,7 @@ def scheme_dispatch(scheme, realization, profile, omega):
 
     proposed             joint alternating solver
     wf_minmax            water-filling power, all errors at the strictest cap
-    proposedpower_minmax augmented-Lagrangian power, errors at strictest cap
+    proposedpower_minmax exact power solve, errors at strictest cap
     equalpower_opteps    equal power split, closed-form error assignment
     """
     if scheme == "proposed":

@@ -117,7 +117,7 @@ def _alternate(realization, profile, omega, p0):
         iterations = t
         eps = optimal_errors(realization, p, profile, omega)
         z = float(eps.max())
-        power = solve_power(realization, eps, omega, p_init=p)
+        power = solve_power(realization, eps, omega)
         if not power.converged and "power_stage_cap" not in flags:
             flags.append("power_stage_cap")
         p = power.p
@@ -145,8 +145,8 @@ def _alternate(realization, profile, omega, p0):
 
 
 def solve_joint(realization, profile, omega) -> SolveReport:
-    """Alternate the closed-form error assignment and the augmented-
-    Lagrangian power solve from water-filling until the error vector stalls
+    """Alternate the closed-form error assignment and the exact power solve
+    at its errors, from water-filling, until the error vector stalls
     (inf-norm <= EPS_TOL) or the alternation cap is reached, keeping the
     best iterate, not necessarily the last.
 
@@ -161,7 +161,7 @@ def solve_joint(realization, profile, omega) -> SolveReport:
     flagged "silent_start", if it beats the alternation strictly.
 
     At omega = 0, the pure reliability regime, the solvers' own limits
-    decide: every error probability sits at the floor, solve_power keeps
+    decide: every error probability sits at the floor, solve_power returns
     water-filling, and no corner beats it strictly.
     """
     if not 0.0 <= omega <= 1.0:

@@ -1,19 +1,22 @@
 """Power allocation for fixed error probabilities.
 
-The budgeted rate maximization is non-concave (the dispersion penalty has a
-square-root kink at zero power), so it is solved with the augmented
-Lagrangian method: repeated inner maximizations of the penalized objective
-with the multiplier and penalty parameter updated between stages. Only the
-sum-power constraint is penalized; nonnegativity is kept by projection.
+With the error probabilities fixed, each user's rate term is convex up to
+an inflection point and concave after it, so the budgeted rate
+maximization is a sum of sigmoids under one budget (Udell & Boyd,
+"Maximizing a Sum of Sigmoids"). solve_power solves it exactly: some
+optimal set of transmitting users is closed under dominance (a user with
+no smaller gain and no smaller error probability transmits whenever a
+dominated one does), so it solves every closed set at once by Newton
+steps on its concave KKT system, whose Hessian is diagonal plus one
+border, and scores the results next to the single-user vertices and zero
+power.
 
-Each inner iteration (_spg) first tries a projected Newton step on the
-transmitting users (Bertsekas 1982). There the Hessian is diag(h) minus the
-penalty's mu * 11^T, so the step costs O(N) by Sherman-Morrison, and it is
-taken when every h is negative (each user past its rate term's inflection
-point). Otherwise, or when its Armijo backtracking fails, a spectral
-projected-gradient step (Barzilai-Borwein trial step, Armijo halving) is
-taken. _spg keeps its name and its (p, converged, iterations) return from
-the gradient-only solver, because the benchmark's hooks wrap it.
+The augmented-Lagrangian solver that solve_power used before (_alm_run,
+its inner solver _spg with _armijo, update_multipliers, StageRecord and
+_PowerObjective's value and gradient) is no longer on the solve path. It
+stays only because the benchmark's hooks wrap these names and report a
+missing one as absent; it goes when the benchmark reads counts from the
+results instead.
 
 Also provides the water-filling and equal-power baselines and the
 Shannon-sum-rate normalizer sr_infinity.
@@ -30,7 +33,7 @@ from .kernels import EPS_FLOOR, dispersion_coeff, q_inverse, rate_term
 MU0 = 1.0
 ZETA0 = 0.15
 MAX_STAGES = 30
-POWER_TOL = 1e-6      # inf-norm change of p between stages
+POWER_TOL = 1e-6      # inf-norm change of p between stages, or Newton steps
 FEAS_TOL = 1e-8       # allowed budget violation at convergence
 PROJECT_TOL = 1e-6    # worst violation still projected to feasibility
 
@@ -38,6 +41,11 @@ PROJECT_TOL = 1e-6    # worst violation still projected to feasibility
 INNER_TOL = 1e-6      # projected-gradient norm target
 INNER_MAX_ITER = 500
 ARMIJO = 1e-4
+
+# exact solve on the dominance-closed supports
+INFLECTION_STEPS = 6      # Newton steps in log s for each inflection point
+NEWTON_STEPS = 6          # bordered Newton steps on every support at once
+INFLECTION_MARGIN = 1.001 # iterates stay at or above this multiple of p_hat
 
 # stand-in for the infinite dispersion slope at exactly zero power; large
 # enough to pin the component at the boundary, finite so 0 * BIG == 0
@@ -306,32 +314,93 @@ def _alm_run(obj, realization, p_init) -> PowerSolveResult:
     )
 
 
-def solve_power(realization, eps, omega, p_init=None) -> PowerSolveResult:
-    """Augmented-Lagrangian outer loop for the fixed-error power subproblem.
+def _inflection_snr(qinv, block_length) -> float:
+    """The inflection SNR s_hat of a rate term with inverse-Q value qinv,
+    where it turns from convex to concave: the root of
 
-    Stages alternate an inner maximization with the multiplier update until
-    a converged inner solve leaves the power vector still (inf-norm change
-    <= POWER_TOL) with the budget violation below FEAS_TOL, or the stage cap
-    is reached. A tiny residual violation (<= PROJECT_TOL) is removed by
-    scaling onto the budget.
+        phi(x) = log((1+s) u^1.5 / (3u+1)) + log(sqrt(L) / qinv),  s = e^x, u = s(s+2),
 
-    One run starts from water-filling, or from the warm start projected onto
-    p >= 0. A user at zero power in that start has gradient about
-    -_BIG_SLOPE (Qinv(eps) > 0 on the whole domain of eps), so every trial
-    step leaves it at exactly zero for the whole run: the run can switch
-    users off but never on.
+    which increases in x, with phi'(x) = s/(1+s) + 3(1+s)^3/((s+2)(3u+1)).
+    INFLECTION_STEPS Newton steps in x start at 0.5 (qinv/sqrt(L))^(2/3), the
+    root of phi's small-s form. On floats: users share a few qinv values."""
+    offset = 0.5 * math.log(block_length) - math.log(qinv)
+    x = math.log(0.5) - offset / 1.5
+    for _ in range(INFLECTION_STEPS):
+        s = math.exp(x)
+        one, two = 1.0 + s, 2.0 + s
+        u = s * two
+        v = 3.0 * u + 1.0
+        x -= (math.log(one * u * math.sqrt(u) / v) + offset) / (s / one + 3.0 * one**3 / (two * v))
+    return math.exp(x)
 
-    The allocations with at most one transmitting user are scored in closed
-    form instead: with s = gamma * p, a user's rate term
-    f(p) = log(1+s) - Qinv(eps) * sqrt(s(s+2)/L) / (1+s) has a slope with
-    the sign of 1 - Qinv(eps) / (sqrt(L) (1+s) sqrt(s(s+2))), which
-    increases in s, so a user alone on the budget does best at 0 or at
-    p_max. Of the run (if it ended within budget), each vertex p_max * e_i
-    and all-zero power (best when every rate would come out negative), the
-    first with the best rate objective is returned.
+
+def closed_supports(gamma, qinv):
+    """Every nonempty set of users closed under dominance, as the rows of a
+    (K, N) boolean array; user i dominates user j when gamma_i >= gamma_j and
+    qinv_i <= qinv_j (eps_i >= eps_j), with ties in both going to the lower
+    index, so every dominator of j comes before j in the order (gamma
+    descending, qinv ascending, index ascending).
+
+    The sets, bit masks of users, are grown one user at a time in that
+    order: each set built so far is kept, and also extended by the user when
+    it already holds every dominator of that user. The list only grows, so
+    no step holds more than the K closed sets, and 2^N arises only when no
+    user dominates another. With equal eps the rows are the N sets of the k
+    largest gains, k = 1..N, in that order."""
+    n = gamma.size
+    order = np.lexsort((np.arange(n), qinv, -gamma)).tolist()
+    g, q = gamma.tolist(), qinv.tolist()
+    sets = [0]
+    for rank, j in enumerate(order):
+        need = sum(1 << i for i in order[:rank] if g[i] >= g[j] and q[i] <= q[j])
+        sets += [s | 1 << j for s in sets if s & need == need]
+    # Python ints wider than int64 stay exact as objects
+    bits = np.array(sets[1:], dtype=np.int64 if n < 63 else object)
+    return (bits[:, None] >> np.arange(n)) & 1 == 1
+
+
+def solve_power(realization, eps, omega) -> PowerSolveResult:
+    """Exact power allocation for fixed error probabilities.
+
+    With s = gamma * p, user i's rate term
+    f_i(p) = log(1+s) - Qinv(eps_i) * sqrt(s(s+2)/L) / (1+s) is convex up to
+    its inflection point s_hat_i and concave after it, so the problem is a
+    sum of sigmoids under one budget (Udell & Boyd, "Maximizing a Sum of
+    Sigmoids"). Two facts reduce it to a few concave problems:
+
+    - Some optimal support (set of transmitting users) is closed under
+      dominance (closed_supports). If j transmits and a user i with
+      gamma_i >= gamma_j and eps_i >= eps_j does not, moving j's power to i
+      at p_j * gamma_j / gamma_i gives i the same SNR at a Qinv no larger,
+      for no more power; each such exchange moves the support earlier in
+      closed_supports' order, so repeating it ends on a closed support.
+    - A user alone on the budget does best at 0 or at p_max: its slope has
+      the sign of 1 - Qinv / (sqrt(L) (1+s) sqrt(s(s+2))), which increases
+      in s. So the N vertices p_max * e_i and zero power cover every
+      support of size 0 or 1.
+
+    Every closed support S of two or more users whose inflection powers
+    p_hat_i = s_hat_i / gamma_i fit in the budget is solved at once, as one
+    (K, N) array, with every user of S on its concave branch: NEWTON_STEPS
+    Newton steps on f_i'(p_i) = lambda (i in S), sum_S p_i = p_max. Their
+    Hessian is diagonal plus one border, so a step costs O(|S|) (Boyd &
+    Vandenberghe, Convex Optimization, 10.2) and lambda is eliminated:
+    with w_i = 1 / f_i''(p_i) < 0, lambda = (sum w_i f_i' - (sum p - p_max))
+    / sum w_i and p_i += w_i (lambda - f_i'). Each row starts at p_hat plus
+    an equal share of the rest of the budget, and every iterate is kept at
+    or above INFLECTION_MARGIN * p_hat. Users off a support sit at that
+    floor, a finite point on the concave branch, and are masked out of the
+    sums, so nothing overflows or divides by zero. Each row is rescaled
+    onto the budget and scored exactly next to the vertices and zero power,
+    and the first with the best rate sum is returned. converged is False
+    when the winning row's last step moved p by more than POWER_TOL.
+
+    The augmented-Lagrangian run that this replaced kept the wrong set of
+    transmitting users on about one default trial in five; its code stays
+    in the module only for the benchmark's hooks (see the module docstring).
 
     At omega == 0 the objective is identically zero, every feasible p is
-    optimal, and the start itself is returned, converged.
+    optimal, and water-filling is returned, converged.
     """
     eps = np.asarray(eps, dtype=float)
     if not np.all((0.0 < eps) & (eps < 0.5)):
@@ -339,17 +408,46 @@ def solve_power(realization, eps, omega, p_init=None) -> PowerSolveResult:
     if not 0.0 <= omega <= 1.0:
         raise ValueError("omega must lie in [0, 1] for the power subproblem")
 
-    obj = _PowerObjective(realization, eps, omega)
-    n = realization.n_users
-    start = realization.p_wf if p_init is None else np.maximum(p_init, 0.0)
+    gamma, L, p_max = realization.gamma, realization.block_length, realization.p_max
+    qinv = q_inverse(np.maximum(eps, EPS_FLOOR))
     if omega == 0.0:
-        return PowerSolveResult(p=start, rate_sum=obj.rate_sum(start), converged=True)
-    run = _alm_run(obj, realization, start)
-    candidates = [run] if run.violation <= PROJECT_TOL else []
-    for vertex in np.eye(n) * realization.p_max:
-        candidates.append(PowerSolveResult(p=vertex, rate_sum=obj.rate_sum(vertex), converged=True))
-    candidates.append(PowerSolveResult(p=np.zeros(n), rate_sum=0.0, converged=True))
-    return max(candidates, key=lambda c: obj.scale * c.rate_sum)
+        p = realization.p_wf
+        return PowerSolveResult(p=p, rate_sum=float(_sum(rate_term(gamma * p, L, qinv))), converged=True)
+
+    n = gamma.size
+    levels = qinv.tolist()
+    s_hat = {q: _inflection_snr(q, L) for q in set(levels)}
+    p_hat = np.array([s_hat[q] for q in levels]) / gamma
+    floor = INFLECTION_MARGIN * p_hat
+    supports = closed_supports(gamma, qinv)
+    size = supports.sum(axis=1)
+    base = supports @ p_hat
+    keep = (size > 1) & (base < p_max)
+    supports, size, base = supports[keep], size[keep], base[keep]
+
+    p = np.maximum(np.where(supports, p_hat + ((p_max - base) / size)[:, None], floor), floor)
+    # a row's full sum less this is sum_S p - p_max: the floors off S are fixed
+    held = (~supports) @ floor + p_max
+    root_l, gamma2 = math.sqrt(L), gamma * gamma
+    last = p
+    for _ in range(NEWTON_STEPS):
+        s = gamma * p
+        one = 1.0 + s
+        u = s * (s + 2.0)
+        c = qinv / (root_l * one * np.sqrt(u))
+        slope = gamma * (1.0 - c) / one
+        w = np.where(supports, one * one / (gamma2 * (c * (3.0 + 1.0 / u) - 1.0)), 0.0)
+        price = (_sum(w * slope, axis=1) - _sum(p, axis=1) + held) / _sum(w, axis=1)
+        last, p = p, np.maximum(p + w * (price[:, None] - slope), floor)
+    moved = np.abs(p - last).max(axis=1)
+
+    p = np.where(supports, p, 0.0)
+    p *= (p_max / _sum(p, axis=1))[:, None]
+    candidates = np.vstack([p, np.eye(n) * p_max, np.zeros((1, n))])
+    best = int(np.argmax(_sum(rate_term(gamma * candidates, L, qinv), axis=1)))
+    p = candidates[best]
+    converged = best >= size.size or bool(moved[best] <= POWER_TOL)
+    return PowerSolveResult(p=p, rate_sum=float(_sum(rate_term(gamma * p, L, qinv))), converged=converged)
 
 
 def simplex_grid(n_users, p_max, points) -> np.ndarray:

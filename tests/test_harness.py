@@ -87,11 +87,6 @@ class TestSchemeDispatch:
         with pytest.raises(ValueError):
             scheme_dispatch("zf_beamforming", self.r, self.profile, 0.9)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="known defect (ROADMAP): solve_power misses the best set of transmitting "
-        "users at N >= 3, so proposedpower_minmax beats proposed in 7 of 300 trials",
-    )
     def test_no_baseline_beats_proposed_objective(self):
         # every baseline's (p, eps) is feasible for the problem proposed
         # solves, so none may score a higher weighted objective on its draw
@@ -107,16 +102,11 @@ class TestSchemeDispatch:
                     beaten.append((trial, scheme))
         assert beaten == []
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="known defect (ROADMAP): solve_power misses the best set of transmitting "
-        "users at N >= 3; on trial 43 proposed scores 0.70469 against 0.73216",
-    )
     def test_default_trial_43_proposed_not_beaten(self):
-        # the certificate's worst trial. At the minmax eps solve_power is
-        # within 5e-10 relative of tests/oracles.py's exact support
-        # enumeration here, so the shortfall comes from the power solves
-        # inside the alternation, at other shared levels z
+        # the certificate's worst trial under the augmented-Lagrangian power
+        # solve: proposed scored 0.70469 against 0.73216, because the power
+        # solves inside the alternation, at shared levels z other than the
+        # minmax one, kept the wrong set of transmitting users
         cfg = default_config()
         gamma = sample_realization(cfg.links, cfg.noise_power, np.random.SeedSequence([20240, 43]))
         r = NetworkRealization(gamma, cfg.p_max_linear(6.0), 200)
@@ -124,11 +114,14 @@ class TestSchemeDispatch:
         assert proposed >= scheme_dispatch("proposedpower_minmax", r, self.profile, 0.9).objective
 
     @pytest.mark.parametrize("scheme", ["proposed", "proposedpower_minmax"])
-    def test_over_budget_power_run_never_returned(self, scheme, over_budget_alm):
-        p = scheme_dispatch(scheme, self.r, self.profile, 0.9).p
-        # a closed-form candidate (a vertex or zero power), within budget
-        assert np.all(p >= 0.0) and np.sum(p) <= self.r.p_max
-        assert np.count_nonzero(p) <= 1
+    def test_over_budget_power_run_never_returned(self, scheme, one_newton_step):
+        # rows stopped after one Newton step are rescaled onto the budget
+        # before they are scored, and a winner among them is flagged
+        rep = scheme_dispatch(scheme, self.r, self.profile, 0.9)
+        assert np.all(rep.p >= 0.0) and np.sum(rep.p) <= self.r.p_max * (1 + 1e-12)
+        assert "power_stage_cap" in rep.flags and "not_converged" not in rep.flags
+        again = scheme_dispatch(scheme, self.r, self.profile, 0.9)
+        assert again.objective == rep.objective and np.array_equal(again.p, rep.p)
 
 
 class TestRunScenario:
@@ -305,7 +298,7 @@ class TestRunScenario:
         rep = scheme_dispatch("wf_minmax", r, SortedQosProfile.from_caps(PAPER_CAPS), 0.9)
         assert rep.p is r.p_wf
 
-    def test_over_budget_runs_do_not_fail_trials(self, over_budget_alm):
+    def test_over_budget_runs_do_not_fail_trials(self, one_newton_step):
         cfg = tiny_config(schemes=("proposedpower_minmax",), n_trials=1)
         (row,) = run_scenario(cfg)
         assert row.n_trials == 1 and math.isfinite(row.mean_throughput)
@@ -736,8 +729,8 @@ class TestCli:
 GOLDEN_CSV = """\
 scheme,omega,L,p_max,mean_sum_rate,mean_max_eps,mean_throughput,std_throughput,n_trials,seed
 equalpower_opteps,0.9,200,6,1.4399605,5.38895138e-05,1.44348768,0.685546012,25,20240
-proposed,0.9,200,6,2.02829698,4.56855307e-05,2.02821613,0.610054499,25,20240
-proposedpower_minmax,0.9,200,6,1.98787792,1e-05,1.98785805,0.607427193,25,20240
+proposed,0.9,200,6,2.03861763,4.31099796e-05,2.03853956,0.613684892,25,20240
+proposedpower_minmax,0.9,200,6,2.00252903,1e-05,2.002509,0.614013378,25,20240
 wf_minmax,0.9,200,6,1.90823039,1e-05,1.91020933,0.599137759,25,20240
 """
 
@@ -745,13 +738,13 @@ wf_minmax,0.9,200,6,1.90823039,1e-05,1.91020933,0.599137759,25,20240
 GOLDEN_MANY_USERS_CSV = """\
 scheme,omega,L,p_max,mean_sum_rate,mean_max_eps,mean_throughput,std_throughput,n_trials,seed
 proposed,0.9,100,0,1.37459994,6.46391568e-05,1.37452081,0.0264106229,2,20240
-proposed,0.9,100,12,7.95459138,4.61410752e-05,7.95427521,0.168150955,2,20240
-proposed,0.9,1600,0,1.32593777,3.54124592e-05,1.32589108,0.0109891854,2,20240
-proposed,0.9,1600,12,9.45424801,1.6810975e-05,9.4540915,0.565871747,2,20240
+proposed,0.9,100,12,8.03241516,4.54208969e-05,8.03209653,0.239361291,2,20240
+proposed,0.9,1600,0,1.32665809,3.54124592e-05,1.32661138,0.00997052952,2,20240
+proposed,0.9,1600,12,9.45424802,1.6810975e-05,9.45409151,0.565871749,2,20240
 proposedpower_minmax,0.9,100,0,1.33305665,1e-05,1.33304332,0.0235154319,2,20240
-proposedpower_minmax,0.9,100,12,7.75654463,1e-05,7.75646707,0.140589809,2,20240
-proposedpower_minmax,0.9,1600,0,1.30912389,1e-05,1.3091108,0.00719488269,2,20240
-proposedpower_minmax,0.9,1600,12,9.43403895,1e-05,9.43394461,0.56623838,2,20240
+proposedpower_minmax,0.9,100,12,7.8499585,1e-05,7.84988,0.187744363,2,20240
+proposedpower_minmax,0.9,1600,0,1.31159019,1e-05,1.31157708,0.00370704406,2,20240
+proposedpower_minmax,0.9,1600,12,9.43403896,1e-05,9.43394462,0.566238382,2,20240
 """
 
 
@@ -764,11 +757,11 @@ exhaustive,0,200,6,0.0794747605,1.8478498e-12,0.0794747605,0,10,20240
 exhaustive,0.5,200,6,1.78398931,8.29689681e-07,1.78398788,0.478812726,10,20240
 exhaustive,0.9,200,6,1.83002673,8.04937516e-06,1.83001246,0.490542409,10,20240
 proposed,0,200,6,1.42860201,1e-12,1.4344565,0.433300816,10,20240
-proposed,0.5,200,6,1.7825941,9.02543495e-07,1.7825925,0.47783831,10,20240
-proposed,0.9,200,6,1.82185288,8.48503573e-06,1.82183758,0.491886102,10,20240
+proposed,0.5,200,6,1.78553933,8.60908206e-07,1.78553781,0.479537499,10,20240
+proposed,0.9,200,6,1.83159643,8.42806274e-06,1.83158114,0.490746518,10,20240
 proposedpower_minmax,0,200,6,1.77704841,1e-05,1.77703064,0.484356384,10,20240
-proposedpower_minmax,0.5,200,6,1.8249407,1e-05,1.82492245,0.493028821,10,20240
-proposedpower_minmax,0.9,200,6,1.8249407,1e-05,1.82492245,0.493028821,10,20240
+proposedpower_minmax,0.5,200,6,1.83485541,1e-05,1.83483706,0.491906478,10,20240
+proposedpower_minmax,0.9,200,6,1.83485541,1e-05,1.83483706,0.491906478,10,20240
 wf_minmax,0,200,6,1.77704841,1e-05,1.77703064,0.484356384,10,20240
 wf_minmax,0.5,200,6,1.77704841,1e-05,1.77703064,0.484356384,10,20240
 wf_minmax,0.9,200,6,1.77704841,1e-05,1.77703064,0.484356384,10,20240

@@ -210,36 +210,36 @@ class TestSolveJoint:
 
     @pytest.mark.parametrize("n", [4, 12])
     def test_generated_starts_never_repeat(self, n, monkeypatch):
-        # vertices and zero power are scored in closed form, so no generated
-        # start runs at all: each power solve makes exactly one _alm_run,
-        # from its warm start
-        real_solve, real_run = fblopt.power.solve_power, fblopt.power._alm_run
-        warm, starts = [], []
+        # each power solve builds its supports' starts from (eps, gains,
+        # budget) alone: every result lies in the budget and carries the
+        # rate sum of its own p, and no state is kept between calls, so a
+        # second solve gives the same bits
+        real_solve = fblopt.power.solve_power
+        results = []
 
-        def solve(realization, eps, omega, p_init):
-            warm.append(np.maximum(p_init, 0.0))
-            return real_solve(realization, eps, omega, p_init)
-
-        def run(obj, realization, p_init):
-            starts.append(np.array(p_init))
-            return real_run(obj, realization, p_init)
+        def solve(realization, eps, omega):
+            results.append((realization, eps, real_solve(realization, eps, omega)))
+            return results[-1][2]
 
         monkeypatch.setattr(fblopt.joint, "solve_power", solve)
-        monkeypatch.setattr(fblopt.power, "_alm_run", run)
         rng = np.random.default_rng(3)
         caps = tuple(np.geomspace(1e-5, 5e-4, n))
         for _ in range(3):
-            warm.clear()
-            starts.clear()
+            results.clear()
             r, prof = make_instance(rng.exponential(1.0, n), p_max=4.0, caps=caps)
             rep = solve_joint(r, prof, 0.9)
-            assert len(starts) == len(warm) >= 1
-            assert all(np.array_equal(a, b) for a, b in zip(starts, warm))
-            # no state is kept between calls: a second solve gives the same bits
+            assert len(results) >= 1
+            for realization, eps, power in results:
+                assert np.all(power.p >= 0.0)
+                assert np.sum(power.p) <= realization.p_max * (1 + 1e-12)
+                assert power.rate_sum == float(np.sum(
+                    rate_term(realization.gamma * power.p, realization.block_length, q_inverse(eps))
+                ))
+            count = len(results)
             again = solve_joint(r, prof, 0.9)
-            assert len(starts) == len(warm)
+            assert len(results) == 2 * count
             assert again.objective == rep.objective
-            assert np.array_equal(again.p, rep.p)
+            assert np.array_equal(again.p, rep.p) and np.array_equal(again.eps, rep.eps)
 
     @staticmethod
     def closed_form_objectives(r, prof, omega):

@@ -14,6 +14,7 @@ from fblopt.power import (
     MU0,
     ZETA0,
     _alm_run,
+    closed_supports,
     _PowerObjective,
     _spg,
     equal_power,
@@ -362,7 +363,7 @@ class TestStartReuse:
     def test_rate_sum_is_rate_term_sum(self, n):
         # the joint solver scores each iterate with the returned rate_sum, so
         # it must be the plain rate_term sum at the result's p and the eps of
-        # the call, for the run and for the closed-form candidates alike
+        # the call, for a support row and for the closed-form candidates alike
         def expected(r, p, eps):
             qinv = q_inverse(np.maximum(eps, EPS_FLOOR))
             return float(np.sum(rate_term(r.gamma * p, r.block_length, qinv)))
@@ -376,7 +377,7 @@ class TestStartReuse:
             res = solve_power(r, eps, omega)
             assert res.rate_sum == expected(r, res.p, eps)
             eps2 = np.where(np.arange(n) == 0, eps, 2 * eps)
-            res2 = solve_power(r, eps2, omega, p_init=res.p)
+            res2 = solve_power(r, eps2, omega)
             assert res2.rate_sum == expected(r, res2.p, eps2)
 
 
@@ -433,11 +434,13 @@ class TestSolvePower:
         assert MU0 == 1.0 and ZETA0 == 0.15
 
     def test_mu_trace_doubles_exactly(self):
+        # solve_power no longer runs the augmented Lagrangian; its run is
+        # checked directly
         r = make_realization([0.8, 1.3], p_max=3.0)
         eps = np.array([1e-4, 5e-4])
-        res = solve_power(r, eps, 0.8)
+        res = _alm_run(_PowerObjective(r, eps, 0.8), r, r.p_wf)
         mus = [rec.mu for rec in res.trace]
-        assert mus == [1.0 * 2**l for l in range(len(mus))]
+        assert len(mus) > 1 and mus == [1.0 * 2**l for l in range(len(mus))]
 
     def test_feasible_at_convergence(self):
         rng = np.random.default_rng(19)
@@ -521,13 +524,18 @@ class TestSolvePower:
             _, oracle = power_grid_oracle(r, eps, omega, points=300)
             assert val >= oracle - 1e-3 * max(abs(oracle), 1e-12)
 
-    def test_over_budget_run_never_returned(self, over_budget_alm):
-        r = make_realization([0.8, 1.3], p_max=3.0)
-        res = solve_power(r, np.array([1e-4, 5e-4]), 0.8)
-        # a closed-form candidate: a vertex or zero power, within budget
-        assert res.trace == [] and res.violation == 0.0
-        assert np.all(res.p >= 0.0) and np.sum(res.p) <= r.p_max
-        assert np.count_nonzero(res.p) <= 1
+    def test_over_budget_run_never_returned(self, one_newton_step):
+        # after one step a row can sit off the budget; every row is rescaled
+        # onto it before it is scored, and the result is scored afresh
+        rng = np.random.default_rng(23)
+        for n in (2, 4, 12):
+            for _ in range(5):
+                r = make_realization(rng.exponential(1.0, n) + 0.05, 10 ** rng.uniform(-1.0, 1.2))
+                eps = rng.uniform(1e-6, 1e-2, n)
+                res = solve_power(r, eps, 0.8)
+                assert res.trace == [] and res.violation == 0.0 and not res.projected
+                assert np.all(res.p >= 0.0) and np.sum(res.p) <= r.p_max * (1 + 1e-12)
+                assert res.rate_sum == rate_value(r, res.p, eps, 1.0, 1.0)
 
     def test_stalled_inner_solve_is_not_converged(self, monkeypatch):
         # with every line search failing, each stage's inner solve stops
@@ -540,22 +548,13 @@ class TestSolvePower:
         assert len(run.trace) == fblopt.power.MAX_STAGES
         assert not run.converged
 
-    def test_warm_start_projected_onto_nonnegative(self):
-        r = make_realization([0.8, 1.3], p_max=3.0)
-        eps = np.array([1e-4, 5e-4])
-        res = solve_power(r, eps, 0.8, p_init=np.array([-1.0, 2.0]))
-        assert_same_run(res, solve_power(r, eps, 0.8, p_init=np.array([0.0, 2.0])))
-
     def test_omega_zero_returns_start(self):
-        # every p is optimal at omega == 0, so the start is the answer:
-        # water-filling itself, or the warm start projected onto p >= 0
+        # every p is optimal at omega == 0, so water-filling is the answer
         r = make_realization([0.5, 2.0], p_max=3.0)
         eps = np.array([1e-4, 1e-4])
         res = solve_power(r, eps, 0.0)
         assert res.p is r.p_wf and res.converged and res.trace == []
         assert res.rate_sum == _PowerObjective(r, eps, 0.0).rate_sum(r.p_wf)
-        warm = solve_power(r, eps, 0.0, p_init=np.array([-1.0, 2.0]))
-        assert np.array_equal(warm.p, [0.0, 2.0]) and warm.converged
         with pytest.raises(ValueError, match="omega"):
             solve_power(r, eps, -0.1)
 
@@ -596,11 +595,6 @@ class TestGridHelpers:
             simplex_grid(4, 1.0, 10)
 
 
-SUPPORT_DEFECT = (
-    "known defect (ROADMAP): solve_power keeps the wrong set of transmitting users at N >= 3"
-)
-
-
 def default_trial_minmax(trial):
     """The default cell's realization of a trial, drawn as the harness
     draws it, and the minmax eps (every user at the strictest cap)."""
@@ -621,6 +615,54 @@ def seeded_minmax_instances(n, count=6):
     ]
 
 
+def random_instances(kind, count):
+    """Seeded N = 3..6 draws with gains, budget and L spread wide, at eps of
+    the solvers' level form (errors_at_level of random caps and level z) or
+    at arbitrary per-user eps."""
+    rng = np.random.default_rng([2018, kind == "level"])
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(3, 7))
+        r = make_realization(
+            rng.exponential(1.0, n) + 0.05, 10 ** rng.uniform(-1.0, 1.5), int(rng.integers(50, 3000))
+        )
+        if kind == "level":
+            profile = SortedQosProfile.from_caps(np.sort(rng.uniform(1e-6, 1e-2, n)))
+            eps = errors_at_level(profile, 10 ** rng.uniform(-6.0, -2.0))
+        else:
+            eps = 10 ** rng.uniform(-9.0, -1.0, n)
+        out.append((r, eps))
+    return out
+
+
+def many_users_level_draws(count):
+    """N = 12 unit-mean Rayleigh gains with the many-users caps
+    geomspace(1e-5, 5e-4, 12), at a level z drawn between the caps."""
+    rng = np.random.default_rng(2019)
+    profile = SortedQosProfile.from_caps(np.geomspace(1e-5, 5e-4, 12))
+    return [
+        (
+            make_realization(rng.exponential(1.0, 12), 10 ** rng.choice([0.0, 1.2]), int(rng.choice([100, 1600]))),
+            errors_at_level(profile, 10 ** rng.uniform(-5.0, np.log10(5e-4))),
+        )
+        for _ in range(count)
+    ]
+
+
+def brute_force_closed(gamma, qinv):
+    """Every nonempty mask of the 2^N closed under dominance, tested one by
+    one: no user in the set has a dominator outside it."""
+    n = gamma.size
+    idx = np.arange(n)
+    dominates = (gamma[:, None] >= gamma) & (qinv[:, None] <= qinv) & (
+        (gamma[:, None] > gamma) | (qinv[:, None] < qinv) | (idx[:, None] < idx)
+    )
+    masks = (np.arange(1, 2**n)[:, None] >> idx) & 1 == 1
+    # outside[m, i, j]: i dominates j, j is in mask m and i is not
+    outside = dominates[None] & masks[:, None, :] & ~masks[:, :, None]
+    return masks[~outside.any(axis=(1, 2))]
+
+
 class TestSupportOracle:
     def test_never_below_grid_oracle_or_solver(self):
         rng = np.random.default_rng(71)
@@ -636,7 +678,7 @@ class TestSupportOracle:
             # a 300-point grid at N = 3 holds 4.5 million points
             _, grid = power_grid_oracle(r, eps, 1.0, points=300 if n == 2 else 120)
             assert value >= grid * r.sr_inf - 1e-12 * abs(value)
-            assert value >= solve_power(r, eps, 0.9).rate_sum - 1e-9 * abs(value)
+            assert abs(value - solve_power(r, eps, 0.9).rate_sum) <= 1e-9 * abs(value)
 
     def test_default_trial_0_optimum_has_two_users(self):
         r, eps = default_trial_minmax(0)
@@ -644,14 +686,12 @@ class TestSupportOracle:
         assert value == pytest.approx(2.2953, abs=1e-4)
         assert np.count_nonzero(p) == 2
 
-    @pytest.mark.xfail(strict=True, reason=SUPPORT_DEFECT)
     def test_solve_power_default_trial_0(self):
-        # solve_power keeps three users on and reaches 2.2094
+        # the augmented-Lagrangian run kept three users on and reached 2.2094
         r, eps = default_trial_minmax(0)
         _, value = power_support_oracle(r, eps)
         assert solve_power(r, eps, 0.9).rate_sum >= value * (1 - 1e-4)
 
-    @pytest.mark.xfail(strict=True, reason=SUPPORT_DEFECT)
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_solve_power_matches_support_oracle(self, n):
         short = []
@@ -661,3 +701,82 @@ class TestSupportOracle:
             if gap > 1e-4:
                 short.append((i, gap))
         assert short == []
+
+    @pytest.mark.parametrize("kind", ["level", "arbitrary"])
+    def test_solve_power_equals_support_oracle(self, kind):
+        off = []
+        for i, (r, eps) in enumerate(random_instances(kind, 8)):
+            res = solve_power(r, eps, 0.9)
+            _, value = power_support_oracle(r, eps)
+            if abs(value - res.rate_sum) > 1e-9 * abs(value) or not res.converged:
+                off.append((i, value, res.rate_sum, res.converged))
+        assert off == []
+
+
+class TestSupports:
+    def test_equal_eps_gives_nested_top_k(self):
+        rng = np.random.default_rng(81)
+        for n in (1, 2, 4, 12):
+            gamma = rng.choice(rng.exponential(1.0, n), n)  # ties go to the lower index
+            order = np.lexsort((np.arange(n), -gamma))
+            expected = np.array([np.isin(np.arange(n), order[:k]) for k in range(1, n + 1)])
+            assert np.array_equal(closed_supports(gamma, np.full(n, 3.7)), expected)
+
+    @pytest.mark.parametrize("n", [3, 6, 9])
+    def test_matches_brute_force_closure(self, n):
+        # the same sets, in any order, as testing all 2^N masks; qinv draws
+        # from few values, so ties in eps occur
+        rng = np.random.default_rng(90 + n)
+        for _ in range(10):
+            gamma = rng.choice(rng.exponential(1.0, n), n)
+            qinv = rng.choice([3.0, 3.5, 4.0, 4.5], n)
+            got = closed_supports(gamma, qinv)
+            expected = brute_force_closed(gamma, qinv)
+            assert got.shape == expected.shape
+            assert {tuple(row) for row in got} == {tuple(row) for row in expected}
+
+    def test_many_users_row_count(self):
+        # rows solved at N = 12 at a level z: far fewer than the 2^12 - 1
+        # nonempty masks (median 51, 90th percentile 121, max 403 over 2,000
+        # draws of many_users_level_draws)
+        counts = []
+        for r, eps in many_users_level_draws(40):
+            qinv = q_inverse(eps)
+            rows = closed_supports(r.gamma, qinv)
+            assert len(rows) == len(brute_force_closed(r.gamma, qinv))
+            counts.append(len(rows))
+        assert 12 <= np.median(counts) <= 256 and max(counts) < 2**12 - 1
+
+
+class TestNewtonSolve:
+    @pytest.mark.parametrize("n", [4, 12])
+    def test_fixed_step_count_is_converged(self, n, monkeypatch):
+        draws = seeded_minmax_instances(4) if n == 4 else many_users_level_draws(8)
+        fixed = [solve_power(r, eps, 0.9) for r, eps in draws]
+        monkeypatch.setattr(fblopt.power, "NEWTON_STEPS", 40)
+        for (r, eps), res in zip(draws, fixed):
+            assert res.converged
+            assert abs(solve_power(r, eps, 0.9).rate_sum - res.rate_sum) <= 1e-12 * abs(res.rate_sum)
+
+    def test_one_step_is_not_converged(self, monkeypatch):
+        # default trial 0's optimum has two users, off every vertex: one
+        # Newton step from the start moves p by far more than POWER_TOL
+        r, eps = default_trial_minmax(0)
+        assert solve_power(r, eps, 0.9).converged
+        monkeypatch.setattr(fblopt.power, "NEWTON_STEPS", 1)
+        res = solve_power(r, eps, 0.9)
+        assert np.count_nonzero(res.p) == 2 and not res.converged
+
+    def test_extreme_inputs_raise_no_warning(self):
+        # RuntimeWarnings are errors under pytest; users off a support sit at
+        # a finite point on their concave branch, so none arises at budgets,
+        # gains, lengths and eps at the ends of their ranges
+        rng = np.random.default_rng(97)
+        for p_max in (1e-12, 1e-3, 1.0, 1e3, 1e6):
+            for L in (2, 200, 100_000):
+                for eps in (EPS_FLOOR, 1e-5, 0.4999):
+                    n = int(rng.integers(1, 8))
+                    r = make_realization(10 ** rng.uniform(-3.0, 3.0, n), p_max, L)
+                    res = solve_power(r, np.full(n, eps) * rng.uniform(0.5, 1.0, n), 0.9)
+                    assert np.all(res.p >= 0.0) and np.sum(res.p) <= p_max * (1 + 1e-12)
+                    assert np.isfinite(res.rate_sum)
