@@ -14,6 +14,9 @@ from .power import simplex_grid, solve_power
 MAX_ALTERNATIONS = 50
 EPS_TOL = 1e-9        # inf-norm change of eps between alternations
 
+# the ufunc reductions behind np.sum and np.max, called without their wrappers
+_sum, _max = np.add.reduce, np.maximum.reduce
+
 
 @dataclass
 class SolveReport:
@@ -61,7 +64,7 @@ def sum_throughput(rates, eps) -> float:
     zero (a negative rate is a normal-approximation artifact, not physical
     throughput)."""
     r = np.maximum(np.asarray(rates, dtype=float), 0.0)
-    return float(np.sum(r * (1.0 - np.asarray(eps, dtype=float))))
+    return float(_sum(r * (1.0 - np.asarray(eps, dtype=float))))
 
 
 def make_report(
@@ -83,8 +86,8 @@ def make_report(
     qinv = q_inverse(np.maximum(eps, EPS_FLOOR))
     terms = rate_term(realization.gamma * p, realization.block_length, qinv)
     rates = terms + length_offset(realization.block_length)
-    rate_sum = float(np.sum(terms))
-    max_eps = float(np.max(eps))
+    rate_sum = float(_sum(terms))
+    max_eps = float(_max(eps))
     sr_inf = realization.sr_inf
     return SolveReport(
         p=p,
@@ -92,7 +95,7 @@ def make_report(
         objective=weighted_objective(omega, rate_sum, sr_inf, max_eps, profile.eps_max_overall),
         u1=rate_sum / sr_inf,
         u2=u2(max_eps, profile.eps_max_overall),
-        sum_rate=float(np.sum(rates)),
+        sum_rate=float(_sum(rates)),
         max_eps=max_eps,
         throughput=sum_throughput(rates, eps),
         iterations=iterations,
@@ -103,7 +106,11 @@ def make_report(
 
 def _alternate(realization, profile, omega, p0):
     """One alternation run from a given initial power vector. Returns
-    (best objective, best p, best eps, trace, flags, iterations)."""
+    (best objective, best p, best eps, trace, flags, iterations).
+
+    The power problem is solved only when the level z differs from the
+    previous round's: at the same z, bit for bit, the error vector is the
+    same, so the previous round's solve is reused and its row repeated."""
     p = np.asarray(p0, dtype=float)
     z_prev = None
     p_prev = p
@@ -116,8 +123,9 @@ def _alternate(realization, profile, omega, p0):
     for t in range(1, MAX_ALTERNATIONS + 1):
         iterations = t
         eps = optimal_errors(realization, p, profile, omega)
-        z = float(eps.max())
-        power = solve_power(realization, eps, omega)
+        z = float(_max(eps))
+        if z != z_prev:
+            power = solve_power(realization, eps, omega)
         if not power.converged and "power_stage_cap" not in flags:
             flags.append("power_stage_cap")
         p = power.p
@@ -126,7 +134,7 @@ def _alternate(realization, profile, omega, p0):
         )
         # every eps_i = min(cap_i, z) moves by at most |dz|, the loosest by |dz|
         d_eps = abs(z - z_prev) if z_prev is not None else np.inf
-        d_p = float(np.max(np.abs(p - p_prev)))
+        d_p = float(_max(np.abs(p - p_prev)))
         trace.append((obj, d_eps, d_p))
         if len(trace) > 1 and obj < trace[-2][0] - 1e-6:
             if "objective_decreased" not in flags:
@@ -157,8 +165,10 @@ def solve_joint(realization, profile, omega) -> SolveReport:
     with their optimal errors (the floor errors at zero power). The best
     over eps of the quasi-convex rate terms (see solve_power) is still
     quasi-convex in p, so these cover every allocation with at most one
-    transmitting user. The best of them (the first on ties) is returned,
-    flagged "silent_start", if it beats the alternation strictly.
+    transmitting user. They are scored from their objectives alone, the
+    same bits as their reports': a vertex's rate sum is its one user's
+    term, and zero power's is 0. The best of them (the first on ties) is
+    reported, flagged "silent_start", if it beats the alternation strictly.
 
     At omega = 0, the pure reliability regime, the solvers' own limits
     decide: every error probability sits at the floor, solve_power returns
@@ -174,11 +184,17 @@ def solve_joint(realization, profile, omega) -> SolveReport:
         realization, profile, p, eps, omega, iterations=iterations, trace=trace, flags=flags
     )
     n = realization.n_users
-    for p in [np.zeros(n), *np.eye(n) * realization.p_max]:
-        eps = optimal_errors(realization, p, profile, omega)
-        corner = make_report(realization, profile, p, eps, omega, flags=["silent_start"])
-        if corner.objective > best.objective:
-            best = corner
+    corners = [np.zeros(n), *np.eye(n) * realization.p_max]
+    errors = [optimal_errors(realization, p, profile, omega) for p in corners]
+    qinv = q_inverse(np.maximum([eps[i] for i, eps in enumerate(errors[1:])], EPS_FLOOR))
+    terms = rate_term(realization.gamma * realization.p_max, realization.block_length, qinv)
+    scores = weighted_objective(
+        omega, np.append(0.0, terms), realization.sr_inf,
+        np.array([_max(eps) for eps in errors]), profile.eps_max_overall,
+    )
+    k = int(np.argmax(scores))
+    if scores[k] > best.objective:
+        best = make_report(realization, profile, corners[k], errors[k], omega, flags=["silent_start"])
     return best
 
 

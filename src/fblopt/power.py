@@ -22,6 +22,7 @@ Also provides the water-filling and equal-power baselines and the
 Shannon-sum-rate normalizer sr_infinity.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -314,6 +315,7 @@ def _alm_run(obj, realization, p_init) -> PowerSolveResult:
     )
 
 
+@functools.lru_cache(maxsize=256)
 def _inflection_snr(qinv, block_length) -> float:
     """The inflection SNR s_hat of a rate term with inverse-Q value qinv,
     where it turns from convex to concave: the root of
@@ -322,7 +324,8 @@ def _inflection_snr(qinv, block_length) -> float:
 
     which increases in x, with phi'(x) = s/(1+s) + 3(1+s)^3/((s+2)(3u+1)).
     INFLECTION_STEPS Newton steps in x start at 0.5 (qinv/sqrt(L))^(2/3), the
-    root of phi's small-s form. On floats: users share a few qinv values."""
+    root of phi's small-s form. On floats, and memoized: users share a few
+    qinv values, and the caps' values recur from solve to solve."""
     offset = 0.5 * math.log(block_length) - math.log(qinv)
     x = math.log(0.5) - offset / 1.5
     for _ in range(INFLECTION_STEPS):
@@ -403,7 +406,7 @@ def solve_power(realization, eps, omega) -> PowerSolveResult:
     optimal, and water-filling is returned, converged.
     """
     eps = np.asarray(eps, dtype=float)
-    if not np.all((0.0 < eps) & (eps < 0.5)):
+    if not np.logical_and.reduce((0.0 < eps) & (eps < 0.5)):
         raise ValueError("eps must lie componentwise in (0, 0.5)")
     if not 0.0 <= omega <= 1.0:
         raise ValueError("omega must lie in [0, 1] for the power subproblem")

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,10 @@ import fblopt.kernels
 import fblopt.power
 from fblopt.channel import NetworkRealization, UserLink, sample_realization
 from fblopt.error_assignment import SortedQosProfile, optimal_errors
+from fblopt.harness import default_config
 from fblopt.joint import (
     OracleGrid,
+    SolveReport,
     exhaustive_oracle,
     make_report,
     solve_joint,
@@ -26,6 +30,16 @@ from fblopt.kernels import (
 from fblopt.power import simplex_grid, sr_infinity, water_filling
 
 PAPER_CAPS = (1e-5, 5e-5, 1e-4, 5e-4)
+
+# (gamma, caps, p_max, L, omega) where a closed-form candidate beats the
+# alternation: a single-user vertex, and zero power
+WEAK_CHANNELS = [
+    (
+        [0.14958033, 0.03645505, 0.10911438], (7.0685e-4, 1.1852e-3, 2.2566e-2),
+        0.59932851, 180, 0.9,
+    ),
+    ([0.13907172], (0.0201025,), 0.32984034, 350, 0.62),
+]
 
 
 def make_instance(gamma, p_max=4.0, L=200, caps=PAPER_CAPS):
@@ -212,7 +226,8 @@ class TestSolveJoint:
     def test_generated_starts_never_repeat(self, n, monkeypatch):
         # each power solve builds its supports' starts from (eps, gains,
         # budget) alone: every result lies in the budget and carries the
-        # rate sum of its own p, and no state is kept between calls, so a
+        # rate sum of its own p, and the only state kept between calls is
+        # the memo of the inflection SNR, a pure function of (qinv, L), so a
         # second solve gives the same bits
         real_solve = fblopt.power.solve_power
         results = []
@@ -276,11 +291,8 @@ class TestSolveJoint:
     @pytest.mark.parametrize(
         "gamma, caps, p_max, L, omega, p",
         [
-            (
-                [0.14958033, 0.03645505, 0.10911438], (7.0685e-4, 1.1852e-3, 2.2566e-2),
-                0.59932851, 180, 0.9, [0.0, 0.0, 0.59932851],
-            ),
-            ([0.13907172], (0.0201025,), 0.32984034, 350, 0.62, [0.0]),
+            (*WEAK_CHANNELS[0], [0.0, 0.0, 0.59932851]),
+            (*WEAK_CHANNELS[1], [0.0]),
         ],
         ids=["vertex", "silent"],
     )
@@ -303,8 +315,9 @@ class TestSolveJoint:
 
     def test_inversions_per_solve(self, monkeypatch):
         # the alternation scores each iterate with the power solve's rate
-        # sum; on the joint side only the reports invert eps: the
-        # alternation's and one per closed-form candidate (zero, N vertices)
+        # sum; on the joint side the alternation's report inverts eps once,
+        # one call inverts the N vertices' own error probabilities, and a
+        # closed-form candidate's report, one more, is built only when it wins
         calls = {"joint": 0, "power": 0, "solve_power": 0}
 
         def counted(module, name, key):
@@ -320,12 +333,103 @@ class TestSolveJoint:
         counted(fblopt.power, "q_inverse", "power")
         counted(fblopt.joint, "solve_power", "solve_power")
         rng = np.random.default_rng(5)
-        for _ in range(4):
-            r, prof = make_instance(rng.exponential(1.0, 4), p_max=rng.uniform(0.5, 10.0))
+        cases = [
+            (*make_instance(rng.exponential(1.0, 4), p_max=rng.uniform(0.5, 10.0)), 0.9)
+            for _ in range(4)
+        ]
+        cases += [(*make_instance(g, p_max=b, L=L, caps=c), w) for g, c, b, L, w in WEAK_CHANNELS]
+        wins = 0
+        for r, prof, omega in cases:
             calls.update(joint=0, power=0, solve_power=0)
-            solve_joint(r, prof, 0.9)
-            assert calls["joint"] == 4 + 2
+            won = "silent_start" in solve_joint(r, prof, omega).flags
+            assert calls["joint"] == 2 + won
             assert calls["power"] == calls["solve_power"] >= 1
+            wins += won
+        assert wins == len(WEAK_CHANNELS)
+
+    def corner_wins_match_reports(self, cases, monkeypatch, feeble=False):
+        # the corners are scored without their reports; the answer must be
+        # the same bits as building every corner's report and taking the
+        # first that beats the alternation's report strictly. feeble makes
+        # the alternation end at zero power with every user at its cap, so
+        # the corners decide among themselves. Returns the cases won.
+        real = fblopt.joint._alternate
+
+        def alternate(realization, profile, omega, p0):
+            run = real(realization, profile, omega, p0)
+            if feeble:
+                run = (run[0], np.zeros(realization.n_users), profile.caps, *run[3:])
+            runs.append(run)
+            return run
+
+        runs = []
+        monkeypatch.setattr(fblopt.joint, "_alternate", alternate)
+        wins = 0
+        for r, prof, omega in cases:
+            runs.clear()
+            rep = solve_joint(r, prof, omega)
+            _, p, eps, trace, flags, iterations = runs[0]
+            ref = make_report(r, prof, p, eps, omega, iterations=iterations, trace=trace, flags=flags)
+            scores = self.closed_form_objectives(r, prof, omega)
+            k = int(np.argmax(scores))
+            if scores[k] > ref.objective:
+                corner = np.zeros(r.n_users) if k == 0 else np.eye(r.n_users)[k - 1] * r.p_max
+                corner_eps = optimal_errors(r, corner, prof, omega)
+                ref = make_report(r, prof, corner, corner_eps, omega, flags=["silent_start"])
+                wins += 1
+            for f in fields(SolveReport):
+                assert np.array_equal(getattr(rep, f.name), getattr(ref, f.name)), f.name
+        return wins
+
+    @pytest.mark.parametrize("feeble", [False, True])
+    @pytest.mark.parametrize("n", [1, 4, 12])
+    @pytest.mark.parametrize("omega", [0.0, 0.5, 0.9, 1.0])
+    def test_corners_match_their_reports(self, n, omega, feeble, monkeypatch):
+        # half the draws repeat gains, so vertices can tie
+        rng = np.random.default_rng(110 + n)
+        caps = tuple(np.geomspace(1e-5, 5e-4, n))
+        cases = []
+        for draw in range(10):
+            gamma = rng.exponential(0.3, n) + 0.01
+            if draw % 2:
+                gamma = rng.choice(gamma[:2], n)
+            r, prof = make_instance(
+                gamma, p_max=10 ** rng.uniform(-1.5, 1.0), L=int(rng.integers(50, 2000)), caps=caps
+            )
+            cases.append((r, prof, omega))
+        wins = self.corner_wins_match_reports(cases, monkeypatch, feeble)
+        if feeble and omega < 1.0:
+            assert wins == len(cases)  # zero power at the floor beats zero power at the caps
+
+    def test_winning_corners_match_their_reports(self, monkeypatch):
+        cases = [(*make_instance(g, p_max=b, L=L, caps=c), w) for g, c, b, L, w in WEAK_CHANNELS]
+        assert self.corner_wins_match_reports(cases, monkeypatch) == len(cases)
+
+    def test_repeated_level_reuses_the_power_solve(self, monkeypatch):
+        # the power problem is solved only when the level z moved: a round at
+        # the same z bit for bit (d_eps == 0) reuses the last solve and
+        # repeats its row
+        real = fblopt.joint.solve_power
+        calls = []
+        monkeypatch.setattr(
+            fblopt.joint, "solve_power", lambda *a: calls.append(1) or real(*a)
+        )
+        config = default_config()
+        prof = SortedQosProfile.from_caps(PAPER_CAPS)
+        repeats = 0
+        for trial in range(20):
+            seed = np.random.SeedSequence([config.master_seed, trial])
+            gamma = sample_realization(config.links, config.noise_power, seed, fading=config.fading)
+            for omega in (0.0, 0.5, 0.9):
+                r = NetworkRealization(gamma, 10 ** 0.6, 200)
+                calls.clear()
+                _, _, _, trace, _, _ = fblopt.joint._alternate(r, prof, omega, r.p_wf)
+                assert len(calls) == sum(d_eps != 0.0 for _, d_eps, _ in trace)
+                for prev, row in zip(trace, trace[1:]):
+                    if row[1] == 0.0:
+                        assert row == (prev[0], 0.0, 0.0)
+                        repeats += 1
+        assert repeats > 0
 
     def test_objective_trace_nondecreasing(self):
         rng = np.random.default_rng(47)

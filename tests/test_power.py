@@ -780,3 +780,18 @@ class TestNewtonSolve:
                     res = solve_power(r, np.full(n, eps) * rng.uniform(0.5, 1.0, n), 0.9)
                     assert np.all(res.p >= 0.0) and np.sum(res.p) <= p_max * (1 + 1e-12)
                     assert np.isfinite(res.rate_sum)
+
+    def test_inflection_memo_same_bits_and_bounded(self):
+        # the inflection SNR is memoized on (qinv, L), a pure function of
+        # two floats: a hit returns the computed bits, and the memo is
+        # capped, so a long run does not grow it
+        memo = fblopt.power._inflection_snr
+        for qinv in q_inverse(np.geomspace(EPS_FLOOR, 0.49, 25)).tolist():
+            for L in (2, 100, 200, 1600, 100_000):
+                computed = memo.__wrapped__(qinv, L)
+                assert memo(qinv, L) == computed and memo(qinv, L) == computed
+        size = memo.cache_info().maxsize
+        assert size is not None and size <= 1024
+        for qinv in np.linspace(1.0, 7.0, 2 * size).tolist():
+            memo(qinv, 200)
+        assert memo.cache_info().currsize == size
