@@ -110,7 +110,8 @@ def _alternate(realization, profile, omega, p0):
 
     The power problem is solved only when the level z differs from the
     previous round's: at the same z, bit for bit, the error vector is the
-    same, so the previous round's solve is reused and its row repeated."""
+    same, so that round's solve is reused, and the round still adds its
+    trace row."""
     p = np.asarray(p0, dtype=float)
     z_prev = None
     p_prev = p

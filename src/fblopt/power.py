@@ -418,9 +418,7 @@ def solve_power(realization, eps, omega) -> PowerSolveResult:
         return PowerSolveResult(p=p, rate_sum=float(_sum(rate_term(gamma * p, L, qinv))), converged=True)
 
     n = gamma.size
-    levels = qinv.tolist()
-    s_hat = {q: _inflection_snr(q, L) for q in set(levels)}
-    p_hat = np.array([s_hat[q] for q in levels]) / gamma
+    p_hat = np.array([_inflection_snr(q, L) for q in qinv.tolist()]) / gamma
     floor = INFLECTION_MARGIN * p_hat
     supports = closed_supports(gamma, qinv)
     size = supports.sum(axis=1)
