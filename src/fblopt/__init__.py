@@ -19,7 +19,6 @@ from .power import (
     simplex_grid,
     solve_power,
     sr_infinity,
-    update_multipliers,
     water_filling,
 )
 from .joint import (

@@ -58,13 +58,10 @@ def dispersion_coeff(s, block_length):
     return np.sqrt(s * (s + 2.0) / block_length) / (1.0 + s)
 
 
-def rate_term(s, block_length, qinv, disp=None):
+def rate_term(s, block_length, qinv):
     """log(1+s) - dispersion_coeff(s, L) * qinv at SNR s: the normal-
-    approximation rate without its log(L)/L offset, for a given Qinv(eps).
-    disp, when given, is dispersion_coeff(s, L) already computed."""
-    if disp is None:
-        disp = dispersion_coeff(s, block_length)
-    return np.log1p(s) - disp * qinv
+    approximation rate without its log(L)/L offset, for a given Qinv(eps)."""
+    return np.log1p(s) - dispersion_coeff(s, block_length) * qinv
 
 
 def length_offset(block_length):

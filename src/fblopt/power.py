@@ -14,9 +14,9 @@ power.
 The augmented-Lagrangian solver that solve_power used before (_alm_run,
 its inner solver _spg with _armijo, update_multipliers, StageRecord and
 _PowerObjective's value and gradient) is no longer on the solve path. It
-stays only because the benchmark's hooks wrap these names and report a
-missing one as absent; it goes when the benchmark reads counts from the
-results instead.
+is kept, as a plain projected-gradient ALM, only because the benchmark's
+hooks wrap these names and report a missing one as absent; it goes when
+the benchmark reads counts from the results instead.
 
 Also provides the water-filling and equal-power baselines and the
 Shannon-sum-rate normalizer sr_infinity.
@@ -116,17 +116,13 @@ def sr_infinity(gamma, p_max, p_wf=None) -> float:
 
 
 class _PowerObjective:
-    """Augmented-Lagrangian value/gradient with per-call invariants cached
-    (gains, inverse-Q of the fixed error probabilities, scaling, and the
-    slope pieces that do not depend on p).
+    """Augmented-Lagrangian value and gradient of the retired solver, with
+    the per-call invariants (gains, inverse-Q of the fixed error
+    probabilities, scaling) set once; nothing changes after __init__.
 
     value(p, mu, zeta) is the scaled rate sum minus
     (1/2mu) * [max(0, zeta - mu*(P_max - sum p))^2 - zeta^2]; grad() is its
-    analytic gradient in p. value() keeps the SNR vector, the dispersion
-    vector and the power sum it computes; grad() on the same array object
-    reuses them, so the gradient at an accepted point costs no second
-    evaluation, and neither does the next stage's start. Callers must not
-    write into p between the calls."""
+    analytic gradient in p."""
 
     def __init__(self, realization, eps, omega):
         self.gamma = realization.gamma
@@ -134,74 +130,24 @@ class _PowerObjective:
         self.p_max = realization.p_max
         self.qinv = q_inverse(np.maximum(np.asarray(eps, dtype=float), EPS_FLOOR))
         self.scale = omega / realization.sr_inf
-        self._qinv_gamma = self.qinv * self.gamma
-        self._scale_gamma2 = self.scale * self.gamma**2
-        self._at = None  # (p, s, disp, sum p) of the last value() call
 
     def rate_sum(self, p):
         """Rate objective at p before its scaling, with no penalty."""
         return float(_sum(rate_term(self.gamma * p, self.L, self.qinv)))
 
-    def _point(self, p):
-        """(p, SNR, dispersion, sum p) at p; the last value() call's tuple
-        when p is the array it was called on."""
-        at = self._at
-        if at is None or at[0] is not p:
-            s = self.gamma * p
-            at = (p, s, dispersion_coeff(s, self.L), float(_sum(p)))
-        return at
-
     def value(self, p, mu, zeta):
-        self._at = self._point(p)
-        _, s, disp, total = self._at
-        rate = self.scale * float(_sum(rate_term(s, self.L, self.qinv, disp)))
-        v = max(0.0, zeta - mu * (self.p_max - total))
-        return rate - (v * v - zeta * zeta) / (2.0 * mu)
+        v = max(0.0, zeta - mu * (self.p_max - float(_sum(p))))
+        return self.scale * self.rate_sum(p) - (v * v - zeta * zeta) / (2.0 * mu)
 
     def grad(self, p, mu, zeta):
-        _, s, disp, total = self._point(p)
+        s = self.gamma * p
         one = 1.0 + s
+        disp = dispersion_coeff(s, self.L)
         positive = disp > 0.0
         safe = np.where(positive, disp, 1.0)
-        slope = np.where(positive, self._qinv_gamma / (self.L * one**3 * safe), _BIG_SLOPE)
-        v = max(0.0, zeta - mu * (self.p_max - total))
+        slope = np.where(positive, self.qinv * self.gamma / (self.L * one**3 * safe), _BIG_SLOPE)
+        v = max(0.0, zeta - mu * (self.p_max - float(_sum(p))))
         return self.scale * (self.gamma / one - slope) - v
-
-    def inverse_curvature(self, p):
-        """1/h, where h = scale * gamma^2 * r''(s) is the diagonal of the
-        scaled rate sum's Hessian, on the users with p > 0 and positive
-        dispersion (grad's positive mask) and 0 elsewhere; None unless every
-        such h is negative. Read from the held point. With u = s(s+2) and
-        t = L*u*(1+s)*disp (= sqrt(L) * u^1.5, and 0 off the mask),
-
-            r''(s) = -1/(1+s)^2 + Qinv * [3/(L (1+s)^4 disp) + 1/(L^2 (1+s)^6 disp^3)]
-                   = (Qinv * (3u + 1) - t * (1+s)) / (t * (1+s)^3),
-
-        so only the numerator's sign is tested, and nothing is divided by a
-        quantity that can underflow to zero: off the mask it is Qinv > 0."""
-        _, s, disp, _ = self._point(p)
-        one = 1.0 + s
-        u = s * (s + 2.0)
-        t = self.L * u * one * disp
-        num = self.qinv * (3.0 * u + 1.0) - t * one
-        if ((p > 0.0) & (disp > 0.0) & (num >= 0.0)).any():
-            return None
-        return t * one**3 / (self._scale_gamma2 * num)
-
-    def newton_direction(self, p, g, mu, zeta):
-        """Newton direction for the gradient g at p on the users of
-        inverse_curvature's mask (zero elsewhere), or None when the Hessian
-        there is not negative definite. That Hessian is diag(h) - mu * 11^T,
-        the rank-one term only while the penalty is active
-        (zeta - mu * (P_max - sum p) > 0); with x = g/h, Sherman-Morrison
-        gives d = -(x + mu / (1 - mu * sum 1/h) * (1/h) * sum x)."""
-        c = self.inverse_curvature(p)
-        if c is None:
-            return None
-        x = g * c
-        if zeta - mu * (self.p_max - self._point(p)[3]) > 0.0:
-            x = x + (mu / (1.0 - mu * float(_sum(c))) * float(_sum(x))) * c
-        return -x
 
 
 def _projected_residual(p, g):
@@ -209,14 +155,14 @@ def _projected_residual(p, g):
     return np.where(p > 0.0, g, np.maximum(g, 0.0))
 
 
-def _armijo(obj, mu, zeta, p, f, g, direction, step):
-    """Backtracking on max(p + eta * direction, 0) from eta = step, halving
-    while eta >= 1e-18, until value() passes the Armijo test against the
-    gradient g; returns (p_trial, f_trial, eta), or None when no trial
-    passes or the projected move stops rising along g."""
+def _armijo(obj, mu, zeta, p, f, g, step):
+    """Backtracking on max(p + eta * g, 0) from eta = step, halving while
+    eta >= 1e-18, until value() passes the Armijo test against the gradient
+    g; returns (p_trial, f_trial, eta), or None when no trial passes or the
+    projected move stops rising along g."""
     eta = step
     while eta >= 1e-18:
-        p_trial = np.maximum(p + eta * direction, 0.0)
+        p_trial = np.maximum(p + eta * g, 0.0)
         gd = float(g.dot(p_trial - p))
         if gd <= 0.0:
             return None
@@ -228,19 +174,14 @@ def _armijo(obj, mu, zeta, p, f, g, direction, step):
 
 
 def _spg(obj, mu, zeta, p_init):
-    """Inner maximization of one ALM stage from a nonnegative p_init;
-    returns (p, converged, iterations), converged False when the
-    projected-gradient tolerance was not met within the cap.
-
-    Each iteration first tries a projected Newton step on the transmitting
-    users (obj.newton_direction, searched from t = 1 by halving), and falls
-    back to the spectral projected-gradient step (Barzilai-Borwein trial
-    step with Armijo halving) when the Hessian there is not negative
-    definite or that search fails. Users at zero power are outside the
-    Newton step and pinned by _BIG_SLOPE in the gradient step, so they stay
-    at exactly zero. The name and the return are kept from the
-    gradient-only solver, because benchmarks/hooks.py wraps _spg by name
-    and reads its iteration count."""
+    """Inner maximization of one ALM stage from a nonnegative p_init by
+    spectral projected-gradient steps (Barzilai-Borwein trial step with
+    Armijo halving); returns (p, converged, iterations), converged False
+    when the projected-gradient tolerance was not met within the cap or the
+    line search failed. Users at zero power are pinned there by _BIG_SLOPE
+    in the gradient. Part of the retired solver: the name and the return
+    stay because benchmarks/hooks.py wraps _spg by name and reads its
+    iteration count."""
     p = p_init
     f = obj.value(p, mu, zeta)
     g = obj.grad(p, mu, zeta)
@@ -255,23 +196,19 @@ def _spg(obj, mu, zeta, p_init):
         if pg_max <= INNER_TOL and math.sqrt(pg.dot(pg)) <= INNER_TOL:
             converged = True
             break
-        d = obj.newton_direction(p, g, mu, zeta)
-        step = None if d is None else _armijo(obj, mu, zeta, p, f, g, d, 1.0)
-        if step is None:
-            if s_prev is not None:
-                sy = float(s_prev.dot(y_prev))
-                if sy < 0.0:
-                    alpha = -float(s_prev.dot(s_prev)) / sy
-                else:
-                    alpha *= 2.0
+        if s_prev is not None:
+            sy = float(s_prev.dot(y_prev))
+            if sy < 0.0:
+                alpha = -float(s_prev.dot(s_prev)) / sy
             else:
-                alpha = 1.0 / max(pg_max, 1e-12)
-            alpha = min(max(alpha, 1e-16), 1e12)
-            step = _armijo(obj, mu, zeta, p, f, g, g, alpha)
-            if step is None:
-                break
-            alpha = step[2]
-        p_trial, f_trial, _ = step
+                alpha *= 2.0
+        else:
+            alpha = 1.0 / max(pg_max, 1e-12)
+        alpha = min(max(alpha, 1e-16), 1e12)
+        step = _armijo(obj, mu, zeta, p, f, g, alpha)
+        if step is None:
+            break
+        p_trial, f_trial, alpha = step
         g_trial = obj.grad(p_trial, mu, zeta)
         s_prev, y_prev = p_trial - p, g_trial - g
         p, f, g = p_trial, f_trial, g_trial

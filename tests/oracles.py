@@ -2,7 +2,8 @@
 
 None of these is part of the system: the error subproblem's objective, its
 KKT-residual checker and log-grid oracle check optimal_errors; the simplex
-grid oracle and the support enumeration check solve_power.
+grid oracle and the support enumeration check solve_power; the level
+objective checks solve_joint at a given shared error level.
 """
 
 import itertools
@@ -10,9 +11,10 @@ import math
 
 import numpy as np
 
-from fblopt.error_assignment import _SQRT_2PI, z_sweep
+from fblopt.error_assignment import _SQRT_2PI, errors_at_level, z_sweep
+from fblopt.joint import weighted_objective
 from fblopt.kernels import EPS_FLOOR, dispersion_coeff, q_inverse, rate_term
-from fblopt.power import simplex_grid
+from fblopt.power import simplex_grid, solve_power
 
 # absolute tolerance for detecting active constraints in the KKT checker
 _ACTIVE_TOL = 1e-11
@@ -230,3 +232,11 @@ def power_support_oracle(realization, eps):
     values = np.sum(rate_term(candidates * gamma, L, qinv), axis=1)
     best = int(np.argmax(values))
     return candidates[best], float(values[best])
+
+
+def level_objective(realization, profile, z, omega) -> float:
+    """Joint objective at the shared error level z: every user at
+    min(cap_i, z), with the exact power solve at those errors."""
+    eps = errors_at_level(profile, z)
+    rate_sum = solve_power(realization, eps, omega).rate_sum
+    return weighted_objective(omega, rate_sum, realization.sr_inf, float(eps.max()), profile.eps_max_overall)

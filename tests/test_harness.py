@@ -125,6 +125,20 @@ class TestSchemeDispatch:
 
 
 class TestRunScenario:
+    def test_retired_power_solver_stays_off_the_solve_path(self, monkeypatch):
+        # the augmented-Lagrangian solver is kept only for the benchmark's
+        # hooks: no scheme may reach it, at any weight or user count
+        def retired(*args, **kwargs):
+            raise AssertionError("the retired power solver was called")
+
+        for name in ("_alm_run", "_spg", "_PowerObjective"):
+            monkeypatch.setattr(fblopt.power, name, retired)
+        rows = run_scenario(tiny_config(n_trials=2, omega_grid=(0.0, 0.5, 0.9, 1.0)))
+        assert len(rows) == 4 * len(SCHEMES)
+        many = load_config_file(ROOT / "benchmarks" / "scenarios" / "many_users.ini")
+        rows = run_scenario(replace(many, n_trials=1, schemes=SCHEMES))
+        assert len(rows) == len(SCHEMES)
+
     def test_degenerate_cell_reproducible_by_hand(self):
         cfg = default_config(
             links=(UserLink(1.0, 1.0, 3.0, 5e-4),),

@@ -166,67 +166,14 @@ class TestAugmentedLagrangian:
                 fd[i] = (obj.value(hi, mu, zeta) - obj.value(lo, mu, zeta)) / (2 * h)
             assert np.max(np.abs(g - fd)) <= 1e-5
 
-
-class TestNewtonStep:
-    def test_curvature_matches_finite_differences(self):
-        # h, the diagonal of the scaled rate sum's Hessian, against central
-        # differences of grad (penalty inactive: zeta = 0, sum p < P_max)
-        rng = np.random.default_rng(4005)
-        worst, checked = 0.0, 0
-        while checked < 50:
-            n = int(rng.integers(1, 5))
-            gamma = rng.exponential(1.0, n) + 0.1
-            r = make_realization(gamma, p_max=10.0, L=int(rng.integers(100, 2000)))
-            p = rng.uniform(0.05, 2.0, n)
-            obj = _PowerObjective(r, rng.uniform(1e-5, 1e-2, n), rng.uniform(0.1, 1.0))
-            c = obj.inverse_curvature(p)
-            if c is None:
-                continue  # some user below its inflection point
-            checked += 1
-            for i in range(n):
-                step = 1e-6 * p[i]
-                hi, lo = p.copy(), p.copy()
-                hi[i] += step
-                lo[i] -= step
-                fd = (obj.grad(hi, 1.0, 0.0)[i] - obj.grad(lo, 1.0, 0.0)[i]) / (2 * step)
-                worst = max(worst, abs(1.0 / c[i] - fd) / abs(fd))
-        assert worst <= 1e-6
-
-    def test_convex_user_has_no_newton_step(self):
-        # at s = gamma * p = 0.01 the rate term is convex (below the
-        # inflection point), so the Hessian is not negative definite
-        r = make_realization([1.0, 2.0], p_max=3.0)
-        obj = _PowerObjective(r, np.array([1e-4, 1e-4]), 0.8)
-        p = np.array([0.01, 1.0])
-        assert obj.inverse_curvature(p) is None
-        assert obj.newton_direction(p, obj.grad(p, 1.0, 0.15), 1.0, 0.15) is None
-
-    @pytest.mark.parametrize("zeta", [0.0, 0.5])
-    def test_direction_solves_free_hessian(self, zeta):
-        # d = -H^-1 g on the transmitting users, H = diag(h) - mu 11^T while
-        # the penalty is active (zeta = 0.5 here) and diag(h) otherwise; a
-        # user at zero power gets no step
-        r = make_realization([0.9, 1.7, 0.6, 2.4, 1.1], p_max=3.0)
-        obj = _PowerObjective(r, np.array([1e-4, 5e-4, 1e-3, 2e-5, 1e-3]), 0.7)
-        p, mu = np.array([0.8, 0.7, 0.0, 0.9, 0.6]), 4.0
-        g = obj.grad(p, mu, zeta)
-        c = obj.inverse_curvature(p)
-        free = p > 0.0
-        assert c[2] == 0.0 and np.all(c[free] < 0.0)
-        hess = np.diag(1.0 / c[free]) - (mu if zeta > 0.0 else 0.0)
-        d = obj.newton_direction(p, g, mu, zeta)
-        assert d[2] == 0.0
-        assert np.allclose(d[free], np.linalg.solve(hess, -g[free]), rtol=1e-10, atol=0.0)
-
     def test_subnormal_start_raises_no_warning(self):
-        # s = gamma * 5e-324 leaves a dispersion of exactly zero: the user is
-        # outside the Newton step, and the gradient step sends it to zero
+        # s = gamma * 5e-324 leaves a dispersion of exactly zero, and the
+        # gradient step sends the user to zero
         r = make_realization([0.8, 1.3], p_max=3.0)
         obj = _PowerObjective(r, np.array([1e-4, 5e-4]), 0.8)
         p0 = np.array([5e-324, 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert obj.inverse_curvature(p0)[0] == 0.0
             run = _alm_run(obj, r, p0)
         assert run.converged and run.p[0] == 0.0
         assert run.p[1] == pytest.approx(r.p_max, rel=1e-6)
@@ -244,14 +191,9 @@ class TestNewtonStep:
         assert run.converged and run.p[0] == 0.0
         assert run.p[1] == pytest.approx(r.p_max, rel=1e-6)
 
-
-class TestSharedEvaluation:
-    """grad() right after value() on the same array reuses value()'s SNR,
-    dispersion and power sum; that must not change a single bit."""
-
     @staticmethod
     def reference_grad(r, eps, omega, sr, mu, zeta, p):
-        # the gradient as written before value and grad shared work
+        # the gradient written out from its formula
         gamma, L = r.gamma, r.block_length
         qinv = q_inverse(np.maximum(eps, EPS_FLOOR))
         s = gamma * p
@@ -279,44 +221,6 @@ class TestSharedEvaluation:
             assert f == _PowerObjective(r, eps, omega).value(p, mu, zeta)
             assert np.array_equal(g, _PowerObjective(r, eps, omega).grad(p, mu, zeta))
             assert np.array_equal(g, self.reference_grad(r, eps, omega, sr, mu, zeta, p))
-
-    def test_grad_on_another_array_is_not_reused(self):
-        r = make_realization([0.8, 1.3], p_max=3.0)
-        eps = np.array([1e-4, 5e-4])
-        obj = _PowerObjective(r, eps, 0.8)
-        a, b = np.array([1.0, 0.5]), np.array([0.2, 2.0])
-        obj.value(a, 2.0, 0.15)
-        assert np.array_equal(obj.grad(b, 2.0, 0.15), _PowerObjective(r, eps, 0.8).grad(b, 2.0, 0.15))
-
-    @staticmethod
-    def count_dispersion(monkeypatch):
-        real = fblopt.power.dispersion_coeff
-        calls = []
-        monkeypatch.setattr(fblopt.power, "dispersion_coeff", lambda *a: calls.append(1) or real(*a))
-        return calls
-
-    def test_spg_restart_at_its_result_evaluates_nothing(self, monkeypatch):
-        # the next stage starts where the last one ended, with only mu and
-        # zeta changed; that point's SNR, dispersion and sum are already held
-        r = make_realization([0.9, 1.7], p_max=3.0)
-        obj = _PowerObjective(r, np.array([1e-4, 5e-4]), 0.7)
-        p, converged, _ = _spg(obj, 8.0, 0.15, np.array([1.5, 1.5]))
-        assert converged
-        calls = self.count_dispersion(monkeypatch)
-        again, converged, _ = _spg(obj, 8.0, 0.15, p)
-        assert converged and again is p and calls == []
-
-    def test_alm_stage_starts_cost_no_evaluation(self, monkeypatch):
-        r = make_realization([0.8, 1.3, 0.4, 2.2], p_max=3.0)
-        obj = _PowerObjective(r, np.array([1e-4, 5e-4, 1e-3, 2e-5]), 0.8)
-        values = []
-        value = obj.value
-        obj.value = lambda p, mu, zeta: values.append(1) or value(p, mu, zeta)
-        calls = self.count_dispersion(monkeypatch)
-        run = _alm_run(obj, r, r.p_wf)
-        # a converged stage ends on the point of its last value() call
-        assert len(run.trace) > 3 and all(rec.inner_converged for rec in run.trace)
-        assert len(calls) == len(values) - (len(run.trace) - 1)
 
 
 def assert_same_run(a, b):
