@@ -11,6 +11,7 @@ min(cap_i, z), and z is found by scanning N candidate branches.
 optimal_errors returns that error vector itself, so its max is z.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -77,24 +78,33 @@ def errors_at_level(profile, z) -> np.ndarray:
     return np.minimum(profile.caps, z)
 
 
+def _level_of_tail(realization, profile, omega):
+    """The branch level as a function of its tail sum: beta = Q(sqrt(2 log(arg)))
+    with arg = sqrt(L)(1-omega) sr_inf / (cap_N omega sqrt(2 pi) tail): None
+    when arg < 1, and the limit 0 when the denominator is zero (a zero tail,
+    or omega = 0, where every level is 0 and the scan lands on the floor)."""
+    num = math.sqrt(realization.block_length) * (1.0 - omega) * realization.sr_inf
+    den = profile.eps_max_overall * omega * _SQRT_2PI
+
+    def level(tail):
+        arg = num / (den * tail) if den * tail else math.inf
+        if arg < 1.0:
+            return None
+        return 0.5 * math.erfc(math.sqrt(2.0 * math.log(arg)) / _SQRT2)
+
+    return level
+
+
 def _branch_levels(realization, p, profile, omega):
     """Yield (tail_k, beta_k) for the branches k = 1..N in turn, on floats.
 
     tail_k sums sqrt(s^2 + 2s)/(1+s), s = gamma*p, over sorted slots k..N
-    (one reversed cumulative sum), and beta_k = Q(sqrt(2 log(arg))) with
-    arg = sqrt(L)(1-omega) sr_inf / (cap_N omega sqrt(2 pi) tail_k): None
-    when arg < 1, and the limit 0 when the denominator is zero (a zero tail,
-    or omega = 0, where every level is 0 and the scan lands on the floor).
+    (one reversed cumulative sum), and beta_k is _level_of_tail's level.
     """
+    level = _level_of_tail(realization, profile, omega)
     s = profile.to_sorted(realization.gamma * p)
-    num = math.sqrt(realization.block_length) * (1.0 - omega) * realization.sr_inf
-    den = profile.eps_max_overall * omega * _SQRT_2PI
     for tail in np.cumsum(dispersion_coeff(s, 1)[::-1])[::-1].tolist():
-        arg = num / (den * tail) if den * tail else math.inf
-        if arg < 1.0:
-            yield tail, None
-        else:
-            yield tail, 0.5 * math.erfc(math.sqrt(2.0 * math.log(arg)) / _SQRT2)
+        yield tail, level(tail)
 
 
 def beta_k(realization, p, profile, omega, k):
@@ -112,6 +122,13 @@ def beta_k(realization, p, profile, omega, k):
     return level, tail == 0.0
 
 
+def _check(realization, profile, omega):
+    if not 0.0 <= omega <= 1.0:
+        raise ValueError("omega must lie in [0, 1] for the error subproblem")
+    if profile.n_users != realization.n_users:
+        raise ValueError("profile and realization disagree on user count")
+
+
 def optimal_errors(realization, p, profile, omega) -> np.ndarray:
     """Closed-form minimizer of the fixed-power error subproblem: the error
     probabilities in original user order, min(cap_i, z), whose max is z.
@@ -125,11 +142,8 @@ def optimal_errors(realization, p, profile, omega) -> np.ndarray:
     crossing at all, z is the loosest cap and every user sits at its cap.
     At omega = 0 every level is 0, so z clamps to EPS_FLOOR.
     """
-    if not 0.0 <= omega <= 1.0:
-        raise ValueError("omega must lie in [0, 1] for the error subproblem")
+    _check(realization, profile, omega)
     n = realization.n_users
-    if profile.n_users != n:
-        raise ValueError("profile and realization disagree on user count")
     caps = profile.eps_max_sorted
 
     # at omega == 1 there is no weight on the error objective and larger eps
@@ -150,6 +164,37 @@ def optimal_errors(realization, p, profile, omega) -> np.ndarray:
             lo = caps[k - 1]
 
     return errors_at_level(profile, min(max(z, EPS_FLOOR), caps[k - 1]))
+
+
+def corner_levels(realization, profile, omega) -> list:
+    """The level z = max(optimal_errors(...)) at each corner of the budget,
+    without a scan: zero power first, then p_max * e_i for each user i in
+    original order, N+1 floats; optimal_errors at a corner is
+    errors_at_level(profile, z) for its z, the same bits.
+
+    At a vertex every tail sum up to user i's sorted slot j is its one term
+    d_i = dispersion_coeff(gamma_i p_max, 1), and every later one is 0.0,
+    so each branch up to slot j has the same level beta_i and the next has
+    the zero-tail level 0. The scan therefore stops at the first segment
+    whose cap reaches beta_i (within EDGE_TOL), clipping beta_i to it as it
+    always does, and otherwise at the zero-tail branch, whose level 0 falls
+    below its segment and saturates user i's own cap. At zero power every
+    tail is zero and z clamps to EPS_FLOOR; at omega = 1 every z is cap_N.
+    """
+    _check(realization, profile, omega)
+    caps = profile.eps_max_sorted
+    n = len(caps)
+    if omega == 1.0:
+        return [caps[-1]] * (n + 1)
+    level = _level_of_tail(realization, profile, omega)
+    edges = [c + EDGE_TOL for c in caps]
+    slot = np.argsort(profile.order).tolist()
+    levels = [EPS_FLOOR]
+    for tail, j in zip(dispersion_coeff(realization.gamma * realization.p_max, 1).tolist(), slot):
+        b = level(tail)
+        k = n if b is None else bisect.bisect_left(edges, b)
+        levels.append(min(max(b, EPS_FLOOR), caps[k]) if k <= j else caps[j])
+    return levels
 
 
 def z_sweep(caps, points):

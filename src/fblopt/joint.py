@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .error_assignment import optimal_errors, z_sweep
+from .error_assignment import corner_levels, errors_at_level, optimal_errors, z_sweep
 from .kernels import EPS_FLOOR, dispersion_coeff, length_offset, q_inverse, rate_term
 from .power import simplex_grid, solve_power
 
@@ -166,10 +166,12 @@ def solve_joint(realization, profile, omega) -> SolveReport:
     with their optimal errors (the floor errors at zero power). The best
     over eps of the quasi-convex rate terms (see solve_power) is still
     quasi-convex in p, so these cover every allocation with at most one
-    transmitting user. They are scored from their objectives alone, the
-    same bits as their reports': a vertex's rate sum is its one user's
-    term, and zero power's is 0. The best of them (the first on ties) is
-    reported, flagged "silent_start", if it beats the alternation strictly.
+    transmitting user. Their levels come in closed form from corner_levels,
+    with no scan, and they are scored from their objectives alone, the same
+    bits as their reports': a vertex's rate sum is its one user's term, and
+    zero power's is 0. Only the best of them (the first on ties), and only
+    if it beats the alternation strictly, gets its error vector and a
+    report, flagged "silent_start".
 
     At omega = 0, the pure reliability regime, the solvers' own limits
     decide: every error probability sits at the floor, solve_power returns
@@ -184,18 +186,23 @@ def solve_joint(realization, profile, omega) -> SolveReport:
     best = make_report(
         realization, profile, p, eps, omega, iterations=iterations, trace=trace, flags=flags
     )
-    n = realization.n_users
-    corners = [np.zeros(n), *np.eye(n) * realization.p_max]
-    errors = [optimal_errors(realization, p, profile, omega) for p in corners]
-    qinv = q_inverse(np.maximum([eps[i] for i, eps in enumerate(errors[1:])], EPS_FLOOR))
-    terms = rate_term(realization.gamma * realization.p_max, realization.block_length, qinv)
+    levels = corner_levels(realization, profile, omega)
+    vertex_eps = np.minimum(profile.caps, levels[1:])
+    terms = rate_term(
+        realization.gamma * realization.p_max, realization.block_length,
+        q_inverse(np.maximum(vertex_eps, EPS_FLOOR)),
+    )
+    # a corner's max eps is its level, which never exceeds cap_N
     scores = weighted_objective(
-        omega, np.append(0.0, terms), realization.sr_inf,
-        np.array([_max(eps) for eps in errors]), profile.eps_max_overall,
+        omega, np.append(0.0, terms), realization.sr_inf, np.array(levels), profile.eps_max_overall
     )
     k = int(np.argmax(scores))
     if scores[k] > best.objective:
-        best = make_report(realization, profile, corners[k], errors[k], omega, flags=["silent_start"])
+        p = np.zeros(realization.n_users)
+        if k:
+            p[k - 1] = realization.p_max
+        eps = errors_at_level(profile, levels[k])
+        best = make_report(realization, profile, p, eps, omega, flags=["silent_start"])
     return best
 
 

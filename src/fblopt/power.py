@@ -330,10 +330,14 @@ def solve_power(realization, eps, omega) -> PowerSolveResult:
     an equal share of the rest of the budget, and every iterate is kept at
     or above INFLECTION_MARGIN * p_hat. Users off a support sit at that
     floor, a finite point on the concave branch, and are masked out of the
-    sums, so nothing overflows or divides by zero. Each row is rescaled
-    onto the budget and scored exactly next to the vertices and zero power,
-    and the first with the best rate sum is returned. converged is False
-    when the winning row's last step moved p by more than POWER_TOL.
+    sums, so nothing overflows or divides by zero. The per-user vectors
+    are broadcast to the rows' shape once, before the steps. Each row is
+    rescaled onto the budget and scored exactly; a vertex is scored by its
+    one user's term, rate_term(gamma_i p_max), since every other term is
+    0.0, and zero power by 0.0. The first candidate with the best score is
+    returned, in the order rows, vertices, zero power, with that score as
+    its rate_sum. converged is False when the winning row's last step moved
+    p by more than POWER_TOL, and True for a vertex or zero power.
 
     The augmented-Lagrangian run that this replaced kept the wrong set of
     transmitting users on about one default trial in five; its code stays
@@ -363,29 +367,43 @@ def solve_power(realization, eps, omega) -> PowerSolveResult:
     keep = (size > 1) & (base < p_max)
     supports, size, base = supports[keep], size[keep], base[keep]
 
-    p = np.maximum(np.where(supports, p_hat + ((p_max - base) / size)[:, None], floor), floor)
+    # the per-user vectors at the rows' shape, once: a same-shape operand
+    # costs less per op than one broadcast against (K, N)
+    per_user = np.empty((4, *supports.shape))
+    per_user[...] = np.array([gamma, qinv, gamma * gamma, floor])[:, None]
+    gamma_k, qinv_k, gamma2_k, floor_k = per_user
+
+    p = np.maximum(np.where(supports, p_hat + ((p_max - base) / size)[:, None], floor_k), floor_k)
     # a row's full sum less this is sum_S p - p_max: the floors off S are fixed
     held = (~supports) @ floor + p_max
-    root_l, gamma2 = math.sqrt(L), gamma * gamma
+    root_l = math.sqrt(L)
     last = p
     for _ in range(NEWTON_STEPS):
-        s = gamma * p
+        s = gamma_k * p
         one = 1.0 + s
         u = s * (s + 2.0)
-        c = qinv / (root_l * one * np.sqrt(u))
-        slope = gamma * (1.0 - c) / one
-        w = np.where(supports, one * one / (gamma2 * (c * (3.0 + 1.0 / u) - 1.0)), 0.0)
+        c = qinv_k / (root_l * one * np.sqrt(u))
+        slope = gamma_k * (1.0 - c) / one
+        w = np.where(supports, one * one / (gamma2_k * (c * (3.0 + 1.0 / u) - 1.0)), 0.0)
         price = (_sum(w * slope, axis=1) - _sum(p, axis=1) + held) / _sum(w, axis=1)
-        last, p = p, np.maximum(p + w * (price[:, None] - slope), floor)
+        last, p = p, np.maximum(p + w * (price[:, None] - slope), floor_k)
     moved = np.abs(p - last).max(axis=1)
 
     p = np.where(supports, p, 0.0)
     p *= (p_max / _sum(p, axis=1))[:, None]
-    candidates = np.vstack([p, np.eye(n) * p_max, np.zeros((1, n))])
-    best = int(np.argmax(_sum(rate_term(gamma * candidates, L, qinv), axis=1)))
-    p = candidates[best]
-    converged = best >= size.size or bool(moved[best] <= POWER_TOL)
-    return PowerSolveResult(p=p, rate_sum=float(_sum(rate_term(gamma * p, L, qinv))), converged=converged)
+    # rows, then each vertex's one term (every other user's is 0.0), then zero power
+    scores = np.concatenate(
+        [_sum(rate_term(gamma_k * p, L, qinv_k), axis=1), rate_term(gamma * p_max, L, qinv), [0.0]]
+    )
+    best = int(np.argmax(scores))
+    if best < size.size:
+        return PowerSolveResult(
+            p=p[best], rate_sum=float(scores[best]), converged=bool(moved[best] <= POWER_TOL)
+        )
+    p = np.zeros(n)
+    if best < size.size + n:
+        p[best - size.size] = p_max
+    return PowerSolveResult(p=p, rate_sum=float(scores[best]), converged=True)
 
 
 def simplex_grid(n_users, p_max, points) -> np.ndarray:

@@ -9,7 +9,7 @@ def one_newton_step(monkeypatch):
 
     The rows are then off their KKT points, and over the budget wherever
     the floor above an inflection point bound a user. solve_power must still
-    return a point within the budget, scored afresh, and flag it as not
-    converged when it won.
+    return a point within the budget, scored after that rescaling, and flag
+    it as not converged when it won.
     """
     monkeypatch.setattr(fblopt.power, "NEWTON_STEPS", 1)

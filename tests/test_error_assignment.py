@@ -7,6 +7,7 @@ from fblopt.error_assignment import (
     EDGE_TOL,
     SortedQosProfile,
     beta_k,
+    corner_levels,
     errors_at_level,
     optimal_errors,
 )
@@ -272,6 +273,85 @@ class TestOptimalErrors:
             ]
             second = np.diff(vals, 2)
             assert np.all(second >= -1e-10)
+
+
+CORNER_OMEGAS = (0.0, 1e-6, 0.5, 0.9, 1.0)
+
+
+def corner_instance(rng, n, caps_kind):
+    """Gains log-uniform within a decade either side of a centre drawn on
+    [1e-3, 1e3] (all weak, mixed or all strong), clipped to that range, and
+    caps log-uniform on [EPS_FLOOR, 0.49], then tied (the two smallest, and
+    the two largest) or with one at EPS_FLOOR."""
+    gamma = 10.0 ** np.clip(rng.uniform(-3.0, 3.0) + rng.uniform(-1.0, 1.0, n), -3.0, 3.0)
+    caps = np.exp(rng.uniform(np.log(EPS_FLOOR), np.log(0.49), n))
+    if caps_kind == "tied":
+        caps = np.sort(caps)
+        caps[1], caps[-2] = caps[0], caps[-1]
+        caps = rng.permutation(caps)
+    elif caps_kind == "floor":
+        caps[rng.integers(n)] = EPS_FLOOR
+    r = NetworkRealization(
+        gamma=gamma, p_max=10.0 ** rng.uniform(-1.0, 1.5), block_length=int(rng.choice([100, 200, 1600]))
+    )
+    return r, SortedQosProfile.from_caps(caps)
+
+
+def assert_corners_match_scan(r, profile, omega):
+    """Each closed-form corner level gives the scan's error vector, bit for
+    bit, and is its max. Returns the vertices' branch levels (beta_k at
+    k = 1, whose tail is the one user's term)."""
+    levels = corner_levels(r, profile, omega)
+    corners = [np.zeros(r.n_users), *np.eye(r.n_users) * r.p_max]
+    assert len(levels) == len(corners)
+    for z, p in zip(levels, corners):
+        scan = optimal_errors(r, p, profile, omega)
+        assert (errors_at_level(profile, z) == scan).all()
+        assert z == scan.max()
+    return [beta_k(r, p, profile, omega, 1)[0] for p in corners[1:]]
+
+
+class TestCornerLevels:
+    @pytest.mark.parametrize("n", [1, 2, 4, 12])
+    def test_corners_match_scan(self, n):
+        rng = np.random.default_rng(70 + n)
+        kinds = ("plain", "floor") if n == 1 else ("plain", "tied", "floor")
+        below_one = 0
+        for caps_kind in kinds:
+            for _ in range(40):
+                r, profile = corner_instance(rng, n, caps_kind)
+                for omega in CORNER_OMEGAS:
+                    betas = assert_corners_match_scan(r, profile, omega)
+                    below_one += omega not in (0.0, 1.0) and None in betas
+        # a log argument below 1, where no vertex branch has a level
+        assert below_one > 0
+
+    @pytest.mark.parametrize("n", [2, 4, 12])
+    @pytest.mark.parametrize("caps_kind", ["plain", "tied", "floor"])
+    def test_level_within_edge_tol_above_a_cap_is_clipped(self, n, caps_kind):
+        # set omega, by bisection, so that a vertex's level lands in
+        # (c, c + EDGE_TOL] for a cap c below the user's own: the scan stops
+        # at c's segment and clips the level to c
+        rng = np.random.default_rng(90 + n)
+        for _ in range(4):
+            r, profile = corner_instance(rng, n, caps_kind)
+            caps = profile.eps_max_sorted
+            user = profile.order[-1]
+            c = next(cap for cap in caps if cap < caps[-1])
+            p = np.eye(n)[user] * r.p_max
+            lo, hi = 0.0, 1.0
+            for _ in range(200):
+                omega = 0.5 * (lo + hi)
+                b = beta_k(r, p, profile, omega, 1)[0]
+                if b is not None and c < b <= c + 0.5 * EDGE_TOL:
+                    break
+                if b is not None and b <= c:
+                    lo = omega
+                else:
+                    hi = omega
+            assert b is not None and c < b <= c + EDGE_TOL
+            assert_corners_match_scan(r, profile, omega)
+            assert corner_levels(r, profile, omega)[1 + user] == c
 
 
 class TestKktResidual:

@@ -292,9 +292,15 @@ class TestInnerMaximize:
         mu, zeta = 64.0, 0.0
         obj = _PowerObjective(r, eps, 0.9)
         p, converged, _ = _spg(obj, mu, zeta, np.array([1.0]))
-        grid = np.linspace(0.0, 2 * r.p_max, 100_000)[:, None]
-        vals = [obj.value(g, mu, zeta) for g in grid]
-        best = grid[int(np.argmax(vals))][0]
+        grid = np.linspace(0.0, 2 * r.p_max, 100_000)
+        # obj.value on every grid point at once: its rate term and penalty,
+        # elementwise, in the same order
+        v = np.maximum(0.0, zeta - mu * (r.p_max - grid))
+        vals = obj.scale * rate_term(obj.gamma * grid, obj.L, obj.qinv) - (v * v - zeta * zeta) / (2.0 * mu)
+        at = int(np.argmax(vals))
+        for i in (at, 0, 1, 12_345, 50_000, 99_999):
+            assert vals[i] == obj.value(grid[i : i + 1], mu, zeta)
+        best = grid[at]
         assert converged
         assert p[0] == pytest.approx(best, abs=1e-3)
         # large penalty pins the maximizer near the budget
@@ -430,7 +436,8 @@ class TestSolvePower:
 
     def test_over_budget_run_never_returned(self, one_newton_step):
         # after one step a row can sit off the budget; every row is rescaled
-        # onto it before it is scored, and the result is scored afresh
+        # onto it before it is scored, and the winner's score, returned as
+        # its rate_sum, is the rate terms' sum at the returned p
         rng = np.random.default_rng(23)
         for n in (2, 4, 12):
             for _ in range(5):
@@ -470,6 +477,41 @@ class TestSolvePower:
             solve_power(r, np.array([0.0]), 0.5)
         with pytest.raises(ValueError):
             solve_power(r, np.array([np.nan]), 0.5)
+
+
+def assert_closed_form_winner(r, eps, omega, expected_p):
+    """solve_power returns exactly expected_p (zero power or a vertex),
+    converged, with rate_sum the plain rate_term sum there, bit for bit."""
+    res = solve_power(r, eps, omega)
+    assert np.array_equal(res.p, expected_p)
+    assert res.converged
+    assert res.rate_sum == float(np.sum(rate_term(r.gamma * res.p, r.block_length, q_inverse(eps))))
+
+
+class TestClosedFormWinners:
+    @pytest.mark.parametrize("n", [1, 2, 4, 12])
+    def test_zero_power_wins_when_every_term_is_negative(self, n):
+        rng = np.random.default_rng(80 + n)
+        r = make_realization(rng.uniform(0.5, 2.0, n), p_max=1e-3, L=100)
+        eps = rng.uniform(1e-6, 1e-4, n)
+        # every term is convex and negative up to the budget, so every
+        # allocation scores below zero power's 0.0
+        assert np.all(rate_term(r.gamma * r.p_max, r.block_length, q_inverse(eps)) < 0.0)
+        assert_closed_form_winner(r, eps, 0.9, np.zeros(n))
+
+    @pytest.mark.parametrize(
+        "gamma, p_max, L, eps, winner",
+        [
+            ([1.0], 0.2, 800, [1e-3], 0),
+            ([0.16336597, 0.92303755], 0.14444073, 3000, [0.02264375, 0.0250844], 1),
+            # one two-user row fits the budget and is solved, and loses
+            ([1.94, 2.99, 2.86], 0.263, 200, [1e-3] * 3, 1),
+            ([100.0] + [0.01] * 11, 0.5, 200, [1e-4] * 12, 0),
+        ],
+    )
+    def test_vertex_wins(self, gamma, p_max, L, eps, winner):
+        r = make_realization(gamma, p_max=p_max, L=L)
+        assert_closed_form_winner(r, np.array(eps), 0.9, np.eye(len(gamma))[winner] * p_max)
 
 
 class TestGridHelpers:
