@@ -11,7 +11,6 @@ min(cap_i, z), and z is found by scanning N candidate branches.
 optimal_errors returns that error vector itself, so its max is z.
 """
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -95,16 +94,12 @@ def _level_of_tail(realization, profile, omega):
     return level
 
 
-def _branch_levels(realization, p, profile, omega):
-    """Yield (tail_k, beta_k) for the branches k = 1..N in turn, on floats.
-
-    tail_k sums sqrt(s^2 + 2s)/(1+s), s = gamma*p, over sorted slots k..N
-    (one reversed cumulative sum), and beta_k is _level_of_tail's level.
-    """
-    level = _level_of_tail(realization, profile, omega)
+def _tails(realization, p, profile) -> list:
+    """tail_k for the branches k = 1..N, on floats: the sums of
+    sqrt(s^2 + 2s)/(1+s), s = gamma*p, over sorted slots k..N (one reversed
+    cumulative sum)."""
     s = profile.to_sorted(realization.gamma * p)
-    for tail in np.cumsum(dispersion_coeff(s, 1)[::-1])[::-1].tolist():
-        yield tail, level(tail)
+    return np.cumsum(dispersion_coeff(s, 1)[::-1])[::-1].tolist()
 
 
 def beta_k(realization, p, profile, omega, k):
@@ -115,11 +110,10 @@ def beta_k(realization, p, profile, omega, k):
     When every user from slot k on has zero power the candidate degenerates
     to its limit 0, returned with degenerate=True.
     """
-    n = realization.n_users
-    if not 1 <= k <= n:
+    if not 1 <= k <= realization.n_users:
         raise ValueError("branch index k must lie in [1, n_users]")
-    tail, level = list(_branch_levels(realization, p, profile, omega))[k - 1]
-    return level, tail == 0.0
+    tail = _tails(realization, p, profile)[k - 1]
+    return _level_of_tail(realization, profile, omega)(tail), tail == 0.0
 
 
 def _check(realization, profile, omega):
@@ -129,72 +123,65 @@ def _check(realization, profile, omega):
         raise ValueError("profile and realization disagree on user count")
 
 
-def optimal_errors(realization, p, profile, omega) -> np.ndarray:
-    """Closed-form minimizer of the fixed-power error subproblem: the error
-    probabilities in original user order, min(cap_i, z), whose max is z.
+def _scan(caps, omega, levels) -> float:
+    """The shared level z from the sorted caps and the branch levels
+    beta_1..beta_N, read lazily and only as far as needed.
 
     For a shared level z every user does best at min(cap_i, z), since Qinv
     decreases in eps. The objective restricted to z in the sorted segment
     (cap_{k-1}, cap_k] is convex with stationary point beta_k, so scanning
-    segments in order locates the global minimum: either an interior beta_k
-    landing in its own segment, or a saturated level at the cap separating a
-    still-decreasing segment from an already-increasing one. With no
-    crossing at all, z is the loosest cap and every user sits at its cap.
-    At omega = 0 every level is 0, so z clamps to EPS_FLOOR.
+    segments in order finds the global minimum: an interior beta_k in its
+    own segment (within EDGE_TOL, clipped to its cap), or the cap between
+    a still-decreasing segment and an increasing one. With no crossing, or
+    at omega = 1 (no weight on errors, and larger eps only helps the rate),
+    z is the loosest cap; at omega = 0 every level is 0 and z is EPS_FLOOR.
     """
-    _check(realization, profile, omega)
-    n = realization.n_users
-    caps = profile.eps_max_sorted
-
-    # at omega == 1 there is no weight on the error objective and larger eps
-    # only helps the rate, so every user sits at its cap
-    k, z = n, caps[-1]
+    k, z = len(caps), caps[-1]
     if omega < 1.0:
         lo = 0.0
-        for k, (_, b) in enumerate(_branch_levels(realization, p, profile, omega), 1):
+        for k, (cap, b) in enumerate(zip(caps, levels), 1):
             # None: the objective is still decreasing across this whole segment
-            if b is not None and b <= caps[k - 1] + EDGE_TOL:
-                if b > lo - EDGE_TOL:
-                    z = b
-                else:
+            if b is not None and b <= cap + EDGE_TOL:
+                if b <= lo - EDGE_TOL:
                     # stationary point fell below the segment: the previous
                     # cap is the minimizer (decreasing before, increasing after)
                     k, z = k - 1, lo
+                else:
+                    z = b
                 break
-            lo = caps[k - 1]
+            lo = cap
+    return min(max(z, EPS_FLOOR), caps[k - 1])
 
-    return errors_at_level(profile, min(max(z, EPS_FLOOR), caps[k - 1]))
+
+def optimal_errors(realization, p, profile, omega) -> np.ndarray:
+    """Closed-form minimizer of the fixed-power error subproblem: the error
+    probabilities in original user order, min(cap_i, z), whose max is the
+    level z that _scan picks from the branch levels beta_k at p."""
+    _check(realization, profile, omega)
+    level = _level_of_tail(realization, profile, omega)
+    z = _scan(profile.eps_max_sorted, omega, map(level, _tails(realization, p, profile)))
+    return errors_at_level(profile, z)
 
 
 def corner_levels(realization, profile, omega) -> list:
-    """The level z = max(optimal_errors(...)) at each corner of the budget,
-    without a scan: zero power first, then p_max * e_i for each user i in
-    original order, N+1 floats; optimal_errors at a corner is
-    errors_at_level(profile, z) for its z, the same bits.
+    """The level z = max(optimal_errors(...)) at each corner of the budget:
+    zero power first, then p_max * e_i for each user i in original order,
+    N+1 floats, each giving optimal_errors' bits through errors_at_level.
 
     At a vertex every tail sum up to user i's sorted slot j is its one term
-    d_i = dispersion_coeff(gamma_i p_max, 1), and every later one is 0.0,
-    so each branch up to slot j has the same level beta_i and the next has
-    the zero-tail level 0. The scan therefore stops at the first segment
-    whose cap reaches beta_i (within EDGE_TOL), clipping beta_i to it as it
-    always does, and otherwise at the zero-tail branch, whose level 0 falls
-    below its segment and saturates user i's own cap. At zero power every
-    tail is zero and z clamps to EPS_FLOOR; at omega = 1 every z is cap_N.
+    d_i = dispersion_coeff(gamma_i p_max, 1) and every later one is 0.0, so
+    _scan reads level(d_i) j+1 times, then the zero-tail level (all of them
+    at zero power): O(N) per corner, with no vector work.
     """
     _check(realization, profile, omega)
     caps = profile.eps_max_sorted
-    n = len(caps)
-    if omega == 1.0:
-        return [caps[-1]] * (n + 1)
     level = _level_of_tail(realization, profile, omega)
-    edges = [c + EDGE_TOL for c in caps]
+    zero = level(0.0)
     slot = np.argsort(profile.order).tolist()
-    levels = [EPS_FLOOR]
-    for tail, j in zip(dispersion_coeff(realization.gamma * realization.p_max, 1).tolist(), slot):
-        b = level(tail)
-        k = n if b is None else bisect.bisect_left(edges, b)
-        levels.append(min(max(b, EPS_FLOOR), caps[k]) if k <= j else caps[j])
-    return levels
+    tails = dispersion_coeff(realization.gamma * realization.p_max, 1).tolist()
+    return [_scan(caps, omega, [zero])] + [
+        _scan(caps, omega, [level(tail)] * (j + 1) + [zero]) for tail, j in zip(tails, slot)
+    ]
 
 
 def z_sweep(caps, points):

@@ -24,7 +24,7 @@ from operator import attrgetter
 import numpy as np
 import numpy.random  # numpy loads it lazily: load it before a pool forks, not in each worker
 
-from .channel import NetworkRealization, UserLink, sample_realization
+from .channel import NetworkRealization, UserLink, mean_gain, sample_realization
 from .error_assignment import SortedQosProfile, errors_at_level, optimal_errors
 from .joint import OracleGrid, exhaustive_oracle, make_report, solve_joint
 from .power import equal_power, solve_power
@@ -65,6 +65,12 @@ class ScenarioConfig:
             raise ValueError("links must be nonempty")
         if not self.noise_power > 0:
             raise ValueError("noise_power must be positive")
+        try:
+            gains = [mean_gain(link) / self.noise_power for link in self.links]
+        except OverflowError:  # d^(-pathloss_exp) beyond a float
+            gains = [np.inf]
+        if not all(0.0 < g < np.inf for g in gains):
+            raise ValueError("every link's mean gain over noise_power must be positive and finite")
         if not (self.omega_grid and self.l_grid and self.p_max_grid):
             raise ValueError("omega, L and p_max grids must be nonempty")
         if not all(0.0 <= w <= 1.0 for w in self.omega_grid):

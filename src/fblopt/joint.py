@@ -166,16 +166,17 @@ def solve_joint(realization, profile, omega) -> SolveReport:
     with their optimal errors (the floor errors at zero power). The best
     over eps of the quasi-convex rate terms (see solve_power) is still
     quasi-convex in p, so these cover every allocation with at most one
-    transmitting user. Their levels come in closed form from corner_levels,
-    with no scan, and they are scored from their objectives alone, the same
-    bits as their reports': a vertex's rate sum is its one user's term, and
-    zero power's is 0. Only the best of them (the first on ties), and only
-    if it beats the alternation strictly, gets its error vector and a
-    report, flagged "silent_start".
+    transmitting user. Their levels come from corner_levels, the error
+    assignment's own scan fed each vertex's branch levels, and they are
+    scored from their objectives alone, the same bits as their reports':
+    a vertex's rate sum is its one user's term, and zero power's is 0.
+    Only the best of them (the first on ties), and only if it beats the
+    alternation strictly, gets its error vector and a report, flagged
+    "silent_start".
 
-    At omega = 0, the pure reliability regime, the solvers' own limits
-    decide: every error probability sits at the floor, solve_power returns
-    water-filling, and no corner beats it strictly.
+    At omega = 0, the pure reliability regime, every error probability
+    sits at the floor, solve_power's explicit branch returns water-filling,
+    and no corner beats it strictly.
     """
     if not 0.0 <= omega <= 1.0:
         raise ValueError("omega must lie in [0, 1]")

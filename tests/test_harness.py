@@ -535,6 +535,11 @@ eps_max = 1e-5 5e-4
             "p_max_grid = 4 inf",
             "p_max_grid = 4000",
             "noise_power = 0",
+            # mean gain over noise not positive and finite: inf, an overflow
+            # of d^(-pathloss_exp), and a quotient that overflows
+            "[users]\nkappa = inf",
+            "[users]\ndistance = 1e-120",
+            "noise_power = 1e-320",
             "master_seed = -1",
             "schemes =",
             "schemes = proposed genie",
