@@ -46,7 +46,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("P_POINTS", "EPS_POINTS"),
         help="also run the exhaustive grid oracle (3 users max)",
     )
-    parser.add_argument("--jobs", dest="n_jobs", type=int, help="worker processes (default 1)")
+    parser.add_argument(
+        "--jobs", dest="n_jobs", type=int,
+        help="processes to run trials on, this one included (default 1)",
+    )
     parser.add_argument("-v", "--verbose", action="store_true")
     return parser
 

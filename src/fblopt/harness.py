@@ -5,9 +5,13 @@ runs seeded trials serially or across processes, dispatches the four
 schemes, aggregates per-cell statistics, and emits deterministic CSV plus a
 run manifest. The work item is one trial: it draws the channel once, as a
 pure function of (master_seed, trial_index), and evaluates every cell and
-scheme on that draw. Each (cell, scheme) is reduced in trial order, so the
-same (config, seed) pair always produces byte-identical CSV regardless of
-parallelism; failure budgets are judged after all trials have run.
+scheme on that draw. With n_jobs > 1 the trials are split into
+min(n_jobs, n_trials) strided shares; the parent process runs one share
+itself and one worker process runs each other share, so a run starts at
+most n_trials - 1 processes. The results are gathered in trial order and
+each (cell, scheme) is reduced in that order, so the same (config, seed)
+pair always produces byte-identical CSV regardless of parallelism;
+failure budgets are judged after all trials have run.
 """
 
 import configparser
@@ -15,14 +19,14 @@ import csv
 import hashlib
 import json
 import logging
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
+import traceback
 from dataclasses import asdict, dataclass, fields, replace
-from functools import partial
 from itertools import product
 from operator import attrgetter
 
 import numpy as np
-import numpy.random  # numpy loads it lazily: load it before a pool forks, not in each worker
+import numpy.random  # numpy loads it lazily: load it before the workers fork, not in each one
 
 from .channel import NetworkRealization, UserLink, mean_gain, sample_realization
 from .error_assignment import SortedQosProfile, errors_at_level, optimal_errors
@@ -35,6 +39,12 @@ SCHEMES = ("proposed", "wf_minmax", "proposedpower_minmax", "equalpower_opteps")
 
 # fraction of failed trials above which a cell is considered broken
 FAILURE_BUDGET = 0.01
+
+# Largest mean gain over noise, and largest such gain times a linear power
+# budget, that a scenario may ask for. A fading draw scales a gain by less
+# than 40, so every SNR stays below 1e102 and the solvers' squares of it
+# (gamma^2, s(s+2)) and water-filling stay far below float overflow.
+MAX_GAIN = 1e100
 
 
 @dataclass(frozen=True)
@@ -69,8 +79,10 @@ class ScenarioConfig:
             gains = [mean_gain(link) / self.noise_power for link in self.links]
         except OverflowError:  # d^(-pathloss_exp) beyond a float
             gains = [np.inf]
-        if not all(0.0 < g < np.inf for g in gains):
-            raise ValueError("every link's mean gain over noise_power must be positive and finite")
+        if not all(0.0 < g <= MAX_GAIN for g in gains):
+            raise ValueError(
+                f"every link's mean gain over noise_power must be positive and at most {MAX_GAIN:g}"
+            )
         if not (self.omega_grid and self.l_grid and self.p_max_grid):
             raise ValueError("omega, L and p_max grids must be nonempty")
         if not all(0.0 <= w <= 1.0 for w in self.omega_grid):
@@ -79,6 +91,8 @@ class ScenarioConfig:
             raise ValueError(f"block lengths must be integers >= 2: {self.l_grid}")
         if not all(0.0 < self.p_max_linear(p) < np.inf for p in self.p_max_grid):
             raise ValueError(f"power budgets must be positive and finite: {self.p_max_grid}")
+        if max(gains) * max(map(self.p_max_linear, self.p_max_grid)) > MAX_GAIN:
+            raise ValueError(f"a mean gain over noise_power times a power budget exceeds {MAX_GAIN:g}")
         if not self.schemes or not set(self.schemes) <= set(SCHEMES):
             raise ValueError(f"schemes must be a nonempty subset of {SCHEMES}: {self.schemes}")
         if self.oracle is not None and len(self.links) > 3:
@@ -196,9 +210,53 @@ def _run_trial(config, profile, trial):
     return results
 
 
+def _run_share(config, profile, trials):
+    """_run_trial's results for each of `trials`, in order. _run_trial is
+    read from the module at call time, so a wrapper set on it applies."""
+    return [_run_trial(config, profile, trial) for trial in trials]
+
+
+def _send_share(writer, config, profile, trials):
+    """Body of a worker process: run its share of trials and send one
+    (ok, payload) message, payload being the results or the exception and
+    its traceback text."""
+    try:
+        message = True, _run_share(config, profile, trials)
+    except Exception as exc:  # re-raised in the parent
+        message = False, (exc, traceback.format_exc())
+    writer.send(message)
+
+
+def _receive(proc, reader):
+    """The results a worker process sent. Its exception is re-raised here,
+    chained to its traceback text; a worker that exits without sending
+    raises RuntimeError with its exit code."""
+    try:
+        ok, payload = reader.recv()
+    except EOFError:
+        proc.join()
+        raise RuntimeError(
+            f"worker process exited with code {proc.exitcode} before sending its results"
+        ) from None
+    if ok:
+        return payload
+    exc, remote_traceback = payload
+    raise exc from RuntimeError(f"in the worker process:\n{remote_traceback}")
+
+
 def run_scenario(config: ScenarioConfig):
     """Run every (scheme, omega, L, p_max) cell of the scenario, one trial
-    per work item, in one pass over a process pool when n_jobs > 1.
+    per work item.
+
+    The trials are split into jobs = min(n_jobs, n_trials) strided shares,
+    share w holding trials w, w + jobs, w + 2 jobs, ... The parent runs
+    share 0 itself and starts one worker process per other share: at most
+    n_trials - 1 processes, and none with one job. Each worker
+    sends its results back over a pipe once its share is done, and every
+    trial's results are gathered at its index before the cells are reduced
+    in trial order. An exception from a worker is re-raised here (an
+    exception of the parent's own share first terminates the workers), and
+    every worker has been joined when this returns or raises.
 
     Failed trials (numerical errors, such as a budget whose water-filling
     normalizer is not positive, or joint-solver non-convergence) are
@@ -207,13 +265,32 @@ def run_scenario(config: ScenarioConfig):
     sorted by (scheme, omega, L, p_max).
     """
     profile = SortedQosProfile.from_caps([l.eps_max for l in config.links])
-    run = partial(_run_trial, config, profile)
-    if config.n_jobs > 1:
-        chunk = max(1, config.n_trials // (config.n_jobs * 8))
-        with ProcessPoolExecutor(max_workers=config.n_jobs) as executor:
-            per_trial = list(executor.map(run, range(config.n_trials), chunksize=chunk))
-    else:
-        per_trial = list(map(run, range(config.n_trials)))
+    n_trials = config.n_trials
+    jobs = min(config.n_jobs, n_trials)
+    context = multiprocessing.get_context()
+    per_trial = [None] * n_trials
+    workers, received = [], 0
+    try:
+        for share in range(1, jobs):
+            reader, writer = context.Pipe(duplex=False)
+            # the parent's copy of the write end closes once the worker
+            # holds its own, so a worker that dies reads as EOF
+            with writer:
+                proc = context.Process(
+                    target=_send_share, args=(writer, config, profile, range(share, n_trials, jobs))
+                )
+                proc.start()
+            workers.append((proc, reader))
+        per_trial[::jobs] = _run_share(config, profile, range(0, n_trials, jobs))
+        for share, (proc, reader) in enumerate(workers, 1):
+            per_trial[share::jobs] = _receive(proc, reader)
+            received = share
+    finally:
+        for proc, _ in workers[received:]:
+            proc.terminate()
+        for proc, reader in workers:
+            proc.join()
+            reader.close()
     rows = [
         _aggregate(results, scheme, omega, length, p_max, config)
         for (omega, length, p_max, scheme), results in zip(_columns(config), zip(*per_trial))

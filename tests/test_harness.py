@@ -1,9 +1,11 @@
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import re
 import sys
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -17,6 +19,7 @@ import fblopt.harness
 import fblopt.joint
 import fblopt.power
 from fblopt.harness import (
+    MAX_GAIN,
     ResultRow,
     SCHEMES,
     ScenarioConfig,
@@ -184,18 +187,23 @@ class TestRunScenario:
         assert file_hash(a) == file_hash(b)
 
     def test_parallel_matches_serial(self, tmp_path, monkeypatch):
-        pools, maps = [], []
+        # J shares start J - 1 worker processes, the parent running one share;
+        # 3 jobs split 6 trials evenly, 4 unevenly, and 8 jobs leave 6 shares.
+        # Every cell is reduced in trial order, which the 9-digit CSV alone
+        # might not show
+        starts, orders = [], set()
+        real_start, real_aggregate = multiprocessing.process.BaseProcess.start, _aggregate
 
-        class CountingPool(fblopt.harness.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(self)
-                super().__init__(*args, **kwargs)
+        def start(self):
+            starts.append(self)
+            real_start(self)
 
-            def map(self, *args, **kwargs):
-                maps.append(args)
-                return super().map(*args, **kwargs)
+        def aggregate(results, *args):
+            orders.add(tuple(r[0] for r in results))
+            return real_aggregate(results, *args)
 
-        monkeypatch.setattr(fblopt.harness, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+        monkeypatch.setattr(fblopt.harness, "_aggregate", aggregate)
         one_cell = tiny_config(schemes=("proposed",), n_trials=6)
         multi_cell = replace(
             one_cell,
@@ -204,14 +212,18 @@ class TestRunScenario:
             schemes=("proposed", "equalpower_opteps"),
         )
         for cfg in (one_cell, multi_cell):
-            pools.clear()
-            maps.clear()
-            a, b = tmp_path / "serial.csv", tmp_path / "par.csv"
+            a = tmp_path / "serial.csv"
             emit_csv(run_scenario(cfg), a)
-            emit_csv(run_scenario(replace(cfg, n_jobs=2)), b)
-            assert file_hash(a) == file_hash(b)
-            assert len(pools) == 1 and len(maps) == 1
+            assert starts == []
+            for jobs in (2, 3, 4, 8):
+                b = tmp_path / f"par{jobs}.csv"
+                emit_csv(run_scenario(replace(cfg, n_jobs=jobs)), b)
+                assert file_hash(a) == file_hash(b)
+                assert len(starts) == min(jobs, cfg.n_trials) - 1
+                assert multiprocessing.active_children() == []
+                starts.clear()
         assert len(read_rows(b)) == 8
+        assert orders == {tuple(range(6))}
 
     def test_one_draw_per_trial_shared_by_every_cell(self, monkeypatch):
         cfg = tiny_config(
@@ -312,6 +324,14 @@ class TestRunScenario:
         rep = scheme_dispatch("wf_minmax", r, SortedQosProfile.from_caps(PAPER_CAPS), 0.9)
         assert rep.p is r.p_wf
 
+    def test_gain_at_the_limit_runs_clean(self):
+        # MAX_GAIN itself, alone and times a 0 dB budget, with every scheme;
+        # the tests turn a RuntimeWarning (an overflow) into an error
+        links = tuple(replace(link, kappa=MAX_GAIN) for link in default_config().links)
+        rows = run_scenario(tiny_config(links=links, p_max_grid=(0.0,), n_trials=4))
+        assert len(rows) == len(SCHEMES)
+        assert all(r.n_trials == 4 and math.isfinite(r.mean_throughput) for r in rows)
+
     def test_over_budget_runs_do_not_fail_trials(self, one_newton_step):
         cfg = tiny_config(schemes=("proposedpower_minmax",), n_trials=1)
         (row,) = run_scenario(cfg)
@@ -345,6 +365,51 @@ class TestRunScenario:
         monkeypatch.setattr(fblopt.harness, "scheme_dispatch", dispatch)
         with pytest.raises(TypeError):
             run_scenario(tiny_config(schemes=("wf_minmax",), n_trials=1))
+
+        # raised only for trial 2, the second worker's share of 4 trials on
+        # 3 jobs: the parent's share (0, 3) and the first worker's (1) succeed
+        real = fblopt.harness._run_trial
+
+        def run_trial(config, profile, trial):
+            if trial == 2:
+                raise TypeError(f"bad call in trial {trial}")
+            return real(config, profile, trial)
+
+        monkeypatch.undo()  # the real scheme_dispatch again
+        monkeypatch.setattr(fblopt.harness, "_run_trial", run_trial)
+        with pytest.raises(TypeError, match="bad call in trial 2") as info:
+            run_scenario(tiny_config(schemes=("wf_minmax",), n_trials=4, n_jobs=3))
+        assert "in the worker process" in str(info.value.__cause__)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exit_without_result_raises(self, monkeypatch):
+        parent, real = os.getpid(), fblopt.harness._run_trial
+
+        def run_trial(config, profile, trial):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(config, profile, trial)
+
+        monkeypatch.setattr(fblopt.harness, "_run_trial", run_trial)
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            run_scenario(tiny_config(schemes=("wf_minmax",), n_trials=2, n_jobs=2))
+        assert multiprocessing.active_children() == []
+
+    def test_parent_share_error_terminates_workers(self, monkeypatch):
+        # the workers would sleep for a minute: the run must not wait for them
+        parent = os.getpid()
+
+        def run_trial(config, profile, trial):
+            if os.getpid() == parent:
+                raise TypeError("bad call in the parent")
+            time.sleep(60)
+
+        monkeypatch.setattr(fblopt.harness, "_run_trial", run_trial)
+        begin = time.monotonic()
+        with pytest.raises(TypeError, match="in the parent"):
+            run_scenario(tiny_config(schemes=("wf_minmax",), n_trials=3, n_jobs=3))
+        assert time.monotonic() - begin < 30
+        assert multiprocessing.active_children() == []
 
     def test_failure_budget_enforced(self):
         results = [(i, i > 0, 1.0, 1e-5, 1.0) for i in range(20)]  # 1 of 20 failed
@@ -540,6 +605,13 @@ eps_max = 1e-5 5e-4
             "[users]\nkappa = inf",
             "[users]\ndistance = 1e-120",
             "noise_power = 1e-320",
+            # above MAX_GAIN: fading would overflow the solvers' squares, or
+            # the realization itself; alone, and times a budget
+            "[users]\nkappa = 1e160",
+            "[users]\nkappa = 1e308",
+            "p_max_grid = -700\n[users]\nkappa = 1e160",
+            "p_max_grid = 3000",
+            "p_max_grid = 0 30\n[users]\nkappa = 1e99",
             "master_seed = -1",
             "schemes =",
             "schemes = proposed genie",
