@@ -10,6 +10,8 @@ import numpy as np
 from .kernels import EPS_FLOOR
 from .power import sr_infinity, water_filling
 
+MAX_BLOCK_LENGTH = 2**63 - 1  # numpy's log(L) of a larger int raises TypeError
+
 
 @dataclass(frozen=True)
 class UserLink:
@@ -52,8 +54,8 @@ class NetworkRealization:
             raise ValueError("gamma entries must be finite and positive")
         if not 0.0 < self.p_max < np.inf:
             raise ValueError("p_max must be positive and finite")
-        if not self.block_length >= 2:
-            raise ValueError("block_length must be >= 2")
+        if not 2 <= self.block_length <= MAX_BLOCK_LENGTH:
+            raise ValueError(f"block_length must lie in [2, {MAX_BLOCK_LENGTH}]")
 
     @property
     def n_users(self) -> int:

@@ -17,9 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernels import EPS_FLOOR, dispersion_coeff
+from .kernels import EPS_FLOOR, dispersion_coeff, q_scalar
 
-_SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # absolute tolerance for interval-membership tests at branch endpoints
@@ -89,7 +88,7 @@ def _level_of_tail(realization, profile, omega):
         arg = num / (den * tail) if den * tail else math.inf
         if arg < 1.0:
             return None
-        return 0.5 * math.erfc(math.sqrt(2.0 * math.log(arg)) / _SQRT2)
+        return q_scalar(math.sqrt(2.0 * math.log(arg)))
 
     return level
 

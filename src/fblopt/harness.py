@@ -5,13 +5,14 @@ runs seeded trials serially or across processes, dispatches the four
 schemes, aggregates per-cell statistics, and emits deterministic CSV plus a
 run manifest. The work item is one trial: it draws the channel once, as a
 pure function of (master_seed, trial_index), and evaluates every cell and
-scheme on that draw. With n_jobs > 1 the trials are split into
-min(n_jobs, n_trials) strided shares; the parent process runs one share
-itself and one worker process runs each other share, so a run starts at
-most n_trials - 1 processes. The results are gathered in trial order and
-each (cell, scheme) is reduced in that order, so the same (config, seed)
-pair always produces byte-identical CSV regardless of parallelism;
-failure budgets are judged after all trials have run.
+scheme on that draw into one (sum rate, max eps, throughput) row per cell.
+With n_jobs > 1 the trials are split into min(n_jobs, n_trials) strided
+shares; the parent process runs one share itself and one worker process
+runs each other share, so a run starts at most n_trials - 1 processes. The
+rows are gathered in trial order and each cell is reduced from its column,
+so the same (config, seed) pair always produces byte-identical CSV
+regardless of parallelism. A row with a non-finite value is a failed trial,
+and failure budgets are judged after all trials have run.
 """
 
 import configparser
@@ -20,6 +21,7 @@ import hashlib
 import json
 import logging
 import multiprocessing
+import sys
 import traceback
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import product
@@ -28,7 +30,7 @@ from operator import attrgetter
 import numpy as np
 import numpy.random  # numpy loads it lazily: load it before the workers fork, not in each one
 
-from .channel import NetworkRealization, UserLink, mean_gain, sample_realization
+from .channel import MAX_BLOCK_LENGTH, NetworkRealization, UserLink, mean_gain, sample_realization
 from .error_assignment import SortedQosProfile, errors_at_level, optimal_errors
 from .joint import OracleGrid, exhaustive_oracle, make_report, solve_joint
 from .power import equal_power, solve_power
@@ -40,10 +42,11 @@ SCHEMES = ("proposed", "wf_minmax", "proposedpower_minmax", "equalpower_opteps")
 # fraction of failed trials above which a cell is considered broken
 FAILURE_BUDGET = 0.01
 
-# Largest mean gain over noise, and largest such gain times a linear power
-# budget, that a scenario may ask for. A fading draw scales a gain by less
-# than 40, so every SNR stays below 1e102 and the solvers' squares of it
-# (gamma^2, s(s+2)) and water-filling stay far below float overflow.
+# Every mean gain over noise and every linear power budget (-1000 to 1000 dB)
+# lies in [1/MAX_GAIN, MAX_GAIN], and the largest gain times the largest
+# budget is at most MAX_GAIN. A fading draw scales a gain by less than 40, so
+# the solvers' squares of an SNR stay far below float overflow, and the power
+# solver's Newton weights and the water-filling normalizer stay nonzero and finite.
 MAX_GAIN = 1e100
 
 
@@ -71,40 +74,31 @@ class ScenarioConfig:
             raise ValueError("n_trials must be >= 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
-        if not self.links:
-            raise ValueError("links must be nonempty")
-        if not self.noise_power > 0:
-            raise ValueError("noise_power must be positive")
+        if not (self.links and self.omega_grid and self.l_grid and self.p_max_grid):
+            raise ValueError("links and the omega, L and p_max grids must be nonempty")
         try:
             gains = [mean_gain(link) / self.noise_power for link in self.links]
-        except OverflowError:  # d^(-pathloss_exp) beyond a float
-            gains = [np.inf]
-        if not all(0.0 < g <= MAX_GAIN for g in gains):
+            budgets = [self.p_max_linear(p) for p in self.p_max_grid]
+        except ArithmeticError:  # a zero noise_power, or a value beyond a float
+            gains = budgets = [np.nan]
+        in_range = all(1 / MAX_GAIN <= x <= MAX_GAIN for x in gains + budgets)
+        if not (in_range and max(gains) * max(budgets) <= MAX_GAIN):
             raise ValueError(
-                f"every link's mean gain over noise_power must be positive and at most {MAX_GAIN:g}"
+                f"mean gains over noise_power and linear budgets must lie in [{1 / MAX_GAIN:g}, "
+                f"{MAX_GAIN:g}], and the largest gain times the largest budget at most {MAX_GAIN:g}"
             )
-        if not (self.omega_grid and self.l_grid and self.p_max_grid):
-            raise ValueError("omega, L and p_max grids must be nonempty")
         if not all(0.0 <= w <= 1.0 for w in self.omega_grid):
             raise ValueError(f"omega values must lie in [0, 1]: {self.omega_grid}")
-        if not all(float(l).is_integer() and l >= 2 for l in self.l_grid):
-            raise ValueError(f"block lengths must be integers >= 2: {self.l_grid}")
-        if not all(0.0 < self.p_max_linear(p) < np.inf for p in self.p_max_grid):
-            raise ValueError(f"power budgets must be positive and finite: {self.p_max_grid}")
-        if max(gains) * max(map(self.p_max_linear, self.p_max_grid)) > MAX_GAIN:
-            raise ValueError(f"a mean gain over noise_power times a power budget exceeds {MAX_GAIN:g}")
+        if not all(2 <= l <= MAX_BLOCK_LENGTH and float(l).is_integer() for l in self.l_grid):
+            raise ValueError(f"block lengths must be integers in [2, 2**63 - 1]: {self.l_grid}")
         if not self.schemes or not set(self.schemes) <= set(SCHEMES):
             raise ValueError(f"schemes must be a nonempty subset of {SCHEMES}: {self.schemes}")
         if self.oracle is not None and len(self.links) > 3:
             raise ValueError("exhaustive oracle rows require 3 users or fewer")
 
     def p_max_linear(self, value) -> float:
-        """Linear power budget of a p_max_grid value, which is in dB; inf
-        when it overflows a float."""
-        try:
-            return 10.0 ** (value / 10.0)
-        except OverflowError:
-            return np.inf
+        """Linear power budget of a p_max_grid value, which is in dB."""
+        return 10.0 ** (value / 10.0)
 
 
 @dataclass(frozen=True)
@@ -182,19 +176,21 @@ def _columns(config):
 
 
 def _run_trial(config, profile, trial):
-    """(trial, ok, sum_rate, max_eps, throughput) of each _columns entry in
-    one trial; module-level so it pickles for workers. The gains are drawn
-    once, from (master_seed, trial) alone (budget and length do not enter
-    it), and each cell is built from that draw with its own budget and
-    length, so comparisons across cells are paired."""
+    """One trial's (sum_rate, max_eps, throughput) row per _columns entry,
+    a (columns, 3) array. The gains are drawn once, from (master_seed,
+    trial) alone, and each cell is built from that draw with its own budget
+    and length, so comparisons across cells are paired. A row stays NaN
+    when its evaluation raised ValueError or ArithmeticError (logged) or
+    the joint solve reported not_converged."""
     seed = np.random.SeedSequence([config.master_seed, trial])
     gamma = sample_realization(config.links, config.noise_power, seed, fading=config.fading)
     realizations = {
         (length, p_max): NetworkRealization(gamma, config.p_max_linear(p_max), int(length))
         for length, p_max in product(config.l_grid, config.p_max_grid)
     }
-    results = []
-    for omega, length, p_max, scheme in _columns(config):
+    columns = list(_columns(config))
+    results = np.full((len(columns), 3), np.nan)
+    for row, (omega, length, p_max, scheme) in zip(results, columns):
         realization = realizations[length, p_max]
         try:
             if scheme == "exhaustive":
@@ -203,17 +199,17 @@ def _run_trial(config, profile, trial):
                 report = scheme_dispatch(scheme, realization, profile, float(omega))
         except (ValueError, ArithmeticError):
             logger.exception("trial %d of cell %s failed", trial, (scheme, omega, length, p_max))
-            results.append((trial, False, np.nan, np.nan, np.nan))
         else:
-            ok = "not_converged" not in report.flags
-            results.append((trial, ok, report.sum_rate, report.max_eps, report.throughput))
+            if "not_converged" not in report.flags:
+                row[:] = report.sum_rate, report.max_eps, report.throughput
     return results
 
 
 def _run_share(config, profile, trials):
-    """_run_trial's results for each of `trials`, in order. _run_trial is
-    read from the module at call time, so a wrapper set on it applies."""
-    return [_run_trial(config, profile, trial) for trial in trials]
+    """_run_trial's results for each of `trials`, stacked in order into one
+    (len(trials), columns, 3) array. _run_trial is read from the module at
+    call time, so a wrapper set on it applies."""
+    return np.array([_run_trial(config, profile, trial) for trial in trials])
 
 
 def _send_share(writer, config, profile, trials):
@@ -251,24 +247,23 @@ def run_scenario(config: ScenarioConfig):
     The trials are split into jobs = min(n_jobs, n_trials) strided shares,
     share w holding trials w, w + jobs, w + 2 jobs, ... The parent runs
     share 0 itself and starts one worker process per other share: at most
-    n_trials - 1 processes, and none with one job. Each worker
-    sends its results back over a pipe once its share is done, and every
-    trial's results are gathered at its index before the cells are reduced
-    in trial order. An exception from a worker is re-raised here (an
-    exception of the parent's own share first terminates the workers), and
-    every worker has been joined when this returns or raises.
-
-    Failed trials (numerical errors, such as a budget whose water-filling
-    normalizer is not positive, or joint-solver non-convergence) are
-    excluded from the means and logged; after all trials, the first cell
-    where more than 1% failed aborts the run. Returns ResultRow objects
-    sorted by (scheme, omega, L, p_max).
+    n_trials - 1 processes, and none with one job. Each worker sends its
+    share back over a pipe as one array once it is done, and the shares are
+    gathered at their strided indices into one (trials, cells, 3) array,
+    each cell reduced from its column in trial order. An exception from a
+    worker is re-raised here (an exception of the parent's own share first
+    terminates the workers), and every worker has been joined when this
+    returns or raises. Failed trials (see _run_trial and _aggregate) are
+    left out of the means; after all trials, the first cell where more than
+    1% failed aborts the run. Returns ResultRow objects sorted by
+    (scheme, omega, L, p_max).
     """
     profile = SortedQosProfile.from_caps([l.eps_max for l in config.links])
     n_trials = config.n_trials
     jobs = min(config.n_jobs, n_trials)
+    columns = list(_columns(config))
     context = multiprocessing.get_context()
-    per_trial = [None] * n_trials
+    results = np.empty((n_trials, len(columns), 3))
     workers, received = [], 0
     try:
         for share in range(1, jobs):
@@ -281,9 +276,9 @@ def run_scenario(config: ScenarioConfig):
                 )
                 proc.start()
             workers.append((proc, reader))
-        per_trial[::jobs] = _run_share(config, profile, range(0, n_trials, jobs))
+        results[::jobs] = _run_share(config, profile, range(0, n_trials, jobs))
         for share, (proc, reader) in enumerate(workers, 1):
-            per_trial[share::jobs] = _receive(proc, reader)
+            results[share::jobs] = _receive(proc, reader)
             received = share
     finally:
         for proc, _ in workers[received:]:
@@ -292,29 +287,32 @@ def run_scenario(config: ScenarioConfig):
             proc.join()
             reader.close()
     rows = [
-        _aggregate(results, scheme, omega, length, p_max, config)
-        for (omega, length, p_max, scheme), results in zip(_columns(config), zip(*per_trial))
+        _aggregate(results[:, c], scheme, omega, length, p_max, config)
+        for c, (omega, length, p_max, scheme) in enumerate(columns)
     ]
     rows.sort(key=_row_key)
     return rows
 
 
-def _aggregate(results, scheme, omega, length, p_max, config) -> ResultRow:
-    ok = np.array([r[1] for r in results], dtype=bool)
-    n_failed = int((~ok).sum())
+def _aggregate(column, scheme, omega, length, p_max, config) -> ResultRow:
+    """One cell's ResultRow from its (trials, 3) column of _run_trial rows.
+    A row with a non-finite value is a failed trial, left out of the means;
+    more than FAILURE_BUDGET of them raise RuntimeError."""
+    ok = np.isfinite(column).all(axis=1)
+    n_failed = len(column) - int(ok.sum())
     if n_failed:
         logger.warning(
             "cell (%s, omega=%s, L=%s, p_max=%s): %d/%d trials failed and were excluded",
-            scheme, omega, length, p_max, n_failed, len(results),
+            scheme, omega, length, p_max, n_failed, len(column),
         )
-    if n_failed > FAILURE_BUDGET * len(results):
+    if n_failed > FAILURE_BUDGET * len(column):
         raise RuntimeError(
             f"cell ({scheme}, omega={omega}, L={length}, p_max={p_max}): "
-            f"{n_failed}/{len(results)} trials failed"
+            f"{n_failed}/{len(column)} trials failed"
         )
-    sum_rates = np.array([r[2] for r in results])[ok]
-    max_eps = np.array([r[3] for r in results])[ok]
-    throughput = np.array([r[4] for r in results])[ok]
+    # contiguous copies: numpy's pairwise sums, and so the means' bits,
+    # depend on the memory layout
+    sum_rates, max_eps, throughput = column[ok].T.copy()
     return ResultRow(
         scheme=scheme,
         omega=float(omega),
@@ -329,10 +327,6 @@ def _aggregate(results, scheme, omega, length, p_max, config) -> ResultRow:
     )
 
 
-def _fmt(value) -> str:
-    return f"{value:.9g}"
-
-
 def emit_csv(rows, path):
     """Write rows as UTF-8 CSV under the CSV_COLUMNS header, floats to 9
     significant digits, sorted by (scheme, omega, L, p_max)."""
@@ -344,7 +338,7 @@ def emit_csv(rows, path):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
             for r in rows:
-                cells = [_fmt(v) if isinstance(v, float) else str(v) for v in values(r)]
+                cells = [f"{v:.9g}" if isinstance(v, float) else str(v) for v in values(r)]
                 fh.write(",".join(cells) + "\n")
     except OSError as exc:
         raise OSError(f"failed writing CSV to {path}: {exc}") from exc
@@ -376,8 +370,6 @@ def write_manifest(config: ScenarioConfig, csv_path, manifest_path=None):
     from . import __version__
 
     manifest_path = manifest_path or str(csv_path) + ".manifest.txt"
-    import sys
-
     lines = [
         f"config_hash = {config_hash(config)}",
         f"master_seed = {config.master_seed}",
@@ -392,12 +384,12 @@ def write_manifest(config: ScenarioConfig, csv_path, manifest_path=None):
 
 
 def _read_section(parser, name, base):
-    """Copy of the dataclass instance `base` with the keys of INI section
-    `name` set on its fields of the same name, each parsed to the type of
+    """The keys of INI section `name` as overrides of the fields of the
+    same name of the dataclass instance `base`, each parsed to the type of
     the field's current value (lists space-separated). Keys naming no
     plain-valued field raise."""
     if not parser.has_section(name):
-        return base
+        return {}
     section = parser[name]
     names = {f.name for f in fields(base)}
     overrides = {}
@@ -411,7 +403,7 @@ def _read_section(parser, name, base):
             overrides[key] = type(current)(raw)
         else:
             raise ValueError(f"unknown {name} key: {key}")
-    return replace(base, **overrides)
+    return overrides
 
 
 _LINK_KEYS = ("kappa", "distance", "pathloss_exp")
@@ -463,10 +455,12 @@ def load_config_file(path) -> ScenarioConfig:
     if unknown:
         raise ValueError(f"unknown config sections: {sorted(unknown)}")
     base = default_config()
+    # one replace, so the scenario is checked whole
     return replace(
-        _read_section(parser, "scenario", base),
+        base,
+        **_read_section(parser, "scenario", base),
         links=_read_users(parser, base.links),
-        oracle=_read_section(parser, "oracle", OracleGrid())
+        oracle=OracleGrid(**_read_section(parser, "oracle", OracleGrid()))
         if parser.has_section("oracle")
         else base.oracle,
     )

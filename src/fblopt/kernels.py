@@ -16,20 +16,24 @@ import numpy as np
 # masked by silent clamping.
 EPS_FLOOR = 1e-12
 
-_SQRT2 = np.sqrt(2.0)
+_SQRT2 = math.sqrt(2.0)
+
+
+def q_scalar(x: float) -> float:
+    """Gaussian tail probability Q(x) = P[N(0,1) > x] of one float, as
+    erfc(x/sqrt(2))/2, which keeps full relative accuracy deep into the
+    tail (outputs down to ~1e-300). Scalar loops call it, not q_function."""
+    return 0.5 * math.erfc(x / _SQRT2)
+
 
 # elementwise lifts; a 0-d input comes back as a Python float, not an array
-_erfc = np.frompyfunc(math.erfc, 1, 1)
+_q = np.frompyfunc(q_scalar, 1, 1)
 _inv_cdf = np.frompyfunc(NormalDist().inv_cdf, 1, 1)
 
 
 def q_function(x):
-    """Gaussian tail probability Q(x) = P[N(0,1) > x].
-
-    Computed as erfc(x/sqrt(2))/2, which keeps full relative accuracy deep
-    into the tail (outputs down to ~1e-300).
-    """
-    out = 0.5 * np.asarray(_erfc(np.asarray(x, dtype=float) / _SQRT2), dtype=float)
+    """q_scalar applied to a float or elementwise to an array."""
+    out = np.asarray(_q(np.asarray(x, dtype=float)), dtype=float)
     return float(out) if out.ndim == 0 else out
 
 

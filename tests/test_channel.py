@@ -55,6 +55,8 @@ class TestNetworkRealization:
             NetworkRealization(gamma=np.array([1.0]), p_max=np.inf, block_length=100)
         with pytest.raises(ValueError):
             NetworkRealization(gamma=np.array([1.0]), p_max=1.0, block_length=np.nan)
+        with pytest.raises(ValueError):  # beyond an int64
+            NetworkRealization(gamma=np.array([1.0]), p_max=1.0, block_length=2**64)
 
     def test_sr_inf_follows_replaced_budget(self):
         r = NetworkRealization(gamma=np.array([0.5, 2.0]), p_max=1.0, block_length=100)

@@ -189,18 +189,18 @@ class TestRunScenario:
     def test_parallel_matches_serial(self, tmp_path, monkeypatch):
         # J shares start J - 1 worker processes, the parent running one share;
         # 3 jobs split 6 trials evenly, 4 unevenly, and 8 jobs leave 6 shares.
-        # Every cell is reduced in trial order, which the 9-digit CSV alone
-        # might not show
-        starts, orders = [], set()
+        # Every cell is reduced from the serial run's column, bit for bit and
+        # in trial order, which the 9-digit CSV alone might not show
+        starts, reduced = [], []
         real_start, real_aggregate = multiprocessing.process.BaseProcess.start, _aggregate
 
         def start(self):
             starts.append(self)
             real_start(self)
 
-        def aggregate(results, *args):
-            orders.add(tuple(r[0] for r in results))
-            return real_aggregate(results, *args)
+        def aggregate(column, *args):
+            reduced.append(column.copy())
+            return real_aggregate(column, *args)
 
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
         monkeypatch.setattr(fblopt.harness, "_aggregate", aggregate)
@@ -215,15 +215,20 @@ class TestRunScenario:
             a = tmp_path / "serial.csv"
             emit_csv(run_scenario(cfg), a)
             assert starts == []
+            serial = reduced[:]
+            assert all(column.shape == (6, 3) for column in serial)
             for jobs in (2, 3, 4, 8):
+                reduced.clear()
                 b = tmp_path / f"par{jobs}.csv"
                 emit_csv(run_scenario(replace(cfg, n_jobs=jobs)), b)
                 assert file_hash(a) == file_hash(b)
+                assert len(reduced) == len(serial)
+                assert all(np.array_equal(x, y, equal_nan=True) for x, y in zip(reduced, serial))
                 assert len(starts) == min(jobs, cfg.n_trials) - 1
                 assert multiprocessing.active_children() == []
                 starts.clear()
+            reduced.clear()
         assert len(read_rows(b)) == 8
-        assert orders == {tuple(range(6))}
 
     def test_one_draw_per_trial_shared_by_every_cell(self, monkeypatch):
         cfg = tiny_config(
@@ -312,8 +317,8 @@ class TestRunScenario:
             if getattr(module, "water_filling", None) is real:
                 monkeypatch.setattr(module, "water_filling", counted)
         results = _run_trial(cfg, SortedQosProfile.from_caps([l.eps_max for l in cfg.links]), 0)
-        assert len(results) == 2 * 2 * 2 * (len(SCHEMES) + 1)
-        assert all(ok for _, ok, *_ in results)
+        assert results.shape == (2 * 2 * 2 * (len(SCHEMES) + 1), 3)
+        assert np.isfinite(results).all()
         assert sorted(calls) == sorted(cfg.p_max_linear(p) for p in (0.0, 6.0) for _ in range(2))
 
     def test_cached_water_filling_is_read_only(self):
@@ -324,11 +329,17 @@ class TestRunScenario:
         rep = scheme_dispatch("wf_minmax", r, SortedQosProfile.from_caps(PAPER_CAPS), 0.9)
         assert rep.p is r.p_wf
 
-    def test_gain_at_the_limit_runs_clean(self):
-        # MAX_GAIN itself, alone and times a 0 dB budget, with every scheme;
-        # the tests turn a RuntimeWarning (an overflow) into an error
-        links = tuple(replace(link, kappa=MAX_GAIN) for link in default_config().links)
-        rows = run_scenario(tiny_config(links=links, p_max_grid=(0.0,), n_trials=4))
+    @pytest.mark.parametrize(
+        "gain, p_max_db",
+        [(MAX_GAIN, 0.0), (1 / MAX_GAIN, -1000.0), (1 / MAX_GAIN, 1000.0), (1.0, 1000.0)],
+    )
+    def test_gain_at_the_limit_runs_clean(self, gain, p_max_db):
+        # the corners of the load rule: the largest gain at 0 dB, the
+        # smallest gain at the smallest and largest budgets, and the largest
+        # budget at unit gain, with every scheme; the tests turn a
+        # RuntimeWarning (an overflow or 0/0) into an error
+        links = tuple(replace(link, kappa=gain) for link in default_config().links)
+        rows = run_scenario(tiny_config(links=links, p_max_grid=(p_max_db,), n_trials=4))
         assert len(rows) == len(SCHEMES)
         assert all(r.n_trials == 4 and math.isfinite(r.mean_throughput) for r in rows)
 
@@ -349,6 +360,23 @@ class TestRunScenario:
         cfg = tiny_config(schemes=("wf_minmax",), omega_grid=(0.1, 0.5, 0.9), n_trials=4)
         with pytest.raises(RuntimeError, match=r"cell \(wf_minmax, omega=0\.5, L=200, p_max=6\.0\): 4/4"):
             run_scenario(cfg)
+
+    def test_non_finite_report_fails_trial(self, monkeypatch):
+        # a NaN throughput in 1 trial of 200 fails that trial alone, within
+        # the 1% budget, and never reaches a mean
+        real, calls = fblopt.harness.scheme_dispatch, []
+
+        def dispatch(*args):
+            report = real(*args)
+            calls.append(report)
+            return replace(report, throughput=math.nan) if len(calls) == 100 else report
+
+        monkeypatch.setattr(fblopt.harness, "scheme_dispatch", dispatch)
+        (row,) = run_scenario(tiny_config(schemes=("wf_minmax",), n_trials=200))
+        assert row.n_trials == 199
+        kept = [r.throughput for i, r in enumerate(calls) if i != 99]
+        assert row.mean_throughput == np.mean(kept)
+        assert all(math.isfinite(v) for v in (row.mean_sum_rate, row.mean_max_eps, row.std_throughput))
 
     def test_numerical_error_fails_trial(self, monkeypatch):
         def dispatch(*args):
@@ -412,16 +440,18 @@ class TestRunScenario:
         assert multiprocessing.active_children() == []
 
     def test_failure_budget_enforced(self):
-        results = [(i, i > 0, 1.0, 1e-5, 1.0) for i in range(20)]  # 1 of 20 failed
+        column = np.tile([1.0, 1e-5, 1.0], (20, 1))
+        column[0] = np.nan  # 1 of 20 failed
         with pytest.raises(RuntimeError):
-            _aggregate(results, "proposed", 0.9, 200, 6.0, tiny_config())
+            _aggregate(column, "proposed", 0.9, 200, 6.0, tiny_config())
 
     def test_failed_trials_excluded_from_means(self):
-        ok = [(i, True, 2.0, 1e-5, 2.0) for i in range(995)]
-        bad = [(i + 995, False, np.nan, np.nan, np.nan) for i in range(5)]
-        row = _aggregate(ok + bad, "proposed", 0.9, 200, 6.0, tiny_config())
-        assert row.n_trials == 995
-        assert row.mean_throughput == 2.0
+        column = np.tile([2.0, 1e-5, 2.0], (1000, 1))
+        column[995:] = np.nan
+        column[994, 2] = np.inf  # one non-finite value fails the trial
+        row = _aggregate(column, "proposed", 0.9, 200, 6.0, tiny_config())
+        assert row.n_trials == 994
+        assert (row.mean_sum_rate, row.mean_max_eps, row.mean_throughput) == (2.0, 1e-5, 2.0)
 
 
 class TestCsv:
@@ -571,6 +601,14 @@ eps_max = 1e-5 5e-4
         assert cfg.links[0].eps_max == 1e-5
         assert cfg.fading is False
 
+    def test_load_config_checks_the_whole_scenario(self, tmp_path):
+        # a noise power that the default unit gains would put out of range,
+        # with gains that bring it back
+        path = tmp_path / "quiet.ini"
+        path.write_text("[scenario]\nnoise_power = 1e-120\n[users]\nkappa = 1e-120\n")
+        cfg = load_config_file(path)
+        assert cfg.noise_power == 1e-120 and cfg.links[0].kappa == 1e-120
+
     def test_load_config_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "bad.ini"
         for text in [
@@ -612,6 +650,13 @@ eps_max = 1e-5 5e-4
             "p_max_grid = -700\n[users]\nkappa = 1e160",
             "p_max_grid = 3000",
             "p_max_grid = 0 30\n[users]\nkappa = 1e99",
+            # a gain or a budget outside [1/MAX_GAIN, MAX_GAIN]: the power
+            # solver's Newton weights overflow or divide 0 by 0, or the
+            # water-filling normalizer rounds to zero in every trial
+            "p_max_grid = 1550\n[users]\nkappa = 1e-60",
+            "p_max_grid = 1610\n[users]\nkappa = 1e-160",
+            "[users]\nkappa = 1e-310",
+            "p_max_grid = -3000\n[users]\nkappa = 1e-100",
             "master_seed = -1",
             "schemes =",
             "schemes = proposed genie",
@@ -745,6 +790,9 @@ class TestCli:
             main(["--jobs", "0", "--out", str(tmp_path / "x.csv")])
         three = tmp_path / "three.ini"
         three.write_text("[users]\ncount = 3\neps_max = 1e-5 5e-5 1e-4\n")
+        faint, fainter = tmp_path / "faint.ini", tmp_path / "fainter.ini"
+        faint.write_text("[users]\nkappa = 1e-60\n")
+        fainter.write_text("[users]\nkappa = 1e-100\n")
         for argv in [
             ["--omega", "1.5", "--schemes", "wf_minmax", "--trials", "3"],
             ["--lgrid", "1"],
@@ -755,6 +803,11 @@ class TestCli:
             ["--config", str(three), "--oracle", "30", "0"],
             ["--pmax-db", "inf", "--schemes", "wf_minmax", "--trials", "2"],
             ["--pmax-db", "4000"],
+            ["--lgrid", str(2**64)],  # beyond an int64: log(L) would raise TypeError
+            ["--lgrid", "1" * 400],  # beyond a float
+            # the budget range, with gains the file alone allows
+            ["--config", str(faint), "--pmax-db", "1550"],
+            ["--config", str(fainter), "--pmax-db", "-3000"],
         ]:
             with pytest.raises(ValueError):
                 main([*argv, "--out", str(tmp_path / "x.csv")])
