@@ -76,6 +76,11 @@ class ScenarioConfig:
             raise ValueError("master_seed must be >= 0")
         if not (self.links and self.omega_grid and self.l_grid and self.p_max_grid):
             raise ValueError("links and the omega, L and p_max grids must be nonempty")
+        # a repeat would run its cells twice and write their rows twice
+        for name in ("p_max_grid", "l_grid", "omega_grid", "schemes"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} repeats a value: {values}")
         try:
             gains = [mean_gain(link) / self.noise_power for link in self.links]
             budgets = [self.p_max_linear(p) for p in self.p_max_grid]

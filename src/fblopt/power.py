@@ -11,12 +11,9 @@ steps on its concave KKT system, whose Hessian is diagonal plus one
 border, and scores the results next to the single-user vertices and zero
 power.
 
-The augmented-Lagrangian solver that solve_power used before (_alm_run,
-its inner solver _spg with _armijo, update_multipliers, StageRecord and
-_PowerObjective's value and gradient) is no longer on the solve path. It
-is kept, as a plain projected-gradient ALM, only because the benchmark's
-hooks wrap these names and report a missing one as absent; it goes when
-the benchmark reads counts from the results instead.
+Of the augmented-Lagrangian solver that this replaced, only the names
+_alm_run, _spg and _PowerObjective's value and grad remain, as anchors
+for the benchmark's hooks; each raises if called.
 
 Also provides the water-filling and equal-power baselines and the
 Shannon-sum-rate normalizer sr_infinity.
@@ -24,58 +21,27 @@ Shannon-sum-rate normalizer sr_infinity.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import EPS_FLOOR, dispersion_coeff, q_inverse, rate_term
-
-# augmented-Lagrangian outer loop
-MU0 = 1.0
-ZETA0 = 0.15
-MAX_STAGES = 30
-POWER_TOL = 1e-6      # inf-norm change of p between stages, or Newton steps
-FEAS_TOL = 1e-8       # allowed budget violation at convergence
-PROJECT_TOL = 1e-6    # worst violation still projected to feasibility
-
-# projected-gradient inner solver
-INNER_TOL = 1e-6      # projected-gradient norm target
-INNER_MAX_ITER = 500
-ARMIJO = 1e-4
+from .kernels import EPS_FLOOR, q_inverse, rate_term
 
 # exact solve on the dominance-closed supports
 INFLECTION_STEPS = 6      # Newton steps in log s for each inflection point
 NEWTON_STEPS = 6          # bordered Newton steps on every support at once
 INFLECTION_MARGIN = 1.001 # iterates stay at or above this multiple of p_hat
-
-# stand-in for the infinite dispersion slope at exactly zero power; large
-# enough to pin the component at the boundary, finite so 0 * BIG == 0
-_BIG_SLOPE = 1e30
+POWER_TOL = 1e-6          # largest last Newton move of a converged row
 
 # the ufunc reduction behind np.sum, called without np.sum's wrapper
 _sum = np.add.reduce
 
 
 @dataclass
-class StageRecord:
-    stage: int
-    mu: float
-    zeta: float
-    p: np.ndarray
-    delta_p: float
-    violation: float
-    inner_iterations: int
-    inner_converged: bool
-
-
-@dataclass
 class PowerSolveResult:
     p: np.ndarray
     rate_sum: float  # sum of each user's rate_term at p: unscaled, no log(L)/L
-    trace: list = field(default_factory=list)
     converged: bool = False
-    violation: float = 0.0
-    projected: bool = False
 
 
 def water_filling(gamma, p_max) -> np.ndarray:
@@ -115,141 +81,23 @@ def sr_infinity(gamma, p_max, p_wf=None) -> float:
     return float(np.sum(np.log1p(gamma * p_wf)))
 
 
+# benchmarks/hooks.py wraps these names of the retired augmented-Lagrangian
+# solver and reports a missing one as absent; nothing calls them. They go
+# when the benchmark reads its counts from the results instead.
+def _alm_run(*args):
+    raise AssertionError("the retired power solver was called")
+
+
+def _spg(*args):
+    raise AssertionError("the retired power solver was called")
+
+
 class _PowerObjective:
-    """Augmented-Lagrangian value and gradient of the retired solver, with
-    the per-call invariants (gains, inverse-Q of the fixed error
-    probabilities, scaling) set once; nothing changes after __init__.
+    def value(self, *args):
+        raise AssertionError("the retired power solver was called")
 
-    value(p, mu, zeta) is the scaled rate sum minus
-    (1/2mu) * [max(0, zeta - mu*(P_max - sum p))^2 - zeta^2]; grad() is its
-    analytic gradient in p."""
-
-    def __init__(self, realization, eps, omega):
-        self.gamma = realization.gamma
-        self.L = realization.block_length
-        self.p_max = realization.p_max
-        self.qinv = q_inverse(np.maximum(np.asarray(eps, dtype=float), EPS_FLOOR))
-        self.scale = omega / realization.sr_inf
-
-    def rate_sum(self, p):
-        """Rate objective at p before its scaling, with no penalty."""
-        return float(_sum(rate_term(self.gamma * p, self.L, self.qinv)))
-
-    def value(self, p, mu, zeta):
-        v = max(0.0, zeta - mu * (self.p_max - float(_sum(p))))
-        return self.scale * self.rate_sum(p) - (v * v - zeta * zeta) / (2.0 * mu)
-
-    def grad(self, p, mu, zeta):
-        s = self.gamma * p
-        one = 1.0 + s
-        disp = dispersion_coeff(s, self.L)
-        positive = disp > 0.0
-        safe = np.where(positive, disp, 1.0)
-        slope = np.where(positive, self.qinv * self.gamma / (self.L * one**3 * safe), _BIG_SLOPE)
-        v = max(0.0, zeta - mu * (self.p_max - float(_sum(p))))
-        return self.scale * (self.gamma / one - slope) - v
-
-
-def _projected_residual(p, g):
-    """Gradient projected onto feasible ascent directions of {p >= 0}."""
-    return np.where(p > 0.0, g, np.maximum(g, 0.0))
-
-
-def _armijo(obj, mu, zeta, p, f, g, step):
-    """Backtracking on max(p + eta * g, 0) from eta = step, halving while
-    eta >= 1e-18, until value() passes the Armijo test against the gradient
-    g; returns (p_trial, f_trial, eta), or None when no trial passes or the
-    projected move stops rising along g."""
-    eta = step
-    while eta >= 1e-18:
-        p_trial = np.maximum(p + eta * g, 0.0)
-        gd = float(g.dot(p_trial - p))
-        if gd <= 0.0:
-            return None
-        f_trial = obj.value(p_trial, mu, zeta)
-        if f_trial >= f + ARMIJO * gd:
-            return p_trial, f_trial, eta
-        eta *= 0.5
-    return None
-
-
-def _spg(obj, mu, zeta, p_init):
-    """Inner maximization of one ALM stage from a nonnegative p_init by
-    spectral projected-gradient steps (Barzilai-Borwein trial step with
-    Armijo halving); returns (p, converged, iterations), converged False
-    when the projected-gradient tolerance was not met within the cap or the
-    line search failed. Users at zero power are pinned there by _BIG_SLOPE
-    in the gradient. Part of the retired solver: the name and the return
-    stay because benchmarks/hooks.py wraps _spg by name and reads its
-    iteration count."""
-    p = p_init
-    f = obj.value(p, mu, zeta)
-    g = obj.grad(p, mu, zeta)
-    alpha = 1.0
-    s_prev = y_prev = None
-    converged = False
-    it = 0
-    for it in range(1, INNER_MAX_ITER + 1):
-        pg = _projected_residual(p, g)
-        pg_max = float(np.abs(pg).max())
-        # max first: near p = 0 a slope of 1e161 would overflow pg.dot(pg)
-        if pg_max <= INNER_TOL and math.sqrt(pg.dot(pg)) <= INNER_TOL:
-            converged = True
-            break
-        if s_prev is not None:
-            sy = float(s_prev.dot(y_prev))
-            if sy < 0.0:
-                alpha = -float(s_prev.dot(s_prev)) / sy
-            else:
-                alpha *= 2.0
-        else:
-            alpha = 1.0 / max(pg_max, 1e-12)
-        alpha = min(max(alpha, 1e-16), 1e12)
-        step = _armijo(obj, mu, zeta, p, f, g, alpha)
-        if step is None:
-            break
-        p_trial, f_trial, alpha = step
-        g_trial = obj.grad(p_trial, mu, zeta)
-        s_prev, y_prev = p_trial - p, g_trial - g
-        p, f, g = p_trial, f_trial, g_trial
-    return p, converged, it
-
-
-def update_multipliers(mu, zeta, slack):
-    """Multiplier and penalty update between stages, given the budget slack
-    P_max - sum p: zeta <- max(0, zeta - mu*slack), mu <- 2*mu, uncapped:
-    a run starts at MU0 and stops within MAX_STAGES stages, so mu stays
-    below MU0 * 2^MAX_STAGES. Returns (mu, zeta)."""
-    return 2.0 * mu, max(0.0, zeta - mu * slack)
-
-
-def _alm_run(obj, realization, p_init) -> PowerSolveResult:
-    """One multiplier-method run from a given nonnegative starting point."""
-    mu, zeta = MU0, ZETA0
-    p = p_init
-    trace = []
-    converged = False
-    for stage in range(MAX_STAGES):
-        p_new, inner_ok, iters = _spg(obj, mu, zeta, p)
-        delta = float(np.abs(p_new - p).max())
-        total = float(_sum(p_new))
-        slack = realization.p_max - total
-        violation = max(0.0, -slack)
-        trace.append(StageRecord(stage, mu, zeta, p_new, delta, violation, iters, inner_ok))
-        mu, zeta = update_multipliers(mu, zeta, slack)
-        p = p_new
-        if inner_ok and delta <= POWER_TOL and violation <= FEAS_TOL:
-            converged = True
-            break
-
-    projected = 0.0 < violation <= PROJECT_TOL
-    if projected:
-        p = p * (realization.p_max / total)
-        violation = 0.0
-    return PowerSolveResult(
-        p=p, rate_sum=obj.rate_sum(p), trace=trace, converged=converged, violation=violation,
-        projected=projected,
-    )
+    def grad(self, *args):
+        raise AssertionError("the retired power solver was called")
 
 
 @functools.lru_cache(maxsize=256)
@@ -340,8 +188,8 @@ def solve_power(realization, eps, omega) -> PowerSolveResult:
     p by more than POWER_TOL, and True for a vertex or zero power.
 
     The augmented-Lagrangian run that this replaced kept the wrong set of
-    transmitting users on about one default trial in five; its code stays
-    in the module only for the benchmark's hooks (see the module docstring).
+    transmitting users on about one default trial in five; only its hooked
+    names remain (see the module docstring).
 
     At omega == 0 the objective is identically zero, every feasible p is
     optimal, and water-filling is returned, converged.

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,17 +9,11 @@ from fblopt.harness import default_config
 from fblopt.kernels import EPS_FLOOR, dispersion_coeff, q_inverse, rate_term
 import fblopt.power
 from fblopt.power import (
-    MU0,
-    ZETA0,
-    _alm_run,
     closed_supports,
-    _PowerObjective,
-    _spg,
     equal_power,
     simplex_grid,
     solve_power,
     sr_infinity,
-    update_multipliers,
     water_filling,
 )
 from oracles import power_grid_oracle, power_support_oracle
@@ -118,151 +110,7 @@ class TestSrInfinity:
             assert sr >= raw - 1e-12
 
 
-class TestAugmentedLagrangian:
-    def setup_method(self):
-        self.r = make_realization([1.0, 2.0], p_max=2.0)
-        self.eps = np.array([1e-4, 1e-4])
-        self.sr = sr_infinity(self.r.gamma, self.r.p_max)
-        self.obj = _PowerObjective(self.r, self.eps, 0.7)
-
-    def test_no_penalty_when_slack_and_zero_multiplier(self):
-        p = np.array([0.5, 0.5])
-        val = self.obj.value(p, 1.0, 0.0)
-        assert val == pytest.approx(rate_value(self.r, p, self.eps, 0.7, self.sr), abs=1e-14)
-
-    def test_penalty_zero_at_exact_budget(self):
-        p = np.array([1.0, 1.0])
-        val = self.obj.value(p, 1.0, 0.15)
-        assert val == pytest.approx(rate_value(self.r, p, self.eps, 0.7, self.sr), abs=1e-14)
-
-    def test_penalty_for_violation(self):
-        p = np.array([1.0, 1.35])  # budget exceeded by 0.35
-        val = self.obj.value(p, 1.0, 0.15)
-        expected = rate_value(self.r, p, self.eps, 0.7, self.sr) - 0.11375
-        assert val == pytest.approx(expected, abs=1e-14)
-
-    def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(8)
-        for _ in range(30):
-            n = int(rng.integers(1, 5))
-            gamma = rng.exponential(1.0, n) + 0.1
-            r = make_realization(gamma, p_max=rng.uniform(1.0, 6.0))
-            eps = rng.uniform(1e-5, 1e-2, n)
-            omega = rng.uniform(0.1, 1.0)
-            mu = rng.uniform(0.5, 50.0)
-            zeta = rng.uniform(0.0, 1.0)
-            p = rng.uniform(0.05, 2.0, n)
-            # keep clear of the penalty kink so central differences are valid
-            if abs(zeta - mu * (r.p_max - p.sum())) < 1e-2:
-                p = p + 0.1
-            obj = _PowerObjective(r, eps, omega)
-            g = obj.grad(p, mu, zeta)
-            fd = np.empty(n)
-            for i in range(n):
-                h = 1e-6 * max(abs(p[i]), 1.0)
-                hi, lo = p.copy(), p.copy()
-                hi[i] += h
-                lo[i] -= h
-                fd[i] = (obj.value(hi, mu, zeta) - obj.value(lo, mu, zeta)) / (2 * h)
-            assert np.max(np.abs(g - fd)) <= 1e-5
-
-    def test_subnormal_start_raises_no_warning(self):
-        # s = gamma * 5e-324 leaves a dispersion of exactly zero, and the
-        # gradient step sends the user to zero
-        r = make_realization([0.8, 1.3], p_max=3.0)
-        obj = _PowerObjective(r, np.array([1e-4, 5e-4]), 0.8)
-        p0 = np.array([5e-324, 1.0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            run = _alm_run(obj, r, p0)
-        assert run.converged and run.p[0] == 0.0
-        assert run.p[1] == pytest.approx(r.p_max, rel=1e-6)
-
-    def test_tiny_start_gradient_does_not_overflow_norm(self):
-        # at p = 1e-320 the dispersion is about 1e-161, so the slope of the
-        # first user is about 1e161 and its square overflows; the inner
-        # solve's convergence test must not square it
-        r = make_realization([0.8, 1.3], p_max=3.0)
-        obj = _PowerObjective(r, np.array([1e-4, 5e-4]), 0.8)
-        p0 = np.array([1e-320, 1.0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            run = _alm_run(obj, r, p0)
-        assert run.converged and run.p[0] == 0.0
-        assert run.p[1] == pytest.approx(r.p_max, rel=1e-6)
-
-    @staticmethod
-    def reference_grad(r, eps, omega, sr, mu, zeta, p):
-        # the gradient written out from its formula
-        gamma, L = r.gamma, r.block_length
-        qinv = q_inverse(np.maximum(eps, EPS_FLOOR))
-        s = gamma * p
-        one = 1.0 + s
-        disp = dispersion_coeff(s, L)
-        safe = np.where(disp > 0.0, disp, 1.0)
-        slope = np.where(disp > 0.0, qinv * gamma / (L * one**3 * safe), 1e30)
-        v = max(0.0, zeta - mu * (r.p_max - float(np.sum(p))))
-        return (omega / sr) * (gamma / one - slope) - v
-
-    @pytest.mark.parametrize("n", [1, 2, 4, 12])
-    def test_grad_after_value_is_fresh_grad(self, n):
-        rng = np.random.default_rng(100 + n)
-        for _ in range(25):
-            gamma = rng.exponential(1.0, n) + 0.05
-            r = make_realization(gamma, p_max=rng.uniform(0.5, 8.0), L=int(rng.integers(100, 2000)))
-            eps = rng.uniform(1e-6, 1e-2, n)
-            omega, sr = rng.uniform(0.1, 1.0), sr_infinity(gamma, r.p_max)
-            mu, zeta = rng.uniform(0.5, 1e4), rng.uniform(0.0, 1.0)
-            p = rng.uniform(0.0, 2.0 * r.p_max / n, n)
-            p[rng.random(n) < 0.3] = 0.0
-            obj = _PowerObjective(r, eps, omega)
-            f = obj.value(p, mu, zeta)
-            g = obj.grad(p, mu, zeta)
-            assert f == _PowerObjective(r, eps, omega).value(p, mu, zeta)
-            assert np.array_equal(g, _PowerObjective(r, eps, omega).grad(p, mu, zeta))
-            assert np.array_equal(g, self.reference_grad(r, eps, omega, sr, mu, zeta, p))
-
-
-def assert_same_run(a, b):
-    assert np.array_equal(a.p, b.p)
-    assert (a.rate_sum, a.converged, a.violation, a.projected) == (
-        b.rate_sum, b.converged, b.violation, b.projected
-    )
-    assert len(a.trace) == len(b.trace)
-    for x, y in zip(a.trace, b.trace):
-        assert np.array_equal(x.p, y.p)
-        assert (x.stage, x.mu, x.zeta, x.delta_p, x.violation, x.inner_iterations, x.inner_converged) == (
-            y.stage, y.mu, y.zeta, y.delta_p, y.violation, y.inner_iterations, y.inner_converged
-        )
-
-
 class TestStartReuse:
-    @pytest.mark.parametrize("n", [4, 12])
-    def test_run_ignores_users_outside_start_support(self, n):
-        # a user at zero power in a run's start stays at exactly zero, which
-        # is why the warm run cannot switch users on: a run from a vertex or
-        # from zero is bitwise the same whatever the other users' gains and
-        # eps, at the same omega / sr_inf (r2 is given r1's normalizer)
-        rng = np.random.default_rng(7 * n)
-        for _ in range(3):
-            gamma = rng.exponential(1.0, n) + 0.05
-            p_max, L = rng.uniform(0.5, 16.0), int(rng.integers(100, 2000))
-            eps = rng.uniform(1e-6, 1e-2, n)
-            omega, sr = rng.uniform(0.1, 1.0), sr_infinity(gamma, p_max)
-            starts = [np.zeros(n)] + [np.eye(n)[i] * p_max for i in range(n)]
-            for p0 in starts:
-                off = p0 == 0.0
-                gamma2, eps2 = gamma.copy(), eps.copy()
-                gamma2[off] = rng.exponential(1.0, off.sum()) + 0.05
-                eps2[off] = rng.uniform(1e-6, 1e-2, off.sum())
-                r1 = make_realization(gamma, p_max, L)
-                r2 = make_realization(gamma2, p_max, L)
-                r2.__dict__["sr_inf"] = r1.sr_inf  # where the cached property keeps it
-                assert r1.sr_inf == sr
-                obj1 = _PowerObjective(r1, eps, omega)
-                obj2 = _PowerObjective(r2, eps2, omega)
-                assert_same_run(_alm_run(obj1, r1, p0), _alm_run(obj2, r2, p0))
-
     @pytest.mark.parametrize("n", [1, 4, 12])
     def test_rate_sum_is_rate_term_sum(self, n):
         # the joint solver scores each iterate with the returned rate_sum, so
@@ -285,73 +133,7 @@ class TestStartReuse:
             assert res2.rate_sum == expected(r, res2.p, eps2)
 
 
-class TestInnerMaximize:
-    def test_single_user_matches_line_search(self):
-        r = make_realization([1.5], p_max=3.0)
-        eps = np.array([1e-3])
-        mu, zeta = 64.0, 0.0
-        obj = _PowerObjective(r, eps, 0.9)
-        p, converged, _ = _spg(obj, mu, zeta, np.array([1.0]))
-        grid = np.linspace(0.0, 2 * r.p_max, 100_000)
-        # obj.value on every grid point at once: its rate term and penalty,
-        # elementwise, in the same order
-        v = np.maximum(0.0, zeta - mu * (r.p_max - grid))
-        vals = obj.scale * rate_term(obj.gamma * grid, obj.L, obj.qinv) - (v * v - zeta * zeta) / (2.0 * mu)
-        at = int(np.argmax(vals))
-        for i in (at, 0, 1, 12_345, 50_000, 99_999):
-            assert vals[i] == obj.value(grid[i : i + 1], mu, zeta)
-        best = grid[at]
-        assert converged
-        assert p[0] == pytest.approx(best, abs=1e-3)
-        # large penalty pins the maximizer near the budget
-        assert p[0] == pytest.approx(r.p_max, abs=0.05)
-
-    def test_symmetric_users_stay_symmetric(self):
-        r = make_realization([1.2, 1.2], p_max=2.0)
-        eps = np.array([1e-4, 1e-4])
-        p, _, _ = _spg(_PowerObjective(r, eps, 0.8), 4.0, 0.15, np.array([1.0, 1.0]))
-        assert abs(p[0] - p[1]) <= 1e-6
-
-    def test_gradient_small_at_solution(self):
-        r = make_realization([0.9, 1.7], p_max=3.0)
-        eps = np.array([1e-4, 5e-4])
-        p, converged, _ = _spg(_PowerObjective(r, eps, 0.7), 8.0, 0.15, np.array([1.5, 1.5]))
-        assert converged
-        g = _PowerObjective(r, eps, 0.7).grad(p, 8.0, 0.15)
-        proj = np.where(p > 0, g, np.maximum(g, 0.0))
-        assert np.linalg.norm(proj) <= 1e-6
-
-
-class TestUpdateMultipliers:
-    # slack is P_max - sum p
-    def test_slack_reduces_multiplier(self):
-        mu, zeta = update_multipliers(1.0, 0.15, 1.0 - 0.95)
-        assert zeta == pytest.approx(0.10, abs=1e-15)
-        assert mu == 2.0
-
-    def test_zero_multiplier_stays_zero_under_slack(self):
-        mu, zeta = update_multipliers(4.0, 0.0, 2.0 - 1.0)
-        assert zeta == 0.0
-        assert mu == 8.0
-
-    def test_violation_raises_multiplier(self):
-        mu, zeta = update_multipliers(1.0, 0.0, 1.0 - 1.2)
-        assert zeta == pytest.approx(0.2, abs=1e-15)
-
-
 class TestSolvePower:
-    def test_defaults_match_multiplier_seeds(self):
-        assert MU0 == 1.0 and ZETA0 == 0.15
-
-    def test_mu_trace_doubles_exactly(self):
-        # solve_power no longer runs the augmented Lagrangian; its run is
-        # checked directly
-        r = make_realization([0.8, 1.3], p_max=3.0)
-        eps = np.array([1e-4, 5e-4])
-        res = _alm_run(_PowerObjective(r, eps, 0.8), r, r.p_wf)
-        mus = [rec.mu for rec in res.trace]
-        assert len(mus) > 1 and mus == [1.0 * 2**l for l in range(len(mus))]
-
     def test_feasible_at_convergence(self):
         rng = np.random.default_rng(19)
         for _ in range(20):
@@ -444,28 +226,16 @@ class TestSolvePower:
                 r = make_realization(rng.exponential(1.0, n) + 0.05, 10 ** rng.uniform(-1.0, 1.2))
                 eps = rng.uniform(1e-6, 1e-2, n)
                 res = solve_power(r, eps, 0.8)
-                assert res.trace == [] and res.violation == 0.0 and not res.projected
                 assert np.all(res.p >= 0.0) and np.sum(res.p) <= r.p_max * (1 + 1e-12)
                 assert res.rate_sum == rate_value(r, res.p, eps, 1.0, 1.0)
-
-    def test_stalled_inner_solve_is_not_converged(self, monkeypatch):
-        # with every line search failing, each stage's inner solve stops
-        # without moving: a zero power change is a stall, not convergence
-        monkeypatch.setattr(fblopt.power, "_armijo", lambda *args: None)
-        r = make_realization([0.8, 1.3], p_max=3.0)
-        obj = _PowerObjective(r, np.array([1e-4, 5e-4]), 0.8)
-        run = _alm_run(obj, r, r.p_wf)
-        assert not any(stage.inner_converged for stage in run.trace)
-        assert len(run.trace) == fblopt.power.MAX_STAGES
-        assert not run.converged
 
     def test_omega_zero_returns_start(self):
         # every p is optimal at omega == 0, so water-filling is the answer
         r = make_realization([0.5, 2.0], p_max=3.0)
         eps = np.array([1e-4, 1e-4])
         res = solve_power(r, eps, 0.0)
-        assert res.p is r.p_wf and res.converged and res.trace == []
-        assert res.rate_sum == _PowerObjective(r, eps, 0.0).rate_sum(r.p_wf)
+        assert res.p is r.p_wf and res.converged
+        assert res.rate_sum == rate_value(r, r.p_wf, eps, 1.0, 1.0)
         with pytest.raises(ValueError, match="omega"):
             solve_power(r, eps, -0.1)
 
