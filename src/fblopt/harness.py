@@ -6,6 +6,9 @@ schemes, aggregates per-cell statistics, and emits deterministic CSV plus a
 run manifest. The work item is one trial: it draws the channel once, as a
 pure function of (master_seed, trial_index), and evaluates every cell and
 scheme on that draw into one (sum rate, max eps, throughput) row per cell.
+The rows of wf_minmax and proposedpower_minmax read omega only through
+solve_power's omega == 0 branch, so each is evaluated once per (L, p_max)
+and sign of omega, and its row is copied into the draw's other omega cells.
 With n_jobs > 1 the trials are split into min(n_jobs, n_trials) strided
 shares; the parent process runs one share itself and one worker process
 runs each other share, so a run starts at most n_trials - 1 processes. The
@@ -16,7 +19,6 @@ and failure budgets are judged after all trials have run.
 """
 
 import configparser
-import csv
 import hashlib
 import json
 import logging
@@ -38,6 +40,8 @@ from .power import equal_power, solve_power
 logger = logging.getLogger("fblopt")
 
 SCHEMES = ("proposed", "wf_minmax", "proposedpower_minmax", "equalpower_opteps")
+# schemes whose CSV row reads omega only through solve_power's omega == 0 branch
+OMEGA_FREE = ("wf_minmax", "proposedpower_minmax")
 
 # fraction of failed trials above which a cell is considered broken
 FAILURE_BUDGET = 0.01
@@ -184,9 +188,13 @@ def _run_trial(config, profile, trial):
     """One trial's (sum_rate, max_eps, throughput) row per _columns entry,
     a (columns, 3) array. The gains are drawn once, from (master_seed,
     trial) alone, and each cell is built from that draw with its own budget
-    and length, so comparisons across cells are paired. A row stays NaN
-    when its evaluation raised ValueError or ArithmeticError (logged) or
-    the joint solve reported not_converged."""
+    and length, so comparisons across cells are paired. A scheme in
+    OMEGA_FREE is evaluated at its first cell of each (L, p_max, omega > 0),
+    and that row is copied into the key's later cells: their CSV columns
+    would be the same bits. A row stays NaN when its evaluation raised
+    ValueError or ArithmeticError (logged once, naming the cell it was
+    evaluated for) or the joint solve reported not_converged; a shared
+    row's failure fails every cell it serves."""
     seed = np.random.SeedSequence([config.master_seed, trial])
     gamma = sample_realization(config.links, config.noise_power, seed, fading=config.fading)
     realizations = {
@@ -195,7 +203,14 @@ def _run_trial(config, profile, trial):
     }
     columns = list(_columns(config))
     results = np.full((len(columns), 3), np.nan)
+    shared = {}
     for row, (omega, length, p_max, scheme) in zip(results, columns):
+        key = scheme, length, p_max, omega > 0
+        if key in shared:
+            row[:] = shared[key]
+            continue
+        if scheme in OMEGA_FREE:
+            shared[key] = row  # a view of results, filled by the evaluation below
         realization = realizations[length, p_max]
         try:
             if scheme == "exhaustive":
@@ -347,19 +362,6 @@ def emit_csv(rows, path):
                 fh.write(",".join(cells) + "\n")
     except OSError as exc:
         raise OSError(f"failed writing CSV to {path}: {exc}") from exc
-
-
-def read_rows(path):
-    """Parse a CSV produced by emit_csv back into ResultRow objects, each
-    column with its field's type; a header other than CSV_COLUMNS, or a row
-    of another length, raises ValueError."""
-    types = [f.type for f in fields(ResultRow)]
-    with open(path, encoding="utf-8", newline="") as fh:
-        records = csv.reader(fh)
-        header = tuple(next(records, ()))
-        if header != CSV_COLUMNS:
-            raise ValueError(f"{path}: header {header} is not {CSV_COLUMNS}")
-        return [ResultRow(*(t(v) for t, v in zip(types, rec, strict=True))) for rec in records]
 
 
 def config_hash(config: ScenarioConfig) -> str:

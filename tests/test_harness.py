@@ -1,13 +1,15 @@
+import csv
 import hashlib
 import itertools
 import json
+import logging
 import math
 import multiprocessing
 import os
 import re
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,9 @@ import fblopt.harness
 import fblopt.joint
 import fblopt.power
 from fblopt.harness import (
+    CSV_COLUMNS,
     MAX_GAIN,
+    OMEGA_FREE,
     ResultRow,
     SCHEMES,
     ScenarioConfig,
@@ -30,7 +34,6 @@ from fblopt.harness import (
     default_config,
     emit_csv,
     load_config_file,
-    read_rows,
     run_scenario,
     scheme_dispatch,
     write_manifest,
@@ -40,6 +43,19 @@ from fblopt.power import equal_power, water_filling
 
 PAPER_CAPS = (1e-5, 5e-5, 1e-4, 5e-4)
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def read_rows(path):
+    """Parse a CSV produced by emit_csv back into ResultRow objects, each
+    column with its field's type; a header other than CSV_COLUMNS, or a row
+    of another length, raises ValueError."""
+    types = [f.type for f in fields(ResultRow)]
+    with open(path, encoding="utf-8", newline="") as fh:
+        records = csv.reader(fh)
+        header = tuple(next(records, ()))
+        if header != CSV_COLUMNS:
+            raise ValueError(f"{path}: header {header} is not {CSV_COLUMNS}")
+        return [ResultRow(*(t(v) for t, v in zip(types, rec, strict=True))) for rec in records]
 
 
 def file_hash(path):
@@ -67,6 +83,18 @@ def tiny_config(**overrides):
     base = dict(n_trials=8, schemes=SCHEMES, master_seed=777)
     base.update(overrides)
     return default_config(**base)
+
+
+def sweep_config(**overrides):
+    """Every scheme on both omega sign classes, two lengths and two budgets."""
+    base = dict(n_trials=4, omega_grid=(0.0, 0.3, 0.9, 1.0), l_grid=(100, 200), p_max_grid=(0.0, 6.0))
+    base.update(overrides)
+    return tiny_config(**base)
+
+
+def bits(rows):
+    """Each row's values, every float as its exact hex form."""
+    return [tuple(v.hex() if isinstance(v, float) else v for v in astuple(r)) for r in rows]
 
 
 class TestSchemeDispatch:
@@ -320,12 +348,82 @@ class TestRunScenario:
         assert counts == {"sample": cfg.n_trials, "from_caps": 1}
         assert sorted(seen) == list(range(cfg.n_trials))
         for trial, calls in seen.items():
-            assert len(calls) == 16
+            # 8 from equalpower_opteps, one per cell, and 4 from wf_minmax, one
+            # per (L, p_max): its row is shared by both omega > 0 cells
+            assert len(calls) == 12
             rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, trial]))
             expected = real_sample(cfg.links, 1.0, rng)
             assert all(np.array_equal(gamma, expected) for gamma, _, _ in calls)
             cells = {(length, p_max) for _, length, p_max in calls}
             assert cells == {(l, 10.0 ** (p / 10.0)) for l in (100, 200) for p in (0.0, 6.0)}
+
+    def test_shared_rows_same_bits_as_every_cell_dispatched(self):
+        # the reference dispatches every (scheme, cell) of every trial
+        cfg = sweep_config()
+        profile = SortedQosProfile.from_caps([l.eps_max for l in cfg.links])
+        columns = {}
+        for trial in range(cfg.n_trials):
+            seed = np.random.SeedSequence([cfg.master_seed, trial])
+            gamma = sample_realization(cfg.links, cfg.noise_power, seed)
+            for omega, length, p_max, scheme in itertools.product(
+                cfg.omega_grid, cfg.l_grid, cfg.p_max_grid, cfg.schemes
+            ):
+                r = NetworkRealization(gamma, cfg.p_max_linear(p_max), length)
+                rep = scheme_dispatch(scheme, r, profile, omega)
+                columns.setdefault((scheme, omega, length, p_max), []).append(
+                    (rep.sum_rate, rep.max_eps, rep.throughput)
+                )
+        expected = bits(_aggregate(np.array(columns[key]), *key, cfg) for key in sorted(columns))
+        assert len(expected) == 4 * 2 * 2 * len(SCHEMES)
+        for jobs in (1, 2):
+            assert bits(run_scenario(replace(cfg, n_jobs=jobs))) == expected
+
+    def test_omega_free_schemes_dispatch_once_per_sign(self, monkeypatch):
+        real, calls = fblopt.harness.scheme_dispatch, []
+
+        def dispatch(scheme, realization, profile, omega):
+            calls.append((scheme, realization.block_length, realization.p_max, omega > 0))
+            return real(scheme, realization, profile, omega)
+
+        monkeypatch.setattr(fblopt.harness, "scheme_dispatch", dispatch)
+        cfg = sweep_config(n_trials=2)
+        run_scenario(cfg)
+        assert set(OMEGA_FREE) < set(SCHEMES)
+        for scheme in SCHEMES:
+            mine = [call[1:] for call in calls if call[0] == scheme]
+            if scheme in OMEGA_FREE:
+                # once per (L, p_max) and sign of omega in each trial
+                assert len(mine) == cfg.n_trials * 2 * 2 * 2
+                assert len(set(mine)) == 2 * 2 * 2
+            else:
+                assert len(mine) == cfg.n_trials * 4 * 2 * 2
+
+    def test_shared_failure_fails_every_cell_it_serves(self, monkeypatch, caplog):
+        real = fblopt.harness.scheme_dispatch
+
+        def dispatch(scheme, realization, profile, omega):
+            if scheme == "wf_minmax" and realization.block_length == 100:
+                raise FloatingPointError("overflow")
+            return real(scheme, realization, profile, omega)
+
+        monkeypatch.setattr(fblopt.harness, "scheme_dispatch", dispatch)
+        cfg = tiny_config(
+            schemes=("wf_minmax", "equalpower_opteps"), omega_grid=(0.3, 0.6, 0.9), l_grid=(100, 200), n_trials=4
+        )
+        profile = SortedQosProfile.from_caps([l.eps_max for l in cfg.links])
+        with caplog.at_level(logging.ERROR, logger="fblopt"):
+            results = _run_trial(cfg, profile, 0)
+        failed = [
+            (scheme, length) == ("wf_minmax", 100)
+            for _, length, _, scheme in fblopt.harness._columns(cfg)
+        ]
+        assert np.isnan(results[failed]).all() and np.isfinite(results[np.logical_not(failed)]).all()
+        assert sum(failed) == 3
+        # logged once, naming the cell the shared row was evaluated for
+        (record,) = caplog.records
+        assert record.getMessage() == "trial 0 of cell ('wf_minmax', 0.3, 100, 6.0) failed"
+        with pytest.raises(RuntimeError, match=r"cell \(wf_minmax, omega=0\.3, L=100, p_max=6\.0\): 4/4"):
+            run_scenario(cfg)
 
     def test_sr_infinity_once_per_realization(self, monkeypatch):
         cfg = tiny_config(
@@ -401,14 +499,16 @@ class TestRunScenario:
     def test_failure_budget_names_failing_cell(self, monkeypatch):
         real = fblopt.harness.scheme_dispatch
 
+        # equalpower_opteps reads omega, so each of its cells is dispatched;
+        # wf_minmax's cells at 0.5 and 0.9 share the row evaluated at 0.1
         def dispatch(scheme, realization, profile, omega, *args):
-            if omega == 0.5:
+            if scheme == "equalpower_opteps" and omega == 0.5:
                 raise FloatingPointError("overflow")
             return real(scheme, realization, profile, omega, *args)
 
         monkeypatch.setattr(fblopt.harness, "scheme_dispatch", dispatch)
-        cfg = tiny_config(schemes=("wf_minmax",), omega_grid=(0.1, 0.5, 0.9), n_trials=4)
-        with pytest.raises(RuntimeError, match=r"cell \(wf_minmax, omega=0\.5, L=200, p_max=6\.0\): 4/4"):
+        cfg = tiny_config(schemes=("wf_minmax", "equalpower_opteps"), omega_grid=(0.1, 0.5, 0.9), n_trials=4)
+        with pytest.raises(RuntimeError, match=r"cell \(equalpower_opteps, omega=0\.5, L=200, p_max=6\.0\): 4/4"):
             run_scenario(cfg)
 
     def test_non_finite_report_fails_trial(self, monkeypatch):

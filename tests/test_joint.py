@@ -461,6 +461,10 @@ JOINT_SHORTFALLS = [
     (70, 100, 12.0, 0.5, 3.84e-6),
     (217, 200, 6.0, 0.8, 1.229e-5),
     (208, 1600, 6.0, 0.9, 1e-5),
+    (669, 200, 6.0, 0.8, 1e-5),
+    (919, 200, 6.0, 0.8, 1e-5),
+    (554, 800, 6.0, 0.9, 1e-5),
+    (914, 800, 6.0, 0.9, 1e-5),
 ]
 
 
