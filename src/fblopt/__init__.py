@@ -1,7 +1,7 @@
 """Joint error-probability and power optimization for finite-blocklength
 multi-user downlinks: closed-form error assignment, exact power
-allocation for fixed errors, an alternating joint solver, baselines, and the
-exhaustive grid oracle behind the --oracle rows.
+allocation for fixed errors, an alternating joint solver, baselines, and,
+in fblopt.oracle, the exhaustive grid oracle behind the --oracle rows.
 """
 
 from .kernels import (
@@ -16,20 +16,18 @@ from .error_assignment import SortedQosProfile, optimal_errors
 from .power import (
     PowerSolveResult,
     equal_power,
-    simplex_grid,
     solve_power,
     sr_infinity,
     water_filling,
 )
 from .joint import (
-    OracleGrid,
     SolveReport,
-    exhaustive_oracle,
     solve_joint,
     sum_throughput,
     u2,
     weighted_objective,
 )
+from .oracle import OracleGrid, exhaustive_oracle, simplex_grid
 from .harness import (
     ResultRow,
     ScenarioConfig,

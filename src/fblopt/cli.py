@@ -16,7 +16,7 @@ from .harness import (
     run_scenario,
     write_manifest,
 )
-from .joint import OracleGrid
+from .oracle import MAX_ORACLE_USERS, OracleGrid
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         nargs=2,
         metavar=("P_POINTS", "EPS_POINTS"),
-        help="also run the exhaustive grid oracle (3 users max)",
+        help=f"also run the exhaustive grid oracle ({MAX_ORACLE_USERS} users max)",
     )
     parser.add_argument(
         "--jobs", dest="n_jobs", type=int,

@@ -115,9 +115,11 @@ def beta_k(realization, p, profile, omega, k):
     return _level_of_tail(realization, profile, omega)(tail), tail == 0.0
 
 
-def _check(realization, profile, omega):
+def check_inputs(realization, profile, omega):
+    """Raise ValueError unless omega lies in [0, 1] and the profile and the
+    realization agree on the user count."""
     if not 0.0 <= omega <= 1.0:
-        raise ValueError("omega must lie in [0, 1] for the error subproblem")
+        raise ValueError("omega must lie in [0, 1]")
     if profile.n_users != realization.n_users:
         raise ValueError("profile and realization disagree on user count")
 
@@ -156,7 +158,7 @@ def optimal_errors(realization, p, profile, omega) -> np.ndarray:
     """Closed-form minimizer of the fixed-power error subproblem: the error
     probabilities in original user order, min(cap_i, z), whose max is the
     level z that _scan picks from the branch levels beta_k at p."""
-    _check(realization, profile, omega)
+    check_inputs(realization, profile, omega)
     level = _level_of_tail(realization, profile, omega)
     z = _scan(profile.eps_max_sorted, omega, map(level, _tails(realization, p, profile)))
     return errors_at_level(profile, z)
@@ -172,7 +174,7 @@ def corner_levels(realization, profile, omega) -> list:
     _scan reads level(d_i) j+1 times, then the zero-tail level (all of them
     at zero power): O(N) per corner, with no vector work.
     """
-    _check(realization, profile, omega)
+    check_inputs(realization, profile, omega)
     caps = profile.eps_max_sorted
     level = _level_of_tail(realization, profile, omega)
     zero = level(0.0)
@@ -182,18 +184,3 @@ def corner_levels(realization, profile, omega) -> list:
         _scan(caps, omega, [level(tail)] * (j + 1) + [zero]) for tail, j in zip(tails, slot)
     ]
 
-
-def z_sweep(caps, points):
-    """Per-user log grids of `points` values on (EPS_FLOOR, cap_i], and the
-    sweep of the max level z over the union of those grids.
-
-    For a given z every user's best grid point is its largest one <= z,
-    because Qinv decreases in eps, so the sweep attains the best point of
-    the full Cartesian product grid. Returns (grids, z candidates, index of
-    each user's point per z as an (n, len(z)) array clipped at 0, mask of
-    the z where every user has a point <= z).
-    """
-    grids = [np.geomspace(EPS_FLOOR, cap, points + 1)[1:] for cap in caps]
-    z_cand = np.unique(np.concatenate(grids))
-    idx = np.array([np.searchsorted(g, z_cand, side="right") - 1 for g in grids])
-    return grids, z_cand, np.clip(idx, 0, None), np.all(idx >= 0, axis=0)

@@ -34,7 +34,8 @@ import numpy.random  # numpy loads it lazily: load it before the workers fork, n
 
 from .channel import MAX_BLOCK_LENGTH, NetworkRealization, UserLink, mean_gain, sample_realization
 from .error_assignment import SortedQosProfile, errors_at_level, optimal_errors
-from .joint import OracleGrid, exhaustive_oracle, make_report, solve_joint
+from .joint import make_report, solve_joint
+from .oracle import MAX_ORACLE_USERS, OracleGrid, exhaustive_oracle
 from .power import equal_power, solve_power
 
 logger = logging.getLogger("fblopt")
@@ -102,8 +103,8 @@ class ScenarioConfig:
             raise ValueError(f"block lengths must be integers in [2, 2**63 - 1]: {self.l_grid}")
         if not self.schemes or not set(self.schemes) <= set(SCHEMES):
             raise ValueError(f"schemes must be a nonempty subset of {SCHEMES}: {self.schemes}")
-        if self.oracle is not None and len(self.links) > 3:
-            raise ValueError("exhaustive oracle rows require 3 users or fewer")
+        if self.oracle is not None and len(self.links) > MAX_ORACLE_USERS:
+            raise ValueError(f"exhaustive oracle rows require {MAX_ORACLE_USERS} users or fewer")
 
     def p_max_linear(self, value) -> float:
         """Linear power budget of a p_max_grid value, which is in dB."""

@@ -1,15 +1,14 @@
 """Alternating joint optimization of error probabilities and powers,
-normalized objective evaluation, throughput metric, and the exhaustive
-grid-search oracle used to validate the solver at small user counts.
+normalized objective evaluation and the throughput metric.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .error_assignment import corner_levels, errors_at_level, optimal_errors, z_sweep
-from .kernels import EPS_FLOOR, dispersion_coeff, length_offset, q_inverse, rate_term
-from .power import simplex_grid, solve_power
+from .error_assignment import check_inputs, corner_levels, errors_at_level, optimal_errors
+from .kernels import EPS_FLOOR, length_offset, q_inverse, rate_term
+from .power import solve_power
 
 MAX_ALTERNATIONS = 50
 EPS_TOL = 1e-9        # inf-norm change of eps between alternations
@@ -34,16 +33,6 @@ class SolveReport:
     iterations: int
     trace: list = field(default_factory=list)
     flags: list = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class OracleGrid:
-    p_points: int = 200
-    eps_points: int = 200
-
-    def __post_init__(self):
-        if self.p_points < 1 or self.eps_points < 1:
-            raise ValueError(f"oracle grid points must be >= 1: {self.p_points}, {self.eps_points}")
 
 
 def u2(max_eps, eps_max_overall) -> float:
@@ -104,15 +93,15 @@ def make_report(
     )
 
 
-def _alternate(realization, profile, omega, p0):
-    """One alternation run from a given initial power vector. Returns
+def _alternate(realization, profile, omega):
+    """One alternation run from water-filling. Returns
     (best objective, best p, best eps, trace, flags, iterations).
 
     The power problem is solved only when the level z differs from the
     previous round's: at the same z, bit for bit, the error vector is the
     same, so that round's solve is reused, and the round still adds its
     trace row."""
-    p = np.asarray(p0, dtype=float)
+    p = realization.p_wf
     z_prev = None
     p_prev = p
     best = None
@@ -178,17 +167,13 @@ def solve_joint(realization, profile, omega) -> SolveReport:
     sits at the floor, solve_power's explicit branch returns water-filling,
     and no corner beats it strictly.
     """
-    if not 0.0 <= omega <= 1.0:
-        raise ValueError("omega must lie in [0, 1]")
-    if profile.n_users != realization.n_users:
-        raise ValueError("profile and realization disagree on user count")
-
-    _, p, eps, trace, flags, iterations = _alternate(realization, profile, omega, realization.p_wf)
+    check_inputs(realization, profile, omega)
+    _, p, eps, trace, flags, iterations = _alternate(realization, profile, omega)
     best = make_report(
         realization, profile, p, eps, omega, iterations=iterations, trace=trace, flags=flags
     )
     levels = corner_levels(realization, profile, omega)
-    vertex_eps = np.minimum(profile.caps, levels[1:])
+    vertex_eps = errors_at_level(profile, np.array(levels[1:]))
     terms = rate_term(
         realization.gamma * realization.p_max, realization.block_length,
         q_inverse(np.maximum(vertex_eps, EPS_FLOOR)),
@@ -206,50 +191,3 @@ def solve_joint(realization, profile, omega) -> SolveReport:
         best = make_report(realization, profile, p, eps, omega, flags=["silent_start"])
     return best
 
-
-def exhaustive_oracle(realization, profile, omega, grid=None):
-    """Best weighted objective over the Cartesian product of a power simplex
-    grid and per-user log error grids. Guarded to N <= 3 users.
-
-    The error part is maximized exactly for each power point by sweeping the
-    max level z over the union of the user grids (z_sweep), which attains the
-    same maximum as enumerating the full product grid (verified against
-    naive enumeration in the tests).
-
-    Returns the make_report of the best grid point.
-    """
-    grid = grid or OracleGrid()
-    n = realization.n_users
-    if n > 3:
-        raise ValueError("exhaustive_oracle is guarded to 3 users or fewer")
-    if profile.n_users != n:
-        raise ValueError("profile and realization disagree on user count")
-
-    grids, z_cand, idx, feasible = z_sweep(profile.caps, grid.eps_points)
-    nz = z_cand.size
-    qbest = np.array([q_inverse(g[ix]) for g, ix in zip(grids, idx)])
-
-    # column value pieces independent of p
-    z_term = (1.0 - omega) * (1.0 - z_cand / profile.eps_max_overall)
-    z_term[~feasible] = -np.inf
-
-    pts = simplex_grid(n, realization.p_max, grid.p_points)
-    best_val = -np.inf
-    best_p = None
-    best_zi = None
-    chunk = 4096
-    for lo in range(0, pts.shape[0], chunk):
-        block = pts[lo : lo + chunk]
-        s = block * realization.gamma
-        a = dispersion_coeff(s, realization.block_length)
-        logsum = np.sum(np.log1p(s), axis=1)
-        vals = (omega / realization.sr_inf) * (logsum[:, None] - a @ qbest) + z_term[None, :]
-        flat = int(np.argmax(vals))
-        row, col = divmod(flat, nz)
-        if vals[row, col] > best_val:
-            best_val = float(vals[row, col])
-            best_p = block[row].copy()
-            best_zi = col
-
-    eps = np.array([g[idx[i, best_zi]] for i, g in enumerate(grids)])
-    return make_report(realization, profile, best_p, eps, omega)

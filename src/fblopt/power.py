@@ -187,10 +187,6 @@ def solve_power(realization, eps, omega) -> PowerSolveResult:
     its rate_sum. converged is False when the winning row's last step moved
     p by more than POWER_TOL, and True for a vertex or zero power.
 
-    The augmented-Lagrangian run that this replaced kept the wrong set of
-    transmitting users on about one default trial in five; only its hooked
-    names remain (see the module docstring).
-
     At omega == 0 the objective is identically zero, every feasible p is
     optimal, and water-filling is returned, converged.
     """
@@ -253,19 +249,3 @@ def solve_power(realization, eps, omega) -> PowerSolveResult:
         p[best - size.size] = p_max
     return PowerSolveResult(p=p, rate_sum=float(scores[best]), converged=True)
 
-
-def simplex_grid(n_users, p_max, points) -> np.ndarray:
-    """All points of the per-axis grid on [0, p_max]^n with sum <= p_max
-    (slight tolerance so the budget face itself is included), in
-    lexicographic order, built from the in-budget index tuples alone."""
-    if n_users > 3:
-        raise ValueError("simplex_grid is guarded to n_users <= 3")
-    axis = np.linspace(0.0, p_max, points)
-    idx = np.zeros((1, 0), dtype=int)
-    for _ in range(n_users):
-        # each prefix extends by every next index keeping its sum <= points - 1
-        counts = points - idx.sum(axis=1)
-        nxt = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        idx = np.column_stack([np.repeat(idx, counts, axis=0), nxt])
-    pts = axis[idx]
-    return pts[pts.sum(axis=1) <= p_max * (1.0 + 1e-12)]

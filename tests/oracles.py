@@ -11,10 +11,11 @@ import math
 
 import numpy as np
 
-from fblopt.error_assignment import _SQRT_2PI, errors_at_level, z_sweep
+from fblopt.error_assignment import _SQRT_2PI, errors_at_level
 from fblopt.joint import weighted_objective
 from fblopt.kernels import EPS_FLOOR, dispersion_coeff, q_inverse, rate_term
-from fblopt.power import simplex_grid, solve_power
+from fblopt.oracle import simplex_grid, z_sweep
+from fblopt.power import solve_power
 
 # absolute tolerance for detecting active constraints in the KKT checker
 _ACTIVE_TOL = 1e-11

@@ -16,8 +16,9 @@ from fblopt.error_assignment import (
     optimal_errors,
 )
 from fblopt.harness import default_config, emit_csv, run_scenario
-from fblopt.joint import OracleGrid, exhaustive_oracle, solve_joint
+from fblopt.joint import solve_joint
 from fblopt.kernels import achievable_rate, dispersion_coeff, q_function, q_inverse, rate_term
+from fblopt.oracle import OracleGrid, exhaustive_oracle
 from fblopt.power import solve_power, sr_infinity
 from oracles import grid_search_errors, kkt_residual, power_grid_oracle, subproblem_objective
 

@@ -38,7 +38,8 @@ from fblopt.harness import (
     scheme_dispatch,
     write_manifest,
 )
-from fblopt.joint import OracleGrid, solve_joint
+from fblopt.joint import solve_joint
+from fblopt.oracle import OracleGrid
 from fblopt.power import equal_power, water_filling
 
 PAPER_CAPS = (1e-5, 5e-5, 1e-4, 5e-4)

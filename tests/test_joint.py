@@ -7,12 +7,10 @@ import fblopt.joint
 import fblopt.kernels
 import fblopt.power
 from fblopt.channel import NetworkRealization, UserLink, sample_realization
-from fblopt.error_assignment import SortedQosProfile, optimal_errors
+from fblopt.error_assignment import SortedQosProfile, corner_levels, optimal_errors
 from fblopt.harness import default_config
 from fblopt.joint import (
-    OracleGrid,
     SolveReport,
-    exhaustive_oracle,
     make_report,
     solve_joint,
     sum_throughput,
@@ -27,7 +25,8 @@ from fblopt.kernels import (
     q_inverse,
     rate_term,
 )
-from fblopt.power import simplex_grid, sr_infinity, water_filling
+from fblopt.oracle import OracleGrid, exhaustive_oracle, simplex_grid
+from fblopt.power import sr_infinity, water_filling
 from oracles import level_objective
 
 PAPER_CAPS = (1e-5, 5e-5, 1e-4, 5e-4)
@@ -356,8 +355,8 @@ class TestSolveJoint:
         # the corners decide among themselves. Returns the cases won.
         real = fblopt.joint._alternate
 
-        def alternate(realization, profile, omega, p0):
-            run = real(realization, profile, omega, p0)
+        def alternate(realization, profile, omega):
+            run = real(realization, profile, omega)
             if feeble:
                 run = (run[0], np.zeros(realization.n_users), profile.caps, *run[3:])
             runs.append(run)
@@ -424,7 +423,7 @@ class TestSolveJoint:
             for omega in (0.0, 0.5, 0.9):
                 r = NetworkRealization(gamma, 10 ** 0.6, 200)
                 calls.clear()
-                _, _, _, trace, _, _ = fblopt.joint._alternate(r, prof, omega, r.p_wf)
+                _, _, _, trace, _, _ = fblopt.joint._alternate(r, prof, omega)
                 assert len(calls) == sum(d_eps != 0.0 for _, d_eps, _ in trace)
                 for prev, row in zip(trace, trace[1:]):
                     if row[1] == 0.0:
@@ -535,3 +534,26 @@ class TestExhaustiveOracle:
             omega, rate_sum(r, rep.p, rep.eps), sr, rep.eps.max(), prof.eps_max_overall
         )
         assert recomputed == pytest.approx(rep.objective, rel=1e-12)
+
+
+# every entry point that takes (realization, profile, omega), as one call each
+CHECKED_ENTRY_POINTS = {
+    "solve_joint": solve_joint,
+    "optimal_errors": lambda r, prof, omega: optimal_errors(r, r.p_wf, prof, omega),
+    "corner_levels": corner_levels,
+    "exhaustive_oracle": lambda r, prof, omega: exhaustive_oracle(r, prof, omega, OracleGrid(10, 10)),
+}
+
+
+@pytest.mark.parametrize(
+    "caps, omega",
+    [((1e-5, 1e-4, 5e-4), 0.5), ((1e-5, 1e-4), -0.1), ((1e-5, 1e-4), 1.5)],
+    ids=["users_disagree", "omega_below_0", "omega_above_1"],
+)
+@pytest.mark.parametrize("entry", list(CHECKED_ENTRY_POINTS))
+def test_rejects_bad_inputs(entry, caps, omega):
+    # a normalized objective cannot exceed 1, yet an unchecked oracle scores
+    # this instance at 1.2018 for omega = 1.5
+    r = NetworkRealization([1.0, 2.0], 4.0, 200)
+    with pytest.raises(ValueError):
+        CHECKED_ENTRY_POINTS[entry](r, SortedQosProfile.from_caps(caps), omega)

@@ -7,11 +7,11 @@ from fblopt.channel import NetworkRealization, sample_realization
 from fblopt.error_assignment import SortedQosProfile, errors_at_level
 from fblopt.harness import default_config
 from fblopt.kernels import EPS_FLOOR, dispersion_coeff, q_inverse, rate_term
+from fblopt.oracle import simplex_grid
 import fblopt.power
 from fblopt.power import (
     closed_supports,
     equal_power,
-    simplex_grid,
     solve_power,
     sr_infinity,
     water_filling,
