@@ -70,9 +70,12 @@ class ScenarioConfig:
     fading: bool = True  # False pins theta = 1, for hand-checkable runs
 
     def __post_init__(self):
-        # a library caller's lists become tuples, so equal configs compare and hash equal
-        for name in ("links", "p_max_grid", "l_grid", "omega_grid", "schemes"):
+        # a library caller's lists become tuples, so equal configs compare and hash
+        # equal, and x + 0 turns a grid's -0.0 into 0.0 (written 0), keeping ints ints
+        for name in ("links", "l_grid", "schemes"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
+        for name in ("p_max_grid", "omega_grid"):
+            object.__setattr__(self, name, tuple(x + 0 for x in getattr(self, name)))
         if self.n_jobs < 1:
             raise ValueError("n_jobs must be >= 1")
         if self.n_trials < 1:

@@ -159,35 +159,31 @@ def solve_joint(realization, profile, omega) -> SolveReport:
     assignment's own scan fed each vertex's branch levels, and they are
     scored from their objectives alone, the same bits as their reports':
     a vertex's rate sum is its one user's term, and zero power's is 0.
-    Only the best of them (the first on ties), and only if it beats the
-    alternation strictly, gets its error vector and a report, flagged
-    "silent_start".
 
-    At omega = 0, the pure reliability regime, every error probability
-    sits at the floor, solve_power's explicit branch returns water-filling,
-    and no corner beats it strictly.
+    One list is scored: the alternation's best objective, then zero power,
+    then the N vertices. Its first maximum wins, so a corner must beat the
+    alternation strictly, and the winner alone gets a report, a corner's
+    flagged "silent_start". At omega = 0 every error sits at the floor and
+    solve_power returns water-filling, which no corner beats strictly.
     """
     check_inputs(realization, profile, omega)
-    _, p, eps, trace, flags, iterations = _alternate(realization, profile, omega)
-    best = make_report(
-        realization, profile, p, eps, omega, iterations=iterations, trace=trace, flags=flags
-    )
+    objective, p, eps, trace, flags, iterations = _alternate(realization, profile, omega)
     levels = corner_levels(realization, profile, omega)
-    vertex_eps = errors_at_level(profile, np.array(levels[1:]))
     terms = rate_term(
         realization.gamma * realization.p_max, realization.block_length,
-        q_inverse(np.maximum(vertex_eps, EPS_FLOOR)),
+        q_inverse(errors_at_level(profile, np.array(levels[1:]))),
     )
     # a corner's max eps is its level, which never exceeds cap_N
-    scores = weighted_objective(
+    corners = weighted_objective(
         omega, np.append(0.0, terms), realization.sr_inf, np.array(levels), profile.eps_max_overall
     )
-    k = int(np.argmax(scores))
-    if scores[k] > best.objective:
+    k = int(np.argmax(np.append(objective, corners)))
+    if k:
         p = np.zeros(realization.n_users)
-        if k:
-            p[k - 1] = realization.p_max
-        eps = errors_at_level(profile, levels[k])
-        best = make_report(realization, profile, p, eps, omega, flags=["silent_start"])
-    return best
-
+        if k > 1:
+            p[k - 2] = realization.p_max
+        eps = errors_at_level(profile, levels[k - 1])
+        trace, flags, iterations = [], ["silent_start"], 1
+    return make_report(
+        realization, profile, p, eps, omega, iterations=iterations, trace=trace, flags=flags
+    )

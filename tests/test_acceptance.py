@@ -15,7 +15,7 @@ from fblopt.error_assignment import (
     SortedQosProfile,
     optimal_errors,
 )
-from fblopt.harness import default_config, emit_csv, run_scenario
+from fblopt.harness import _run_share, default_config, emit_csv, run_scenario
 from fblopt.joint import solve_joint
 from fblopt.kernels import achievable_rate, dispersion_coeff, q_function, q_inverse, rate_term
 from fblopt.oracle import OracleGrid, exhaustive_oracle
@@ -213,6 +213,31 @@ def test_criterion_08c_proposed_dominates_baselines(trend_rows):
     report("8c", ok, f"proposed {tp['proposed']:.4f} vs " + str(
         {k: round(v, 4) for k, v in others.items()}
     ))
+
+
+@pytest.mark.slow
+def test_criterion_08d_error_optimization_gain_falls_with_length():
+    # the abstract's claim on paired draws: choosing each user's error
+    # probability beats the same exact power solve with every error at the
+    # strictest cap, and the gain shrinks as the blocklength grows
+    lengths = (100, 200, 400, 800, 1600)
+    schemes = ("proposed", "proposedpower_minmax")
+    cfg = default_config(master_seed=20240, l_grid=lengths, schemes=schemes)
+    profile = SortedQosProfile.from_caps([l.eps_max for l in cfg.links])
+    # trial t draws from SeedSequence([20240, t]); columns run over L, then scheme
+    throughput = _run_share(cfg, profile, range(300))[:, :, 2].reshape(300, len(lengths), 2)
+    gains = throughput[:, :, 0] - throughput[:, :, 1]
+    steps = gains[:, :-1] - gains[:, 1:]
+    in_se = lambda d: d.mean(axis=0) / (d.std(axis=0, ddof=1) / np.sqrt(len(d)))
+    ok = all(in_se(gains) > 5) and all(in_se(steps) > 3)
+    per_length = zip(lengths, gains.mean(axis=0), in_se(gains))
+    report(
+        "8d",
+        ok,
+        "paired gains over proposedpower_minmax "
+        + ", ".join(f"L={l}: {g:.4f} ({s:.0f} SE)" for l, g, s in per_length)
+        + f"; steps at {['%.0f SE' % s for s in in_se(steps)]}",
+    )
 
 
 @pytest.mark.slow

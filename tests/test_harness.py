@@ -927,6 +927,26 @@ class TestCli:
         main([*argv, "--seed", "7"])
         assert read_rows(out)[0].seed == 7
 
+    def test_negative_zero_grid_values_write_as_zero(self, tmp_path):
+        # -0.0 equals 0.0 in every answer, so it must neither print as -0
+        # in the CSV nor give the manifest another config hash
+        from fblopt.cli import main
+
+        outputs = {}
+        for sign in ("-0", "0"):
+            out = tmp_path / f"zero{sign}.csv"
+            main(["--omega", sign, "--pmax-db", sign, "--trials", "2",
+                  "--schemes", "wf_minmax", "--out", str(out)])
+            manifest = Path(str(out) + ".manifest.txt").read_text().splitlines()
+            outputs[sign] = out.read_text(), manifest[0]
+        assert outputs["-0"][0].splitlines()[1].startswith("wf_minmax,0,200,0,")
+        assert outputs["-0"] == outputs["0"]
+        zero = default_config(omega_grid=(-0.0, 0.5), p_max_grid=(-0.0, 6))
+        assert [math.copysign(1.0, x) for x in zero.omega_grid + zero.p_max_grid] == [1.0] * 4
+        assert type(zero.p_max_grid[1]) is int and zero == default_config(
+            omega_grid=(0.0, 0.5), p_max_grid=(0.0, 6)
+        )
+
     def test_bad_values_rejected(self, tmp_path, monkeypatch):
         from fblopt.cli import main
 

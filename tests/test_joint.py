@@ -3,12 +3,13 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import fblopt.harness
 import fblopt.joint
 import fblopt.kernels
 import fblopt.power
 from fblopt.channel import NetworkRealization, UserLink, sample_realization
 from fblopt.error_assignment import SortedQosProfile, corner_levels, optimal_errors
-from fblopt.harness import default_config
+from fblopt.harness import SCHEMES, default_config, scheme_dispatch
 from fblopt.joint import (
     SolveReport,
     make_report,
@@ -315,9 +316,8 @@ class TestSolveJoint:
 
     def test_inversions_per_solve(self, monkeypatch):
         # the alternation scores each iterate with the power solve's rate
-        # sum; on the joint side the alternation's report inverts eps once,
-        # one call inverts the N vertices' own error probabilities, and a
-        # closed-form candidate's report, one more, is built only when it wins
+        # sum; on the joint side one call inverts the N vertices' own error
+        # probabilities and the one report, of whichever point won, one more
         calls = {"joint": 0, "power": 0, "solve_power": 0}
 
         def counted(module, name, key):
@@ -342,7 +342,7 @@ class TestSolveJoint:
         for r, prof, omega in cases:
             calls.update(joint=0, power=0, solve_power=0)
             won = "silent_start" in solve_joint(r, prof, omega).flags
-            assert calls["joint"] == 2 + won
+            assert calls["joint"] == 2
             assert calls["power"] == calls["solve_power"] >= 1
             wins += won
         assert wins == len(WEAK_CHANNELS)
@@ -351,14 +351,17 @@ class TestSolveJoint:
         # the corners are scored without their reports; the answer must be
         # the same bits as building every corner's report and taking the
         # first that beats the alternation's report strictly. feeble makes
-        # the alternation end at zero power with every user at its cap, so
-        # the corners decide among themselves. Returns the cases won.
+        # the alternation end at zero power with every user at its cap, with
+        # that point's objective, so the corners decide among themselves.
+        # Returns the cases won.
         real = fblopt.joint._alternate
 
         def alternate(realization, profile, omega):
             run = real(realization, profile, omega)
             if feeble:
-                run = (run[0], np.zeros(realization.n_users), profile.caps, *run[3:])
+                cap_n = profile.eps_max_overall
+                objective = weighted_objective(omega, 0.0, realization.sr_inf, cap_n, cap_n)
+                run = (objective, np.zeros(realization.n_users), profile.caps, *run[3:])
             runs.append(run)
             return run
 
@@ -370,6 +373,8 @@ class TestSolveJoint:
             rep = solve_joint(r, prof, omega)
             _, p, eps, trace, flags, iterations = runs[0]
             ref = make_report(r, prof, p, eps, omega, iterations=iterations, trace=trace, flags=flags)
+            # solve_joint scores the alternation by the objective it returns
+            assert runs[0][0] == ref.objective
             scores = self.closed_form_objectives(r, prof, omega)
             k = int(np.argmax(scores))
             if scores[k] > ref.objective:
@@ -404,6 +409,32 @@ class TestSolveJoint:
     def test_winning_corners_match_their_reports(self, monkeypatch):
         cases = [(*make_instance(g, p_max=b, L=L, caps=c), w) for g, c, b, L, w in WEAK_CHANNELS]
         assert self.corner_wins_match_reports(cases, monkeypatch) == len(cases)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_one_report_per_dispatch(self, scheme, monkeypatch):
+        # every scheme builds the report of its answer and no other, the
+        # joint solver too where a corner beats the alternation
+        reports = []
+        real = fblopt.joint.make_report
+
+        def counted(*args, **kwargs):
+            reports.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fblopt.joint, "make_report", counted)
+        monkeypatch.setattr(fblopt.harness, "make_report", counted)
+        rng = np.random.default_rng(6)
+        cases = [
+            (*make_instance(rng.exponential(1.0, 4), p_max=rng.uniform(0.5, 10.0)), omega)
+            for omega in (0.0, 0.5, 0.9, 1.0)
+        ]
+        cases += [(*make_instance(g, p_max=b, L=L, caps=c), w) for g, c, b, L, w in WEAK_CHANNELS]
+        wins = 0
+        for r, prof, omega in cases:
+            reports.clear()
+            wins += "silent_start" in scheme_dispatch(scheme, r, prof, omega).flags
+            assert len(reports) == 1
+        assert wins == (len(WEAK_CHANNELS) if scheme == "proposed" else 0)
 
     def test_repeated_level_reuses_the_power_solve(self, monkeypatch):
         # the power problem is solved only when the level z moved: a round at
