@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernels import EPS_FLOOR
+from .kernels import EPS_FLOOR, dispersion_coeff, length_offset
 from .power import sr_infinity, water_filling
 
 MAX_BLOCK_LENGTH = 2**63 - 1  # numpy's log(L) of a larger int raises TypeError
@@ -54,8 +54,9 @@ class NetworkRealization:
             raise ValueError("gamma entries must be finite and positive")
         if not 0.0 < self.p_max < np.inf:
             raise ValueError("p_max must be positive and finite")
-        if not 2 <= self.block_length <= MAX_BLOCK_LENGTH:
-            raise ValueError(f"block_length must lie in [2, {MAX_BLOCK_LENGTH}]")
+        L = self.block_length
+        if not (2 <= L <= MAX_BLOCK_LENGTH and float(L).is_integer()):
+            raise ValueError(f"block_length must be an integer in [2, {MAX_BLOCK_LENGTH}]")
 
     @property
     def n_users(self) -> int:
@@ -79,6 +80,28 @@ class NetworkRealization:
         if not sr_inf > 0.0:
             raise ValueError("sr_inf must be positive")
         return sr_inf
+
+    @cached_property
+    def vertex_log1p(self) -> np.ndarray:
+        """log1p(gamma * p_max), each user's rate_term half at its vertex
+        p_max * e_i that reads no error probability, read-only."""
+        out = np.log1p(self.gamma * self.p_max)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def vertex_dispersion(self) -> np.ndarray:
+        """dispersion_coeff(gamma * p_max, L), the vertex half that
+        multiplies Qinv(eps), read-only: vertex_log1p - vertex_dispersion
+        * qinv is rate_term(gamma * p_max, L, qinv), bit for bit."""
+        out = dispersion_coeff(self.gamma * self.p_max, self.block_length)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def length_offset(self) -> float:
+        """log(L)/L (kernels.length_offset), added to every reported rate."""
+        return length_offset(self.block_length)
 
 
 def mean_gain(link: UserLink) -> float:

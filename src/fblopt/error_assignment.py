@@ -21,6 +21,9 @@ from .kernels import EPS_FLOOR, dispersion_coeff, q_scalar
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
+# the ufunc accumulation behind np.cumsum, called without its wrapper
+_accumulate = np.add.accumulate
+
 # absolute tolerance for interval-membership tests at branch endpoints
 EDGE_TOL = 1e-12
 
@@ -58,16 +61,23 @@ class SortedQosProfile:
         return self.eps_max_sorted[-1]
 
     @cached_property
+    def index(self) -> np.ndarray:
+        """order as an index array, built once, read-only."""
+        index = np.array(self.order, dtype=np.intp)
+        index.flags.writeable = False
+        return index
+
+    @cached_property
     def caps(self) -> np.ndarray:
         """The caps in original user order, built once, read-only."""
         caps = np.empty(self.n_users)
-        caps[list(self.order)] = self.eps_max_sorted
+        caps[self.index] = self.eps_max_sorted
         caps.flags.writeable = False
         return caps
 
     def to_sorted(self, original_values) -> np.ndarray:
         """Gather an original-order vector into sorted-cap order."""
-        return np.asarray(original_values, dtype=float)[list(self.order)]
+        return np.asarray(original_values, dtype=float)[self.index]
 
 
 def errors_at_level(profile, z) -> np.ndarray:
@@ -98,7 +108,7 @@ def _tails(realization, p, profile) -> list:
     sqrt(s^2 + 2s)/(1+s), s = gamma*p, over sorted slots k..N (one reversed
     cumulative sum)."""
     s = profile.to_sorted(realization.gamma * p)
-    return np.cumsum(dispersion_coeff(s, 1)[::-1])[::-1].tolist()
+    return _accumulate(dispersion_coeff(s, 1)[::-1]).tolist()[::-1]
 
 
 def beta_k(realization, p, profile, omega, k):

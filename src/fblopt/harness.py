@@ -163,15 +163,14 @@ def scheme_dispatch(scheme, realization, profile, omega):
     if scheme == "proposed":
         return solve_joint(realization, profile, omega)
 
-    minmax_eps = errors_at_level(profile, profile.eps_max_sorted[0])
     flags = []
     if scheme == "wf_minmax":
         p = realization.p_wf
-        eps = minmax_eps
+        eps = errors_at_level(profile, profile.eps_max_sorted[0])
     elif scheme == "proposedpower_minmax":
-        result = solve_power(realization, minmax_eps, omega)
+        eps = errors_at_level(profile, profile.eps_max_sorted[0])
+        result = solve_power(realization, eps, omega)
         p = result.p
-        eps = minmax_eps
         if not result.converged:
             flags.append("power_stage_cap")
     elif scheme == "equalpower_opteps":

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .error_assignment import check_inputs, corner_levels, errors_at_level, optimal_errors
-from .kernels import EPS_FLOOR, length_offset, q_inverse, rate_term
+from .kernels import EPS_FLOOR, q_inverse, rate_term
 from .power import solve_power
 
 MAX_ALTERNATIONS = 50
@@ -74,7 +74,7 @@ def make_report(
     eps = np.asarray(eps, dtype=float)
     qinv = q_inverse(np.maximum(eps, EPS_FLOOR))
     terms = rate_term(realization.gamma * p, realization.block_length, qinv)
-    rates = terms + length_offset(realization.block_length)
+    rates = terms + realization.length_offset
     rate_sum = float(_sum(terms))
     max_eps = float(_max(eps))
     sr_inf = realization.sr_inf
@@ -169,10 +169,9 @@ def solve_joint(realization, profile, omega) -> SolveReport:
     check_inputs(realization, profile, omega)
     objective, p, eps, trace, flags, iterations = _alternate(realization, profile, omega)
     levels = corner_levels(realization, profile, omega)
-    terms = rate_term(
-        realization.gamma * realization.p_max, realization.block_length,
-        q_inverse(errors_at_level(profile, np.array(levels[1:]))),
-    )
+    # each vertex's rate_term at its own level, from the realization's halves
+    qinv = q_inverse(errors_at_level(profile, np.array(levels[1:])))
+    terms = realization.vertex_log1p - realization.vertex_dispersion * qinv
     # a corner's max eps is its level, which never exceeds cap_N
     corners = weighted_objective(
         omega, np.append(0.0, terms), realization.sr_inf, np.array(levels), profile.eps_max_overall

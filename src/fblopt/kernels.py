@@ -26,9 +26,9 @@ def q_scalar(x: float) -> float:
     return 0.5 * math.erfc(x / _SQRT2)
 
 
-# elementwise lifts; a 0-d input comes back as a Python float, not an array
+# elementwise lift of q_scalar; a 0-d input comes back as a Python float
 _q = np.frompyfunc(q_scalar, 1, 1)
-_inv_cdf = np.frompyfunc(NormalDist().inv_cdf, 1, 1)
+_inv_cdf = NormalDist().inv_cdf
 
 
 def q_function(x):
@@ -42,13 +42,19 @@ def q_inverse(eps):
     normal by Wichura's AS 241 (statistics.NormalDist), whose relative
     error against a 40-digit reference measures under 6e-16 on [1e-12, 0.5).
 
-    Raises ValueError for eps outside the open interval (0, 0.5).
+    Raises ValueError for eps outside the open interval (0, 0.5). The
+    input is inverted element by element as a list of Python floats, with
+    no object array: on the few values a solve inverts, numpy's per-call
+    cost would outweigh the work. A 0-d input gives a Python float, any
+    other input a float array of its shape.
     """
     e = np.asarray(eps, dtype=float)
-    if not np.all((0.0 < e) & (e < 0.5)):
-        raise ValueError("q_inverse requires 0 < eps < 0.5")
-    y = -np.asarray(_inv_cdf(e), dtype=float)
-    return float(y) if y.ndim == 0 else y
+    values = e.ravel().tolist()
+    for x in values:
+        if not 0.0 < x < 0.5:  # NaN fails too
+            raise ValueError("q_inverse requires 0 < eps < 0.5")
+    y = [-_inv_cdf(x) for x in values]
+    return np.array(y, dtype=float).reshape(e.shape) if e.ndim else y[0]
 
 
 def dispersion_coeff(s, block_length):

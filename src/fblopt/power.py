@@ -179,13 +179,17 @@ def solve_power(realization, eps, omega) -> PowerSolveResult:
     or above INFLECTION_MARGIN * p_hat. Users off a support sit at that
     floor, a finite point on the concave branch, and are masked out of the
     sums, so nothing overflows or divides by zero. The per-user vectors
-    are broadcast to the rows' shape once, before the steps. Each row is
+    and the steps' constants 0, 1, 2, 3 and sqrt(L) are laid out at the
+    rows' shape once, before the steps, so a step's ufunc calls take
+    operands of one shape: no Python scalar or per-user vector enters a
+    (K, N) operation, and only each row's price is broadcast. Each row is
     rescaled onto the budget and scored exactly; a vertex is scored by its
-    one user's term, rate_term(gamma_i p_max), since every other term is
-    0.0, and zero power by 0.0. The first candidate with the best score is
-    returned, in the order rows, vertices, zero power, with that score as
-    its rate_sum. converged is False when the winning row's last step moved
-    p by more than POWER_TOL, and True for a vertex or zero power.
+    one user's term, rate_term(gamma_i p_max) from the realization's
+    vertex halves, since every other term is 0.0, and zero power by 0.0.
+    The first candidate with the best score is returned, in the order
+    rows, vertices, zero power, with that score as its rate_sum. converged
+    is False when the winning row's last step moved p by more than
+    POWER_TOL, and True for a vertex or zero power.
 
     At omega == 0 the objective is identically zero, every feasible p is
     optimal, and water-filling is returned, converged.
@@ -211,34 +215,36 @@ def solve_power(realization, eps, omega) -> PowerSolveResult:
     keep = (size > 1) & (base < p_max)
     supports, size, base = supports[keep], size[keep], base[keep]
 
-    # the per-user vectors at the rows' shape, once: a same-shape operand
-    # costs less per op than one broadcast against (K, N)
-    per_user = np.empty((4, *supports.shape))
-    per_user[...] = np.array([gamma, qinv, gamma * gamma, floor])[:, None]
-    gamma_k, qinv_k, gamma2_k, floor_k = per_user
+    # the per-user vectors and the steps' constants at the rows' shape,
+    # once: a same-shape operand costs less per op than a Python scalar or
+    # a vector broadcast against (K, N)
+    operands = np.empty((9, *supports.shape))
+    operands[:4] = np.array([gamma, qinv, gamma * gamma, floor])[:, None]
+    operands[4:] = np.array([0.0, 1.0, 2.0, 3.0, math.sqrt(L)])[:, None, None]
+    gamma_k, qinv_k, gamma2_k, floor_k, zero, one, two, three, root_l = operands
 
     p = np.maximum(np.where(supports, p_hat + ((p_max - base) / size)[:, None], floor_k), floor_k)
     # a row's full sum less this is sum_S p - p_max: the floors off S are fixed
     held = (~supports) @ floor + p_max
-    root_l = math.sqrt(L)
     last = p
     for _ in range(NEWTON_STEPS):
         s = gamma_k * p
-        one = 1.0 + s
-        u = s * (s + 2.0)
-        c = qinv_k / (root_l * one * np.sqrt(u))
-        slope = gamma_k * (1.0 - c) / one
-        w = np.where(supports, one * one / (gamma2_k * (c * (3.0 + 1.0 / u) - 1.0)), 0.0)
+        one_s = one + s
+        u = s * (s + two)
+        c = qinv_k / (root_l * one_s * np.sqrt(u))
+        slope = gamma_k * (one - c) / one_s
+        w = np.where(supports, one_s * one_s / (gamma2_k * (c * (three + one / u) - one)), zero)
         price = (_sum(w * slope, axis=1) - _sum(p, axis=1) + held) / _sum(w, axis=1)
         last, p = p, np.maximum(p + w * (price[:, None] - slope), floor_k)
     moved = np.abs(p - last).max(axis=1)
 
     p = np.where(supports, p, 0.0)
     p *= (p_max / _sum(p, axis=1))[:, None]
-    # rows, then each vertex's one term (every other user's is 0.0), then zero power
-    scores = np.concatenate(
-        [_sum(rate_term(gamma_k * p, L, qinv_k), axis=1), rate_term(gamma * p_max, L, qinv), [0.0]]
-    )
+    # rows, then each vertex's one term (every other user's is 0.0), then
+    # zero power; a vertex's term is rate_term(gamma * p_max, L, qinv) from
+    # the realization's halves
+    vertices = realization.vertex_log1p - realization.vertex_dispersion * qinv
+    scores = np.concatenate([_sum(rate_term(gamma_k * p, L, qinv_k), axis=1), vertices, [0.0]])
     best = int(np.argmax(scores))
     if best < size.size:
         return PowerSolveResult(

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from fblopt.channel import NetworkRealization, UserLink, mean_gain, sample_realization
+from fblopt.kernels import dispersion_coeff, length_offset, q_inverse, rate_term
 from fblopt.power import sr_infinity
 
 
@@ -55,6 +56,8 @@ class TestNetworkRealization:
             NetworkRealization(gamma=np.array([1.0]), p_max=np.inf, block_length=100)
         with pytest.raises(ValueError):
             NetworkRealization(gamma=np.array([1.0]), p_max=1.0, block_length=np.nan)
+        with pytest.raises(ValueError):  # a codeword is a whole number of channel uses
+            NetworkRealization(gamma=np.array([1.0]), p_max=1.0, block_length=200.5)
         with pytest.raises(ValueError):  # beyond an int64
             NetworkRealization(gamma=np.array([1.0]), p_max=1.0, block_length=2**64)
 
@@ -63,6 +66,25 @@ class TestNetworkRealization:
         assert r.sr_inf == sr_infinity(r.gamma, 1.0)
         for p_max in (0.25, 4.0):
             assert replace(r, p_max=p_max).sr_inf == sr_infinity(r.gamma, p_max)
+
+    def test_vertex_halves_give_rate_term_bits(self):
+        r = NetworkRealization(gamma=np.array([0.5, 2.0, 7.0]), p_max=3.0, block_length=200)
+        qinv = q_inverse(np.array([1e-5, 1e-3, 0.1]))
+        vertices = r.vertex_log1p - r.vertex_dispersion * qinv
+        assert vertices.tobytes() == rate_term(r.gamma * 3.0, 200, qinv).tobytes()
+        assert r.length_offset == length_offset(200)
+        for cached in (r.vertex_log1p, r.vertex_dispersion):
+            assert not cached.flags.writeable
+
+    def test_caches_follow_replaced_fields(self):
+        r = NetworkRealization(gamma=np.array([0.5, 2.0]), p_max=1.0, block_length=100)
+        r.vertex_log1p, r.vertex_dispersion, r.length_offset
+        for p_max, L in ((4.0, 100), (1.0, 1600), (0.25, 3)):
+            moved = replace(r, p_max=p_max, block_length=L)
+            s = r.gamma * p_max
+            assert moved.vertex_log1p.tobytes() == np.log1p(s).tobytes()
+            assert moved.vertex_dispersion.tobytes() == dispersion_coeff(s, L).tobytes()
+            assert moved.length_offset == length_offset(L)
 
     def test_budget_lost_to_rounding_rejected(self):
         # water-filling keeps the whole budget, but 0.25 * 5e-324 rounds to

@@ -168,6 +168,37 @@ class TestSchemeDispatch:
                     beaten.append((trial, scheme))
         assert beaten == []
 
+    @pytest.mark.parametrize("n_users, draws", [(4, 50), (12, 20)])
+    def test_reports_do_not_depend_on_cache_order(self, n_users, draws):
+        # a realization fills p_wf, sr_inf, its vertex halves and log(L)/L on
+        # first use, whichever scheme asks first; each report must be the
+        # same bits as on a fresh realization when every scheme and omega
+        # has filled them first, in reverse order. A replaced budget starts
+        # the vertex halves afresh.
+        caps = PAPER_CAPS if n_users == 4 else tuple(np.geomspace(1e-5, 5e-4, n_users).tolist())
+        links = [UserLink(1.0, 1.0, 3.0, c) for c in caps]
+        profile = SortedQosProfile.from_caps(caps)
+        runs = list(itertools.product(SCHEMES, (0.0, 0.9)))
+        budgets = (1.0, 10.0)
+
+        def report_bits(scheme, r, omega):
+            rep = scheme_dispatch(scheme, r, profile, omega)
+            values = [rep.objective, rep.sum_rate, rep.throughput]
+            return rep.p.tobytes(), rep.eps.tobytes(), np.array(values).tobytes(), rep.flags
+
+        for trial in range(draws):
+            gamma = sample_realization(links, 1.0, np.random.SeedSequence([20240, trial]))
+            for L, p_max in itertools.product((100, 1600), budgets):
+                fresh = [report_bits(s, NetworkRealization(gamma, p_max, L), w) for s, w in runs]
+                warm = NetworkRealization(gamma, p_max, L)
+                for scheme, omega in reversed(runs):
+                    scheme_dispatch(scheme, warm, profile, omega)
+                assert [report_bits(s, warm, w) for s, w in runs] == fresh
+                other = budgets[1] if p_max == budgets[0] else budgets[0]
+                moved, new = replace(warm, p_max=other), NetworkRealization(gamma, other, L)
+                for name in ("vertex_log1p", "vertex_dispersion"):
+                    assert getattr(moved, name).tobytes() == getattr(new, name).tobytes()
+
     def test_default_trial_43_proposed_not_beaten(self):
         # the certificate's worst trial under the augmented-Lagrangian power
         # solve: proposed scored 0.70469 against 0.73216, because the power

@@ -5,13 +5,15 @@ Expected values were produced by mpmath quadrature of the Gaussian tail at
 bisection on q_function for the inverse.
 """
 
+from statistics import NormalDist
+
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fblopt.kernels import achievable_rate, dispersion_coeff, q_function, q_inverse
+from fblopt.kernels import EPS_FLOOR, achievable_rate, dispersion_coeff, q_function, q_inverse
 
 
 def tail_oracle(x, dps=30):
@@ -69,10 +71,36 @@ class TestQInverse:
         for eps in [1e-9, 1e-6, 1e-3, 0.05, 0.3, 0.49]:
             assert q_inverse(eps) == pytest.approx(bisect_inverse(eps), abs=1e-10)
 
-    @pytest.mark.parametrize("bad", [0.0, -0.1, 0.5, 0.7, 1.0, np.nan])
+    @pytest.mark.parametrize("bad", [0.0, -0.1, 0.5, 0.7, 1.0, np.nan, -1.0, np.inf])
     def test_domain_rejected(self, bad):
         with pytest.raises(ValueError):
             q_inverse(bad)
+        with pytest.raises(ValueError):  # one bad element among good ones
+            q_inverse([1e-3, bad, 0.25])
+
+    def test_is_negated_inv_cdf_bit_for_bit(self):
+        # Wichura's AS 241 through NormalDist, element by element, on
+        # log-uniform points over the whole solved range
+        rng = np.random.default_rng(30)
+        eps = np.exp(rng.uniform(np.log(EPS_FLOOR), np.log(0.5), 100_000))
+        eps = np.clip(eps, EPS_FLOOR, np.nextafter(0.5, 0.0))
+        inv_cdf = NormalDist().inv_cdf
+        want = np.array([-inv_cdf(e) for e in eps.tolist()])
+        assert q_inverse(eps).tobytes() == want.tobytes()
+
+    def test_shapes(self):
+        scalar = q_inverse(np.float64(1e-5))
+        assert type(scalar) is float and scalar == -NormalDist().inv_cdf(1e-5)
+        assert type(q_inverse(np.array(0.25))) is float
+        grid = np.linspace(0.01, 0.4, 6).reshape(2, 3)
+        out = q_inverse(grid)
+        assert out.shape == (2, 3) and out.dtype == float
+        assert out.tobytes() == q_inverse(grid.ravel()).tobytes()
+        empty = q_inverse(np.array([]))
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,) and empty.dtype == float
+        listed = q_inverse([1e-5, 0.25])
+        assert isinstance(listed, np.ndarray)
+        assert listed.tobytes() == q_inverse(np.array([1e-5, 0.25])).tobytes()
 
     def test_positive_below_half(self):
         # a zero would leave a zero-power user unpinned in the power solver
