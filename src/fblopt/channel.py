@@ -92,11 +92,15 @@ class NetworkRealization:
     @cached_property
     def vertex_dispersion(self) -> np.ndarray:
         """dispersion_coeff(gamma * p_max, L), the vertex half that
-        multiplies Qinv(eps), read-only: vertex_log1p - vertex_dispersion
-        * qinv is rate_term(gamma * p_max, L, qinv), bit for bit."""
+        multiplies Qinv(eps), read-only."""
         out = dispersion_coeff(self.gamma * self.p_max, self.block_length)
         out.flags.writeable = False
         return out
+
+    def vertex_terms(self, qinv) -> np.ndarray:
+        """Each user's rate_term(gamma_i * p_max, L, qinv_i) at its vertex
+        p_max * e_i, bit for bit, from the two cached halves."""
+        return self.vertex_log1p - self.vertex_dispersion * qinv
 
     @cached_property
     def length_offset(self) -> float:

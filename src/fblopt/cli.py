@@ -50,20 +50,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", dest="n_jobs", type=int,
         help="processes to run trials on, this one included (default 1)",
     )
-    parser.add_argument("-v", "--verbose", action="store_true")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO)
+    logging.basicConfig(level=logging.INFO)
 
     config = load_config_file(args.config) if args.config else default_config()
-    # every flag but these three sets the ScenarioConfig field its dest
+    # every flag but these two sets the ScenarioConfig field its dest
     # names, and replace raises on a dest that names none
     overrides = {
         dest: value for dest, value in vars(args).items()
-        if value is not None and dest not in ("config", "out", "verbose")
+        if value is not None and dest not in ("config", "out")
     }
     if args.oracle is not None:
         overrides["oracle"] = OracleGrid(*args.oracle)

@@ -106,9 +106,9 @@ def _level_of_tail(realization, profile, omega):
 def _tails(realization, p, profile) -> list:
     """tail_k for the branches k = 1..N, on floats: the sums of
     sqrt(s^2 + 2s)/(1+s), s = gamma*p, over sorted slots k..N (one reversed
-    cumulative sum)."""
-    s = profile.to_sorted(realization.gamma * p)
-    return _accumulate(dispersion_coeff(s, 1)[::-1]).tolist()[::-1]
+    cumulative sum), for one power vector or for each row of a (K, N) stack."""
+    s = (realization.gamma * p).take(profile.index, -1)
+    return _accumulate(dispersion_coeff(s, 1)[..., ::-1], -1)[..., ::-1].tolist()
 
 
 def beta_k(realization, p, profile, omega, k):
@@ -178,19 +178,13 @@ def corner_levels(realization, profile, omega) -> list:
     """The level z = max(optimal_errors(...)) at each corner of the budget:
     zero power first, then p_max * e_i for each user i in original order,
     N+1 floats, each giving optimal_errors' bits through errors_at_level.
-
-    At a vertex every tail sum up to user i's sorted slot j is its one term
-    d_i = dispersion_coeff(gamma_i p_max, 1) and every later one is 0.0, so
-    _scan reads level(d_i) j+1 times, then the zero-tail level (all of them
-    at zero power): O(N) per corner, with no vector work.
-    """
+    The corners are stacked as the rows of one power array, and each row
+    runs optimal_errors' own tail sums and scan."""
     check_inputs(realization, profile, omega)
-    caps = profile.eps_max_sorted
+    n = realization.n_users
     level = _level_of_tail(realization, profile, omega)
-    zero = level(0.0)
-    slot = np.argsort(profile.order).tolist()
-    tails = dispersion_coeff(realization.gamma * realization.p_max, 1).tolist()
-    return [_scan(caps, omega, [zero])] + [
-        _scan(caps, omega, [level(tail)] * (j + 1) + [zero]) for tail, j in zip(tails, slot)
+    corners = np.eye(n + 1, n, -1) * realization.p_max
+    return [
+        _scan(profile.eps_max_sorted, omega, map(level, tails))
+        for tails in _tails(realization, corners, profile)
     ]
-

@@ -31,7 +31,6 @@ class SolveReport:
     max_eps: float
     throughput: float
     iterations: int
-    trace: list = field(default_factory=list)
     flags: list = field(default_factory=list)
 
 
@@ -63,7 +62,6 @@ def make_report(
     eps,
     omega,
     iterations=1,
-    trace=None,
     flags=None,
 ) -> SolveReport:
     """Assemble a SolveReport for any feasible allocation. One inversion of
@@ -88,65 +86,51 @@ def make_report(
         max_eps=max_eps,
         throughput=sum_throughput(rates, eps),
         iterations=iterations,
-        trace=trace or [],
         flags=flags or [],
     )
 
 
 def _alternate(realization, profile, omega):
     """One alternation run from water-filling. Returns
-    (best objective, best p, best eps, trace, flags, iterations).
+    (best objective, best p, best eps, flags, converged, rounds).
 
-    The power problem is solved only when the level z differs from the
-    previous round's: at the same z, bit for bit, the error vector is the
-    same, so that round's solve is reused, and the round still adds its
-    trace row."""
+    A round whose level z equals the previous round's, bit for bit, has
+    the same error vector, so its power solve would repeat the last one:
+    the run ends there, converged, before any solve. Otherwise it ends
+    converged once z moves by at most EPS_TOL (every eps_i = min(cap_i, z)
+    moves by at most |dz|), or unconverged after MAX_ALTERNATIONS rounds."""
     p = realization.p_wf
-    z_prev = None
-    p_prev = p
-    best = None
-    trace = []
+    z_prev = obj_prev = best = None
     flags = []
-    converged = False
-    iterations = 0
-
-    for t in range(1, MAX_ALTERNATIONS + 1):
-        iterations = t
+    for rounds in range(1, MAX_ALTERNATIONS + 1):
         eps = optimal_errors(realization, p, profile, omega)
         z = float(_max(eps))
-        if z != z_prev:
-            power = solve_power(realization, eps, omega)
+        if z == z_prev:
+            return (*best, flags, True, rounds)
+        power = solve_power(realization, eps, omega)
         if not power.converged and "power_stage_cap" not in flags:
             flags.append("power_stage_cap")
         p = power.p
         obj = weighted_objective(
             omega, power.rate_sum, realization.sr_inf, z, profile.eps_max_overall
         )
-        # every eps_i = min(cap_i, z) moves by at most |dz|, the loosest by |dz|
-        d_eps = abs(z - z_prev) if z_prev is not None else np.inf
-        d_p = float(_max(np.abs(p - p_prev)))
-        trace.append((obj, d_eps, d_p))
-        if len(trace) > 1 and obj < trace[-2][0] - 1e-6:
+        if obj_prev is not None and obj < obj_prev - 1e-6:
             if "objective_decreased" not in flags:
                 flags.append("objective_decreased")
         if best is None or obj > best[0]:
             best = (obj, p.copy(), eps)
-        z_prev = z
-        p_prev = p
-        if d_eps <= EPS_TOL:
-            converged = True
-            break
-
-    if not converged:
-        flags.append("not_converged")
-    return best[0], best[1], best[2], trace, flags, iterations
+        if z_prev is not None and abs(z - z_prev) <= EPS_TOL:
+            return (*best, flags, True, rounds)
+        z_prev, obj_prev = z, obj
+    return (*best, flags, False, MAX_ALTERNATIONS)
 
 
 def solve_joint(realization, profile, omega) -> SolveReport:
     """Alternate the closed-form error assignment and the exact power solve
-    at its errors, from water-filling, until the error vector stalls
-    (inf-norm <= EPS_TOL) or the alternation cap is reached, keeping the
-    best iterate, not necessarily the last.
+    at its errors, from water-filling, until the shared level z repeats bit
+    for bit or moves by at most EPS_TOL, or the alternation cap is reached
+    (flagged "not_converged"), keeping the best iterate, not necessarily
+    the last.
 
     Block updates cannot cross into the silent basin (where foregoing rate
     buys the full reliability reward), and on weak channels the silent
@@ -167,11 +151,13 @@ def solve_joint(realization, profile, omega) -> SolveReport:
     solve_power returns water-filling, which no corner beats strictly.
     """
     check_inputs(realization, profile, omega)
-    objective, p, eps, trace, flags, iterations = _alternate(realization, profile, omega)
+    objective, p, eps, flags, converged, iterations = _alternate(realization, profile, omega)
+    if not converged:
+        flags = [*flags, "not_converged"]
     levels = corner_levels(realization, profile, omega)
     # each vertex's rate_term at its own level, from the realization's halves
     qinv = q_inverse(errors_at_level(profile, np.array(levels[1:])))
-    terms = realization.vertex_log1p - realization.vertex_dispersion * qinv
+    terms = realization.vertex_terms(qinv)
     # a corner's max eps is its level, which never exceeds cap_N
     corners = weighted_objective(
         omega, np.append(0.0, terms), realization.sr_inf, np.array(levels), profile.eps_max_overall
@@ -182,7 +168,5 @@ def solve_joint(realization, profile, omega) -> SolveReport:
         if k > 1:
             p[k - 2] = realization.p_max
         eps = errors_at_level(profile, levels[k - 1])
-        trace, flags, iterations = [], ["silent_start"], 1
-    return make_report(
-        realization, profile, p, eps, omega, iterations=iterations, trace=trace, flags=flags
-    )
+        flags, iterations = ["silent_start"], 1
+    return make_report(realization, profile, p, eps, omega, iterations=iterations, flags=flags)

@@ -241,9 +241,8 @@ def solve_power(realization, eps, omega) -> PowerSolveResult:
     p = np.where(supports, p, 0.0)
     p *= (p_max / _sum(p, axis=1))[:, None]
     # rows, then each vertex's one term (every other user's is 0.0), then
-    # zero power; a vertex's term is rate_term(gamma * p_max, L, qinv) from
-    # the realization's halves
-    vertices = realization.vertex_log1p - realization.vertex_dispersion * qinv
+    # zero power
+    vertices = realization.vertex_terms(qinv)
     scores = np.concatenate([_sum(rate_term(gamma_k * p, L, qinv_k), axis=1), vertices, [0.0]])
     best = int(np.argmax(scores))
     if best < size.size:

@@ -70,7 +70,7 @@ class TestNetworkRealization:
     def test_vertex_halves_give_rate_term_bits(self):
         r = NetworkRealization(gamma=np.array([0.5, 2.0, 7.0]), p_max=3.0, block_length=200)
         qinv = q_inverse(np.array([1e-5, 1e-3, 0.1]))
-        vertices = r.vertex_log1p - r.vertex_dispersion * qinv
+        vertices = r.vertex_terms(qinv)
         assert vertices.tobytes() == rate_term(r.gamma * 3.0, 200, qinv).tobytes()
         assert r.length_offset == length_offset(200)
         for cached in (r.vertex_log1p, r.vertex_dispersion):

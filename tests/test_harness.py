@@ -917,7 +917,7 @@ class TestCli:
         from fblopt import cli
 
         parser = cli.build_parser()
-        dests = {a.dest for a in parser._actions} - {"help", "config", "out", "verbose"}
+        dests = {a.dest for a in parser._actions} - {"help", "config", "out"}
         assert dests <= {f.name for f in fields(ScenarioConfig)}
 
         def with_typo():
