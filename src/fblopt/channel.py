@@ -2,6 +2,7 @@
 gains from Rayleigh small-scale fading, with seeded, reproducible sampling.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -47,12 +48,14 @@ class NetworkRealization:
     block_length: int
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", np.asarray(self.gamma, dtype=float))
-        if self.gamma.ndim != 1 or self.gamma.size < 1:
+        gamma = np.asarray(self.gamma, dtype=float)
+        object.__setattr__(self, "gamma", gamma)
+        if gamma.ndim != 1 or gamma.size < 1:
             raise ValueError("gamma must be a nonempty 1-D vector")
-        if not np.all(np.isfinite(self.gamma)) or np.any(self.gamma <= 0):
+        # on Python floats: a few users cost less than numpy's per-call cost
+        if not all(0.0 < g < math.inf for g in gamma.tolist()):  # NaN fails too
             raise ValueError("gamma entries must be finite and positive")
-        if not 0.0 < self.p_max < np.inf:
+        if not 0.0 < self.p_max < math.inf:
             raise ValueError("p_max must be positive and finite")
         L = self.block_length
         if not (2 <= L <= MAX_BLOCK_LENGTH and float(L).is_integer()):

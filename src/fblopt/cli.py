@@ -5,8 +5,8 @@ default. Power budgets are in dB, on the command line and in config files.
 """
 
 import argparse
+import functools
 import logging
-from dataclasses import replace
 
 from .harness import (
     SCHEMES,
@@ -19,7 +19,11 @@ from .harness import (
 from .oracle import MAX_ORACLE_USERS, OracleGrid
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    one in the process: callers must not change it (build_parser.__wrapped__()
+    builds a private one)."""
     parser = argparse.ArgumentParser(
         prog="fblopt",
         description=(
@@ -57,16 +61,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO)
 
-    config = load_config_file(args.config) if args.config else default_config()
     # every flag but these two sets the ScenarioConfig field its dest
-    # names, and replace raises on a dest that names none
+    # names, and the config's constructor raises on a dest that names none
     overrides = {
         dest: value for dest, value in vars(args).items()
         if value is not None and dest not in ("config", "out")
     }
     if args.oracle is not None:
         overrides["oracle"] = OracleGrid(*args.oracle)
-    config = replace(config, **overrides)
+    # the flags join the file's or the default values, and the scenario is
+    # built and checked once
+    config = load_config_file(args.config, **overrides) if args.config else default_config(**overrides)
 
     rows = run_scenario(config)
     emit_csv(rows, args.out)

@@ -44,13 +44,12 @@ class SortedQosProfile:
         caps = np.asarray(eps_max, dtype=float)
         if caps.ndim != 1 or caps.size < 1:
             raise ValueError("eps_max must be a nonempty 1-D sequence")
-        if not np.all((EPS_FLOOR <= caps) & (caps < 0.5)):
+        # on Python floats: a stable sort, as numpy's kind="stable"
+        caps = caps.tolist()
+        if not all(EPS_FLOOR <= c < 0.5 for c in caps):  # NaN fails too
             raise ValueError(f"every eps_max must lie in [{EPS_FLOOR:g}, 0.5)")
-        order = np.argsort(caps, kind="stable")
-        return cls(
-            eps_max_sorted=tuple(caps[order].tolist()),
-            order=tuple(int(i) for i in order),
-        )
+        order = sorted(range(len(caps)), key=caps.__getitem__)
+        return cls(eps_max_sorted=tuple(caps[i] for i in order), order=tuple(order))
 
     @property
     def n_users(self) -> int:

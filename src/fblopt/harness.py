@@ -22,10 +22,11 @@ import configparser
 import hashlib
 import json
 import logging
+import math
 import multiprocessing
 import sys
 import traceback
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from itertools import product
 from operator import attrgetter
 
@@ -39,6 +40,9 @@ from .oracle import MAX_ORACLE_USERS, OracleGrid, exhaustive_oracle
 from .power import equal_power, solve_power
 
 logger = logging.getLogger("fblopt")
+
+# the ufunc reductions behind np.all and np.sum, called without their wrappers
+_all, _sum = np.logical_and.reduce, np.add.reduce
 
 SCHEMES = ("proposed", "wf_minmax", "proposedpower_minmax", "equalpower_opteps")
 # schemes whose CSV row reads omega only through solve_power's omega == 0 branch
@@ -148,8 +152,13 @@ def default_config(**overrides) -> ScenarioConfig:
     links = tuple(
         UserLink(kappa=1.0, distance=1.0, pathloss_exp=3.0, eps_max=c) for c in caps
     )
-    cfg = ScenarioConfig(links=links)
-    return replace(cfg, **overrides) if overrides else cfg
+    # one constructor call, so the scenario is checked once, overrides included
+    return ScenarioConfig(**{"links": links, **overrides})
+
+
+# the values and types a config file's left-out and given keys start from,
+# built once per process (a ScenarioConfig is immutable)
+_DEFAULT = default_config()
 
 
 def scheme_dispatch(scheme, realization, profile, omega):
@@ -320,9 +329,14 @@ def run_scenario(config: ScenarioConfig):
 def _aggregate(column, scheme, omega, length, p_max, config) -> ResultRow:
     """One cell's ResultRow from its (trials, 3) column of _run_trial rows.
     A row with a non-finite value is a failed trial, left out of the means;
-    more than FAILURE_BUDGET of them raise RuntimeError."""
-    ok = np.isfinite(column).all(axis=1)
-    n_failed = len(column) - int(ok.sum())
+    more than FAILURE_BUDGET of them raise RuntimeError.
+
+    The means and std(ddof=1) are ndarray.mean's and ndarray.std's bits
+    without their Python-level wrappers: the same pairwise add.reduce sums,
+    then the same correctly rounded divisions and square root on floats."""
+    ok = _all(np.isfinite(column), axis=1)
+    n_ok = int(_sum(ok))
+    n_failed = len(column) - n_ok
     if n_failed:
         logger.warning(
             "cell (%s, omega=%s, L=%s, p_max=%s): %d/%d trials failed and were excluded",
@@ -333,19 +347,24 @@ def _aggregate(column, scheme, omega, length, p_max, config) -> ResultRow:
             f"cell ({scheme}, omega={omega}, L={length}, p_max={p_max}): "
             f"{n_failed}/{len(column)} trials failed"
         )
-    # contiguous copies: numpy's pairwise sums, and so the means' bits,
-    # depend on the memory layout
-    sum_rates, max_eps, throughput = column[ok].T.copy()
+    # contiguous rows: numpy's pairwise sums, and so the means' bits,
+    # depend on the memory layout; each row is reduced along itself
+    values = column[ok].T.copy()
+    sum_rate, max_eps, throughput = (x / n_ok for x in _sum(values, axis=1).tolist())
+    std = 0.0
+    if n_ok > 1:
+        deviation = values[2] - throughput
+        std = math.sqrt(float(_sum(deviation * deviation)) / (n_ok - 1))
     return ResultRow(
         scheme=scheme,
         omega=float(omega),
         block_length=int(length),
         p_max=float(p_max),
-        mean_sum_rate=float(sum_rates.mean()),
-        mean_max_eps=float(max_eps.mean()),
-        mean_throughput=float(throughput.mean()),
-        std_throughput=float(throughput.std(ddof=1)) if throughput.size > 1 else 0.0,
-        n_trials=int(ok.sum()),
+        mean_sum_rate=sum_rate,
+        mean_max_eps=max_eps,
+        mean_throughput=throughput,
+        std_throughput=std,
+        n_trials=n_ok,
         seed=config.master_seed,
     )
 
@@ -367,11 +386,21 @@ def emit_csv(rows, path):
         raise OSError(f"failed writing CSV to {path}: {exc}") from exc
 
 
+def _json_value(value):
+    """json.dumps' default hook of config_hash: a dataclass instance as the
+    dict of its fields, as asdict gives it, anything else as its str."""
+    if hasattr(type(value), "__dataclass_fields__"):
+        return {f.name: getattr(value, f.name) for f in fields(value)}
+    return str(value)
+
+
 def config_hash(config: ScenarioConfig) -> str:
-    """Hash of the config without n_jobs, which never changes the CSV."""
-    values = asdict(config)
-    del values["n_jobs"]
-    blob = json.dumps(values, sort_keys=True, default=str)
+    """Hash of the config without n_jobs, which never changes the CSV: the
+    SHA-256 of json.dumps(asdict(config) less n_jobs, sort_keys=True,
+    default=str), without asdict's deep copies. json writes the tuples as
+    lists either way and hands _json_value what it cannot write itself."""
+    values = {f.name: getattr(config, f.name) for f in fields(config) if f.name != "n_jobs"}
+    blob = json.dumps(values, sort_keys=True, default=_json_value)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -451,12 +480,14 @@ def _read_users(parser, default_links):
     )
 
 
-def load_config_file(path) -> ScenarioConfig:
+def load_config_file(path, **overrides) -> ScenarioConfig:
     """Read a scenario from an INI file with [scenario], [users] and
     [oracle] sections, documented in the README.
 
-    Every value left out keeps its default_config() value; unknown
-    sections and keys raise.
+    Every value left out keeps its default_config() value, and each
+    keyword override replaces the file's value of its field; unknown
+    sections and keys raise. The scenario is built and checked once,
+    whole, overrides included.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     if not parser.read(path):
@@ -464,13 +495,8 @@ def load_config_file(path) -> ScenarioConfig:
     unknown = set(parser.sections()) - {"scenario", "users", "oracle"}
     if unknown:
         raise ValueError(f"unknown config sections: {sorted(unknown)}")
-    base = default_config()
-    # one replace, so the scenario is checked whole
-    return replace(
-        base,
-        **_read_section(parser, "scenario", base),
-        links=_read_users(parser, base.links),
-        oracle=OracleGrid(**_read_section(parser, "oracle", OracleGrid()))
-        if parser.has_section("oracle")
-        else base.oracle,
-    )
+    values = _read_section(parser, "scenario", _DEFAULT)
+    values["links"] = _read_users(parser, _DEFAULT.links)
+    if parser.has_section("oracle"):
+        values["oracle"] = OracleGrid(**_read_section(parser, "oracle", OracleGrid()))
+    return replace(_DEFAULT, **{**values, **overrides})

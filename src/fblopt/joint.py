@@ -15,6 +15,9 @@ EPS_TOL = 1e-9        # inf-norm change of eps between alternations
 
 # the ufunc reductions behind np.sum and np.max, called without their wrappers
 _sum, _max = np.add.reduce, np.maximum.reduce
+# 0-d float64 operands: the same bits as Python floats in a ufunc call, for
+# less of numpy's per-call cost
+_ZERO, _ONE, _EPS_FLOOR = np.array(0.0), np.array(1.0), np.array(EPS_FLOOR)
 
 
 @dataclass
@@ -51,8 +54,8 @@ def sum_throughput(rates, eps) -> float:
     """Sum of rate * success probability, with negative rates clamped to
     zero (a negative rate is a normal-approximation artifact, not physical
     throughput)."""
-    r = np.maximum(np.asarray(rates, dtype=float), 0.0)
-    return float(_sum(r * (1.0 - np.asarray(eps, dtype=float))))
+    r = np.maximum(np.asarray(rates, dtype=float), _ZERO)
+    return float(_sum(r * (_ONE - np.asarray(eps, dtype=float))))
 
 
 def make_report(
@@ -70,7 +73,7 @@ def make_report(
     and the objective take the terms' sum."""
     p = np.asarray(p, dtype=float)
     eps = np.asarray(eps, dtype=float)
-    qinv = q_inverse(np.maximum(eps, EPS_FLOOR))
+    qinv = q_inverse(np.maximum(eps, _EPS_FLOOR))
     terms = rate_term(realization.gamma * p, realization.block_length, qinv)
     rates = terms + realization.length_offset
     rate_sum = float(_sum(terms))

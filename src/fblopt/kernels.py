@@ -57,15 +57,20 @@ def q_inverse(eps):
     return np.array(y, dtype=float).reshape(e.shape) if e.ndim else y[0]
 
 
+# 0-d float64 operands: the same bits as the Python floats 1.0 and 2.0 in a
+# ufunc call, for less of numpy's per-call cost
+_ONE, _TWO = np.array(1.0), np.array(2.0)
+
+
 def dispersion_coeff(s, block_length):
     """Square-root dispersion penalty sqrt((1/L) * (1 - (1+s)^-2)) at SNR s.
 
     Evaluated as sqrt(s*(s+2)/L)/(1+s) to avoid cancellation at small s.
     Lies in [0, sqrt(1/L)) and increases with s. Plain arithmetic on a float
-    or a float array, with no conversion: the power solver calls it on
+    or a float64 array, with no conversion: the power solver calls it on
     every objective evaluation.
     """
-    return np.sqrt(s * (s + 2.0) / block_length) / (1.0 + s)
+    return np.sqrt(s * (s + _TWO) / block_length) / (_ONE + s)
 
 
 def rate_term(s, block_length, qinv):

@@ -20,6 +20,7 @@ Shannon-sum-rate normalizer sr_infinity.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -51,24 +52,30 @@ def water_filling(gamma, p_max) -> np.ndarray:
     With gap_i = 1/gamma_i - min 1/gamma, the m active users get
     p_max/m + (mean active gap - gap_i): p_max is never added to 1/gamma,
     where a budget below its last bit would be rounded away, and every
-    active gap is below p_max, so the sum holds p_max to rounding."""
-    gamma = np.asarray(gamma, dtype=float)
-    if not np.all(gamma > 0) or not p_max > 0:
+    active gap is below p_max, so the sum holds p_max to rounding. Python
+    floats give the bits of the same steps on arrays for less than numpy's
+    per-call cost on a few users."""
+    g = np.asarray(gamma, dtype=float).tolist()
+    if not (all(x > 0 for x in g) and p_max > 0):
         raise ValueError("gains and p_max must be positive")
-    inv = 1.0 / gamma
-    order = np.argsort(inv, kind="stable")
-    gap = inv[order] - inv[order[0]]
-    csum = np.cumsum(gap)
-    for m in range(gamma.size, 0, -1):
+    inv = [1.0 / x for x in g]
+    order = sorted(range(len(inv)), key=inv.__getitem__)
+    gap = [inv[i] - inv[order[0]] for i in order]
+    csum = list(itertools.accumulate(gap))
+    for m in range(len(inv), 0, -1):
         if p_max / m + (csum[m - 1] / m - gap[m - 1]) > 0.0:
             break
-    p = np.zeros_like(inv)
-    p[order[:m]] = p_max / m + (csum[m - 1] / m - gap[:m])
-    return p
+    level, mean_gap = p_max / m, csum[m - 1] / m
+    p = [0.0] * len(inv)
+    for i, d in zip(order[:m], gap):
+        p[i] = level + (mean_gap - d)
+    return np.array(p)
 
 
 def equal_power(n_users, p_max) -> np.ndarray:
-    return np.full(n_users, p_max / n_users)
+    p = np.empty(n_users)
+    p.fill(p_max / n_users)
+    return p
 
 
 def sr_infinity(gamma, p_max, p_wf=None) -> float:
@@ -78,7 +85,7 @@ def sr_infinity(gamma, p_max, p_wf=None) -> float:
     gamma = np.asarray(gamma, dtype=float)
     if p_wf is None:
         p_wf = water_filling(gamma, p_max)
-    return float(np.sum(np.log1p(gamma * p_wf)))
+    return float(_sum(np.log1p(gamma * p_wf)))
 
 
 # benchmarks/hooks.py wraps these names of the retired augmented-Lagrangian

@@ -9,7 +9,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import astuple, fields, replace
+from dataclasses import asdict, astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -635,6 +635,31 @@ class TestRunScenario:
         assert row.n_trials == 994
         assert (row.mean_sum_rate, row.mean_max_eps, row.mean_throughput) == (2.0, 1e-5, 2.0)
 
+    @pytest.mark.parametrize("length", [1, 2, 7, 8, 9, 127, 128, 129, 1000])
+    def test_aggregate_has_the_bits_of_ndarray_mean_and_std(self, length):
+        # numpy's pairwise sums unroll by 8 and split blocks of 128, so the
+        # lengths straddle both; a failure budget of 1% lets the columns of
+        # 100 trials or more lose a row
+        rng = np.random.default_rng(length)
+        config = tiny_config()
+        for failed in sorted({0, length // 100}):
+            results = np.empty((length, 3, 3))  # a strided column, as run_scenario's
+            results[:, 1] = rng.normal(1e3, [1e-3, 1.0, 1e2], size=(length, 3)) * [1.0, 1e-7, 3.0]
+            lost = rng.choice(length, size=failed, replace=False)
+            results[lost, 1, rng.integers(0, 3, size=failed)] = np.resize([np.nan, np.inf, -np.inf], failed)
+            column = results[:, 1]
+            ok = np.isfinite(column).all(axis=1)
+            sum_rate, max_eps, throughput = column[ok].T.copy()
+            expected = [
+                float(sum_rate.mean()), float(max_eps.mean()), float(throughput.mean()),
+                float(throughput.std(ddof=1)) if throughput.size > 1 else 0.0,
+            ]
+            row = _aggregate(column, "proposed", 0.9, 200, 6.0, config)
+            got = [row.mean_sum_rate, row.mean_max_eps, row.mean_throughput, row.std_throughput]
+            assert [type(x) for x in got] == [float] * 4
+            assert [x.hex() for x in got] == [x.hex() for x in expected]
+            assert row.n_trials == length - failed
+
 
 class TestCsv:
     def make_row(self, **kw):
@@ -750,6 +775,29 @@ class TestManifestAndConfig:
         assert listed == cfg and hash(listed) == hash(cfg)
         assert config_hash(listed) == config_hash(cfg)
         assert default_config(omega_grid=[0.9]) == default_config()
+
+    def test_config_hash_is_the_asdict_formula(self, tmp_path):
+        # the hash written to every manifest: the SHA-256 of the config's
+        # asdict less n_jobs, as JSON with sorted keys
+        def reference(config):
+            values = asdict(config)
+            del values["n_jobs"]
+            blob = json.dumps(values, sort_keys=True, default=str)
+            return hashlib.sha256(blob.encode()).hexdigest()
+
+        oracle = tmp_path / "oracle.ini"
+        oracle.write_text(
+            "[scenario]\nomega_grid = 0 0.5 0.9\nn_jobs = 2\n[users]\ncount = 3\n"
+            "eps_max = 1e-5 5e-5 1e-4\n[oracle]\np_points = 30\neps_points = 20\n"
+        )
+        configs = [
+            default_config(),
+            load_config_file(oracle),
+            load_config_file(ROOT / "benchmarks" / "scenarios" / "many_users.ini"),
+        ]
+        assert configs[1].oracle == OracleGrid(30, 20)
+        for config in configs:
+            assert config_hash(config) == reference(config)
 
     def test_load_config_file(self, tmp_path):
         text = """
@@ -912,23 +960,67 @@ class TestCli:
         assert done.stdout.splitlines()[-1] == "[]"
 
     def test_flag_dests_are_config_fields(self, tmp_path, monkeypatch):
-        # main passes each given flag to replace() under its dest, so a dest
-        # naming no ScenarioConfig field raises instead of being dropped
+        # main passes each given flag to the config under its dest, so a
+        # dest naming no ScenarioConfig field raises instead of being dropped
         from fblopt import cli
 
         parser = cli.build_parser()
         dests = {a.dest for a in parser._actions} - {"help", "config", "out"}
         assert dests <= {f.name for f in fields(ScenarioConfig)}
 
-        def with_typo():
-            parser = real()
-            parser.add_argument("--trails", type=int)
-            return parser
+        # the typo goes on a private parser: the shared one must not change
+        private = cli.build_parser.__wrapped__()
+        assert private is not parser
+        private.add_argument("--trails", type=int)
+        monkeypatch.setattr(cli, "build_parser", lambda: private)
+        for config in ([], ["--config", str(ROOT / "scenarios" / "tradeoff.ini")]):
+            with pytest.raises(TypeError, match="trails"):
+                cli.main([*config, "--trails", "3", "--out", str(tmp_path / "x.csv")])
+        assert "--trails" not in parser._option_string_actions
 
-        real = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", with_typo)
-        with pytest.raises(TypeError, match="trails"):
-            cli.main(["--trails", "3", "--out", str(tmp_path / "x.csv")])
+    def test_parser_is_built_once_per_process(self):
+        from fblopt import cli
+
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_back_to_back_runs_write_the_bytes_of_single_runs(self, tmp_path):
+        # the parser is built once per process and the inflection-point
+        # memo outlives a run: two runs in one fresh process, the default
+        # config and then many_users.ini, with other seeds and schemes,
+        # write the bytes each writes alone in its own fresh process
+        import subprocess
+
+        many = ROOT / "benchmarks" / "scenarios" / "many_users.ini"
+        runs = {
+            "default": ["--trials", "3", "--seed", "5", "--schemes", "proposed", "wf_minmax"],
+            "many": ["--config", str(many), "--trials", "2", "--seed", "9",
+                     "--schemes", "proposedpower_minmax", "equalpower_opteps"],
+        }
+        code = (
+            "import json, sys\n"
+            "from fblopt.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    main(argv)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+        def run_process(*argvs):
+            subprocess.run(
+                [sys.executable, "-c", code, json.dumps(argvs)],
+                env=env, capture_output=True, timeout=120, check=True,
+            )
+
+        for name, argv in runs.items():
+            run_process([*argv, "--out", str(tmp_path / f"{name}-alone.csv")])
+        run_process(*([*argv, "--out", str(tmp_path / f"{name}-same.csv")] for name, argv in runs.items()))
+        for name in runs:
+            alone = (tmp_path / f"{name}-alone.csv").read_bytes()
+            assert (tmp_path / f"{name}-same.csv").read_bytes() == alone
+            manifests = [
+                (tmp_path / f"{name}-{way}.csv.manifest.txt").read_text().splitlines()[0]
+                for way in ("alone", "same")
+            ]
+            assert manifests[0] == manifests[1]
 
     def test_default_seed(self, tmp_path):
         from fblopt.cli import main

@@ -76,6 +76,31 @@ class TestWaterFilling:
     def test_tiny_budget_not_overshot(self):
         assert np.sum(water_filling(np.array([1.0]), 1e-15)) <= 1e-15
 
+    def test_same_bits_as_the_array_formula(self):
+        # water_filling runs on Python floats; the reference is the same
+        # steps on arrays: a stable argsort of 1/gamma and a cumulative sum
+        def on_arrays(gamma, p_max):
+            inv = 1.0 / gamma
+            order = np.argsort(inv, kind="stable")
+            gap = inv[order] - inv[order[0]]
+            csum = np.cumsum(gap)
+            for m in range(gamma.size, 0, -1):
+                if p_max / m + (csum[m - 1] / m - gap[m - 1]) > 0.0:
+                    break
+            p = np.zeros_like(inv)
+            p[order[:m]] = p_max / m + (csum[m - 1] / m - gap[:m])
+            return p
+
+        rng = np.random.default_rng(32)
+        for i in range(2000):
+            n = int(rng.integers(1, 21))
+            if i % 3 == 0:  # ties
+                gamma = rng.choice([1e-3, 0.5, 1.0, 2.0], n)
+            else:
+                gamma = 10.0 ** rng.uniform(-50.0, 50.0, n) * rng.exponential(1.0, n)
+            p_max = 10.0 ** rng.uniform(-100.0, 100.0 if i % 2 else 3.0)
+            assert water_filling(gamma, p_max).tobytes() == on_arrays(gamma, p_max).tobytes()
+
     def test_budget_held_at_every_scale(self):
         rng = np.random.default_rng(21)
         for _ in range(300):
