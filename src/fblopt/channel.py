@@ -100,6 +100,15 @@ class NetworkRealization:
         out.flags.writeable = False
         return out
 
+    @cached_property
+    def corners(self) -> np.ndarray:
+        """The budget's N+1 corners as the rows of one (N+1, N) array: zero
+        power first, then p_max * e_i for each user i in order, read-only."""
+        n = self.n_users
+        out = np.eye(n + 1, n, -1) * self.p_max
+        out.flags.writeable = False
+        return out
+
     def vertex_terms(self, qinv) -> np.ndarray:
         """Each user's rate_term(gamma_i * p_max, L, qinv_i) at its vertex
         p_max * e_i, bit for bit, from the two cached halves."""

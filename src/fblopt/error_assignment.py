@@ -74,10 +74,6 @@ class SortedQosProfile:
         caps.flags.writeable = False
         return caps
 
-    def to_sorted(self, original_values) -> np.ndarray:
-        """Gather an original-order vector into sorted-cap order."""
-        return np.asarray(original_values, dtype=float)[self.index]
-
 
 def errors_at_level(profile, z) -> np.ndarray:
     """Every user's error probability at the shared level z, min(cap_i, z),
@@ -174,16 +170,13 @@ def optimal_errors(realization, p, profile, omega) -> np.ndarray:
 
 
 def corner_levels(realization, profile, omega) -> list:
-    """The level z = max(optimal_errors(...)) at each corner of the budget:
-    zero power first, then p_max * e_i for each user i in original order,
-    N+1 floats, each giving optimal_errors' bits through errors_at_level.
-    The corners are stacked as the rows of one power array, and each row
-    runs optimal_errors' own tail sums and scan."""
+    """The level z = max(optimal_errors(...)) at each row of
+    realization.corners, N+1 floats, each giving optimal_errors' bits
+    through errors_at_level: every row runs optimal_errors' own tail sums
+    and scan."""
     check_inputs(realization, profile, omega)
-    n = realization.n_users
     level = _level_of_tail(realization, profile, omega)
-    corners = np.eye(n + 1, n, -1) * realization.p_max
     return [
         _scan(profile.eps_max_sorted, omega, map(level, tails))
-        for tails in _tails(realization, corners, profile)
+        for tails in _tails(realization, realization.corners, profile)
     ]

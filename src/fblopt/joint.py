@@ -103,7 +103,7 @@ def _alternate(realization, profile, omega):
     converged once z moves by at most EPS_TOL (every eps_i = min(cap_i, z)
     moves by at most |dz|), or unconverged after MAX_ALTERNATIONS rounds."""
     p = realization.p_wf
-    z_prev = obj_prev = best = None
+    z_prev = best = None
     flags = []
     for rounds in range(1, MAX_ALTERNATIONS + 1):
         eps = optimal_errors(realization, p, profile, omega)
@@ -117,14 +117,11 @@ def _alternate(realization, profile, omega):
         obj = weighted_objective(
             omega, power.rate_sum, realization.sr_inf, z, profile.eps_max_overall
         )
-        if obj_prev is not None and obj < obj_prev - 1e-6:
-            if "objective_decreased" not in flags:
-                flags.append("objective_decreased")
         if best is None or obj > best[0]:
-            best = (obj, p.copy(), eps)
+            best = (obj, p, eps)
         if z_prev is not None and abs(z - z_prev) <= EPS_TOL:
             return (*best, flags, True, rounds)
-        z_prev, obj_prev = z, obj
+        z_prev = z
     return (*best, flags, False, MAX_ALTERNATIONS)
 
 
@@ -138,20 +135,21 @@ def solve_joint(realization, profile, omega) -> SolveReport:
     Block updates cannot cross into the silent basin (where foregoing rate
     buys the full reliability reward), and on weak channels the silent
     point can win jointly even though each block prefers to transmit given
-    the other. So zero power and each vertex p_max * e_i are also scored
-    with their optimal errors (the floor errors at zero power). The best
-    over eps of the quasi-convex rate terms (see solve_power) is still
-    quasi-convex in p, so these cover every allocation with at most one
-    transmitting user. Their levels come from corner_levels, the error
-    assignment's own scan fed each vertex's branch levels, and they are
-    scored from their objectives alone, the same bits as their reports':
-    a vertex's rate sum is its one user's term, and zero power's is 0.
+    the other. So the budget's corners, realization.corners (zero power,
+    then each vertex p_max * e_i), are also scored with their optimal
+    errors (the floor errors at zero power). The best over eps of the
+    quasi-convex rate terms (see solve_power) is still quasi-convex in p,
+    so these cover every allocation with at most one transmitting user.
+    Their levels come from corner_levels, and they are scored from their
+    objectives alone, the same bits as their reports': zero power's rate
+    sum is 0, and a vertex's is its one user's term.
 
-    One list is scored: the alternation's best objective, then zero power,
-    then the N vertices. Its first maximum wins, so a corner must beat the
-    alternation strictly, and the winner alone gets a report, a corner's
-    flagged "silent_start". At omega = 0 every error sits at the floor and
-    solve_power returns water-filling, which no corner beats strictly.
+    One list is scored: the alternation's best objective, then the
+    corners. Its first maximum wins, so a corner must beat the alternation
+    strictly, and the winner alone gets a report, a corner's flagged
+    "silent_start" with its read-only row as p. At omega = 0 every error
+    sits at the floor and solve_power returns water-filling, which no
+    corner beats strictly.
     """
     check_inputs(realization, profile, omega)
     objective, p, eps, flags, converged, iterations = _alternate(realization, profile, omega)
@@ -167,9 +165,7 @@ def solve_joint(realization, profile, omega) -> SolveReport:
     )
     k = int(np.argmax(np.append(objective, corners)))
     if k:
-        p = np.zeros(realization.n_users)
-        if k > 1:
-            p[k - 2] = realization.p_max
+        p = realization.corners[k - 1]
         eps = errors_at_level(profile, levels[k - 1])
         flags, iterations = ["silent_start"], 1
     return make_report(realization, profile, p, eps, omega, iterations=iterations, flags=flags)

@@ -171,8 +171,8 @@ def solve_power(realization, eps, omega) -> PowerSolveResult:
       closed_supports' order, so repeating it ends on a closed support.
     - A user alone on the budget does best at 0 or at p_max: its slope has
       the sign of 1 - Qinv / (sqrt(L) (1+s) sqrt(s(s+2))), which increases
-      in s. So the N vertices p_max * e_i and zero power cover every
-      support of size 0 or 1.
+      in s. So the budget's N+1 corners, realization.corners (zero power,
+      then each vertex p_max * e_i), cover every support of size 0 or 1.
 
     Every closed support S of two or more users whose inflection powers
     p_hat_i = s_hat_i / gamma_i fit in the budget is solved at once, as one
@@ -190,13 +190,15 @@ def solve_power(realization, eps, omega) -> PowerSolveResult:
     rows' shape once, before the steps, so a step's ufunc calls take
     operands of one shape: no Python scalar or per-user vector enters a
     (K, N) operation, and only each row's price is broadcast. Each row is
-    rescaled onto the budget and scored exactly; a vertex is scored by its
-    one user's term, rate_term(gamma_i p_max) from the realization's
-    vertex halves, since every other term is 0.0, and zero power by 0.0.
-    The first candidate with the best score is returned, in the order
-    rows, vertices, zero power, with that score as its rate_sum. converged
-    is False when the winning row's last step moved p by more than
-    POWER_TOL, and True for a vertex or zero power.
+    rescaled onto the budget and scored exactly; zero power is scored by
+    0.0 and a vertex by its one user's term, rate_term(gamma_i p_max) from
+    the realization's vertex halves, since every other term is 0.0.
+
+    One list is scored, the rows and then the corners, and its first best
+    candidate is returned with that score as its rate_sum: p is a row of
+    the rows or of realization.corners (read-only). converged is False
+    when the winning row's last step moved p by more than POWER_TOL, and
+    True for a corner.
 
     At omega == 0 the objective is identically zero, every feasible p is
     optimal, and water-filling is returned, converged.
@@ -213,7 +215,6 @@ def solve_power(realization, eps, omega) -> PowerSolveResult:
         p = realization.p_wf
         return PowerSolveResult(p=p, rate_sum=float(_sum(rate_term(gamma * p, L, qinv))), converged=True)
 
-    n = gamma.size
     p_hat = np.array([_inflection_snr(q, L) for q in qinv.tolist()]) / gamma
     floor = INFLECTION_MARGIN * p_hat
     supports = closed_supports(gamma, qinv)
@@ -247,17 +248,15 @@ def solve_power(realization, eps, omega) -> PowerSolveResult:
 
     p = np.where(supports, p, 0.0)
     p *= (p_max / _sum(p, axis=1))[:, None]
-    # rows, then each vertex's one term (every other user's is 0.0), then
-    # zero power
-    vertices = realization.vertex_terms(qinv)
-    scores = np.concatenate([_sum(rate_term(gamma_k * p, L, qinv_k), axis=1), vertices, [0.0]])
-    best = int(np.argmax(scores))
-    if best < size.size:
-        return PowerSolveResult(
-            p=p[best], rate_sum=float(scores[best]), converged=bool(moved[best] <= POWER_TOL)
-        )
-    p = np.zeros(n)
-    if best < size.size + n:
-        p[best - size.size] = p_max
-    return PowerSolveResult(p=p, rate_sum=float(scores[best]), converged=True)
+    # the rows, then the corners: zero power's 0.0 and each vertex's one
+    # term (every other user's is 0.0)
+    scores = np.concatenate(
+        [_sum(rate_term(gamma_k * p, L, qinv_k), axis=1), [0.0], realization.vertex_terms(qinv)]
+    )
+    best, rows = int(np.argmax(scores)), size.size
+    return PowerSolveResult(
+        p=p[best] if best < rows else realization.corners[best - rows],
+        rate_sum=float(scores[best]),
+        converged=best >= rows or bool(moved[best] <= POWER_TOL),
+    )
 

@@ -39,11 +39,11 @@ def kkt_residual(eps, realization, p, profile, omega) -> float:
     z-stationarity equation is matched as closely as possible.
     """
     n = realization.n_users
-    eps_s = profile.to_sorted(eps)
+    eps_s = np.asarray(eps, dtype=float)[profile.index]
     caps = np.asarray(profile.eps_max_sorted)
     z = float(np.max(eps))
     a = dispersion_coeff(
-        profile.to_sorted(realization.gamma) * profile.to_sorted(p),
+        (realization.gamma * np.asarray(p, dtype=float))[profile.index],
         realization.block_length,
     )
     y = q_inverse(np.maximum(eps_s, EPS_FLOOR))

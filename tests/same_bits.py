@@ -12,7 +12,14 @@ Equal digests mean equal bits for:
   {100, 200, 1600}, budgets {0, 6, 12} dB and omega in {0, 0.5, 0.9, 1};
 - corner_levels and optimal_errors on random instances with up to 20
   users, whose caps are plain, tied or include one at EPS_FLOOR, at zero
-  power, each vertex and random powers.
+  power, each vertex and random powers;
+- solve_power (p, rate_sum, converged) on the same instances, at the
+  minmax errors (every user at the strictest cap) and at one random error
+  vector each.
+
+It prints two digests. The first covers the first two items and reads the
+same as the digest this script printed before solve_power was added; the
+second covers all three.
 
 pytest does not collect this file; it is a probe, not a test.
 """
@@ -23,9 +30,15 @@ import json
 import numpy as np
 
 from fblopt.channel import NetworkRealization, sample_realization
-from fblopt.error_assignment import SortedQosProfile, corner_levels, optimal_errors
+from fblopt.error_assignment import (
+    SortedQosProfile,
+    corner_levels,
+    errors_at_level,
+    optimal_errors,
+)
 from fblopt.harness import SCHEMES, default_config, scheme_dispatch
 from fblopt.kernels import EPS_FLOOR
+from fblopt.power import solve_power
 
 DRAWS = 40
 LENGTHS = (100, 200, 1600)
@@ -77,8 +90,12 @@ def _instance(rng):
     return r, SortedQosProfile.from_caps(caps), omega
 
 
-def hash_error_levels(digest):
+def hash_instances(digest, power_digest):
+    """Error levels into digest, power solves into power_digest. The random
+    error vectors come from their own generator, so the instances are the
+    ones drawn before solve_power was hashed."""
     rng = np.random.default_rng(2026)
+    eps_rng = np.random.default_rng(2027)
     for _ in range(INSTANCES):
         r, profile, omega = _instance(rng)
         n = r.n_users
@@ -86,12 +103,21 @@ def hash_error_levels(digest):
         powers = [np.zeros(n), *np.eye(n) * r.p_max, rng.dirichlet(np.ones(n)) * r.p_max]
         for p in powers:
             _floats(digest, optimal_errors(r, p, profile, omega))
+        minmax = errors_at_level(profile, profile.eps_max_sorted[0])
+        random_eps = np.exp(eps_rng.uniform(np.log(EPS_FLOOR), np.log(0.49), n))
+        for eps in (minmax, random_eps):
+            res = solve_power(r, eps, omega)
+            _floats(power_digest, res.p)
+            _floats(power_digest, [res.rate_sum])
+            power_digest.update(bytes([res.converged]))
 
 
 def main():
-    digest = hashlib.sha256()
+    digest, power_digest = hashlib.sha256(), hashlib.sha256()
     hash_schemes(digest)
-    hash_error_levels(digest)
+    hash_instances(digest, power_digest)
+    print(digest.hexdigest())
+    digest.update(power_digest.digest())
     print(digest.hexdigest())
 
 

@@ -76,12 +76,19 @@ class TestNetworkRealization:
         for cached in (r.vertex_log1p, r.vertex_dispersion):
             assert not cached.flags.writeable
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_corners_are_read_only_rows(self, n):
+        r = NetworkRealization(gamma=np.linspace(0.5, 2.0, n), p_max=3.0, block_length=200)
+        assert r.corners is r.corners and not r.corners.flags.writeable
+        assert r.corners.tobytes() == (np.eye(n + 1, n, -1) * 3.0).tobytes()
+
     def test_caches_follow_replaced_fields(self):
         r = NetworkRealization(gamma=np.array([0.5, 2.0]), p_max=1.0, block_length=100)
-        r.vertex_log1p, r.vertex_dispersion, r.length_offset
+        r.vertex_log1p, r.vertex_dispersion, r.length_offset, r.corners
         for p_max, L in ((4.0, 100), (1.0, 1600), (0.25, 3)):
             moved = replace(r, p_max=p_max, block_length=L)
             s = r.gamma * p_max
+            assert moved.corners.tobytes() == (np.eye(3, 2, -1) * p_max).tobytes()
             assert moved.vertex_log1p.tobytes() == np.log1p(s).tobytes()
             assert moved.vertex_dispersion.tobytes() == dispersion_coeff(s, L).tobytes()
             assert moved.length_offset == length_offset(L)

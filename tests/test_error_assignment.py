@@ -188,7 +188,7 @@ class TestOptimalErrors:
             out = optimal_errors(r, p, prof, omega)
             caps = np.array(prof.eps_max_sorted)
             assert EPS_FLOOR <= out.max() <= caps[-1]
-            assert np.array_equal(prof.to_sorted(out), np.minimum(caps, out.max()))
+            assert np.array_equal(out[prof.index], np.minimum(caps, out.max()))
 
     def test_symmetric_two_user_grid_oracle(self):
         gamma = np.array([1.5, 1.5])

@@ -290,15 +290,15 @@ class TestSolveJoint:
             assert ("silent_start" in rep.flags) == (corner > runs[0][0])
 
     @pytest.mark.parametrize(
-        "gamma, caps, p_max, L, omega, p",
+        "gamma, caps, p_max, L, omega, p, row",
         [
-            (*WEAK_CHANNELS[0], [0.0, 0.0, 0.59932851]),
-            (*WEAK_CHANNELS[1], [0.0]),
+            (*WEAK_CHANNELS[0], [0.0, 0.0, 0.59932851], 3),
+            (*WEAK_CHANNELS[1], [0.0], 0),
         ],
         ids=["vertex", "silent"],
     )
     def test_closed_form_candidate_beats_alternation(
-        self, gamma, caps, p_max, L, omega, p, monkeypatch
+        self, gamma, caps, p_max, L, omega, p, row, monkeypatch
     ):
         # weak channels: the alternation settles where each block prefers to
         # transmit given the other, below a point with one user or none on
@@ -310,6 +310,8 @@ class TestSolveJoint:
         r, prof = make_instance(gamma, p_max=p_max, L=L, caps=caps)
         rep = solve_joint(r, prof, omega)
         assert rep.flags == ["silent_start"] and np.array_equal(rep.p, p)
+        # the winner's p is its row of the realization's corners, read-only
+        assert rep.p.tobytes() == r.corners[row].tobytes() and not rep.p.flags.writeable
         expected = optimal_errors(r, rep.p, prof, omega)
         assert np.array_equal(rep.eps, expected)
         assert rep.objective == max(self.closed_form_objectives(r, prof, omega)) > runs[0][0]

@@ -275,10 +275,12 @@ class TestSolvePower:
 
 
 def assert_closed_form_winner(r, eps, omega, expected_p):
-    """solve_power returns exactly expected_p (zero power or a vertex),
-    converged, with rate_sum the plain rate_term sum there, bit for bit."""
+    """solve_power returns exactly expected_p (zero power or a vertex), bit
+    for bit, as its read-only row of r.corners, converged, with rate_sum
+    the plain rate_term sum there, bit for bit."""
     res = solve_power(r, eps, omega)
-    assert np.array_equal(res.p, expected_p)
+    assert res.p.tobytes() == expected_p.tobytes()
+    assert res.p.base is r.corners and not res.p.flags.writeable
     assert res.converged
     assert res.rate_sum == float(np.sum(rate_term(r.gamma * res.p, r.block_length, q_inverse(eps))))
 
